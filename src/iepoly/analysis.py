@@ -14,7 +14,6 @@ truncation bound (derivation in the docstring).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -212,40 +211,24 @@ def search_max_ratio(
     k: int,
     expand_cap: int = DEFAULT_SEARCH_EXPAND_CAP,
     subset_cap: int = 20,
-    jobs: int = 1,
     mantissa_bits: int = DEFAULT_MANTISSA_BITS,
 ) -> list[HeightReport]:
     """Rank every enumerable tuple (given k, m <= m_cap, degree <= expand_cap) by ratio.
 
     The output is a finite-sample statistic over the enumerated set, nothing
     more.  Ties in the ratio are broken by lexicographic tuple order, so the
-    ranking is a pure function of the enumerated set; with jobs > 1 the
-    expansions run in a thread pool and are merged before sorting, which
-    preserves that determinism.
+    ranking is a pure function of the enumerated set.
     """
-    if jobs < 1:
-        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
     if k > subset_cap:
         raise CapExceeded(f"k = {k} exceeds subset cap {subset_cap}")
     if m_cap > MAX_ENUM_PRODUCT:
         raise CapExceeded(f"m_cap = {m_cap} exceeds enumeration cap {MAX_ENUM_PRODUCT}")
     opts = ExpandOptions(degree_cap=expand_cap + 1, subset_cap=subset_cap)
-    candidates = [rho for rho in coprime_tuples(k, m_cap) if degree_of(rho) <= expand_cap]
-
-    def measure(rho: CoprimeTuple) -> tuple[CoprimeTuple, int, int]:
-        p = expand(rho, opts)
-        return rho, height(p), p.degree
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            measured = list(pool.map(measure, candidates))
-    else:
-        measured = [measure(rho) for rho in candidates]
-
-    # Ratio evaluation stays on this thread: the precision context is global.
     reports = []
-    for rho, A, deg in measured:
-        M = normalizer(rho)
-        reports.append(HeightReport(rho, A, M, deg, normalized_ratio(A, M, rho.k, mantissa_bits)))
+    for rho in coprime_tuples(k, m_cap):
+        if degree_of(rho) <= expand_cap:
+            p = expand(rho, opts)
+            A, M = height(p), normalizer(rho)
+            reports.append(HeightReport(rho, A, M, p.degree, normalized_ratio(A, M, rho.k, mantissa_bits)))
     reports.sort(key=lambda rep: (-rep.normalized_ratio, rep.rho.qs))
     return reports

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from . import analysis, construction, core, oracle
 from .errors import (
     CapacityError,
@@ -43,6 +45,7 @@ EXIT_CAPACITY = 3
 
 ENV_PREFIX = "IEPOLY_"
 COEFF_INLINE_LIMIT = 10**4
+OUT_CHUNK = 1 << 16
 JSON_SAFE_INT = (1 << 53) - 1
 
 
@@ -98,10 +101,12 @@ def _real(x: Any) -> float:
     return float(x)
 
 
-def _coeff_values(coeffs: Sequence[int]) -> tuple[list[Any], bool]:
-    if all(-JSON_SAFE_INT <= c <= JSON_SAFE_INT for c in coeffs):
-        return list(coeffs), False
-    return [str(c) for c in coeffs], True
+def _write_coeffs(path: str, coeffs: np.ndarray) -> None:
+    # Converted a chunk at a time so the Python integers of the whole array
+    # never exist at once.
+    with open(path, "w", encoding="ascii") as sink:
+        for start in range(0, len(coeffs), OUT_CHUNK):
+            sink.write("\n".join(map(str, coeffs[start : start + OUT_CHUNK].tolist())) + "\n")
 
 
 def emit(payload: dict[str, Any], fmt: str, out: Any = None) -> None:
@@ -196,18 +201,17 @@ def cmd_compute(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, 
         if not 0 <= args.coeff <= p.degree:
             raise InvalidParameter(f"--coeff index {args.coeff} outside [0, {p.degree}]")
         payload["coeff_index"] = args.coeff
-        payload["coeff"] = _big(p.coeffs[args.coeff])
+        payload["coeff"] = _big(int(p.coeffs[args.coeff]))
     if not args.height_only:
         payload["palindromic"] = core.is_palindromic(p)
         payload["eval_at_one"] = _big(core.eval_at_one(p))
         if args.out:
-            with open(args.out, "w", encoding="ascii") as sink:
-                for c in p.coeffs:
-                    sink.write(f"{c}\n")
+            _write_coeffs(args.out, p.coeffs)
             payload["coefficients_file"] = args.out
         elif len(p.coeffs) <= COEFF_INLINE_LIMIT or args.force_coeffs:
-            values, as_strings = _coeff_values(p.coeffs)
-            payload["coefficients"] = values
+            as_strings = report.height > JSON_SAFE_INT
+            values = p.coeffs.tolist()
+            payload["coefficients"] = [str(c) for c in values] if as_strings else values
             if as_strings:
                 payload["coefficients_as_strings"] = True
         else:
@@ -249,11 +253,14 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str
 
 def cmd_constant(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
     result = analysis.limit_constant(args.terms, mantissa_bits=config.mantissa_bits)
+    # Below the smallest normal float the bound would round to 0.0 and
+    # claim an exact value; the smallest normal float still bounds it.
+    bound = result.error_bound
     payload = {
         "command": "constant",
         "terms": result.terms_used,
         "value": _real(result.value),
-        "error_bound": _real(result.error_bound),
+        "error_bound": _real(bound) if bound >= sys.float_info.min else sys.float_info.min,
     }
     return payload, EXIT_OK
 
@@ -298,7 +305,6 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
         args.k,
         expand_cap=args.expand_cap,
         subset_cap=config.subset_cap_k,
-        jobs=args.jobs,
         mantissa_bits=config.mantissa_bits,
     )
     payload: dict[str, Any] = {
@@ -336,7 +342,7 @@ def cmd_oracle_check(args: argparse.Namespace, config: RunConfig) -> tuple[dict[
             fast = core.expand(rho, opts)
             slow = oracle.oracle_expand(rho, oracle_cap=config.oracle_cap_m)
             checked += 1
-            if fast.coeffs != slow.coeffs:
+            if not np.array_equal(fast.coeffs, slow.coeffs):
                 mismatches.append(str(rho))
     payload = {
         "command": "oracle-check",
@@ -401,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--m-cap", required=True, type=int)
     p.add_argument("--expand-cap", type=int, default=analysis.DEFAULT_SEARCH_EXPAND_CAP)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("oracle-check", parents=[common],

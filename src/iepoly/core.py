@@ -15,11 +15,12 @@ factors through a window of degree+1 coefficients: multiplication by
 (1 - x^d) is a high-to-low subtraction sweep, division by (1 - x^d) is a
 low-to-high prefix-sum sweep with stride d (the truncated geometric series).
 A factor whose d exceeds the window is the identity on the truncation and is
-skipped; in particular the d = m factor never materializes.  The default
-lane runs on int64 numpy arrays and promotes to Python integers when
-coefficients approach the fixed-width limit; the promotion check is sound
-because every sweep step adds or subtracts exactly two already-checked
-values (see INT64_SAFE_LIMIT).
+skipped; in particular the d = m factor never materializes.  The
+coefficients live in one numpy array and one sweep loop serves both of its
+dtypes: int64 first, with a sound check after every sweep (see
+INT64_SAFE_LIMIT); if that check fires, the whole expansion runs again from
+1 in an object array of Python integers.  A wrapped array is never carried
+on.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .errors import (
     EntryBelowTwo,
     NotCoprime,
     NotIncreasing,
-    OverflowInFastPath,
     TupleTooLarge,
 )
 
@@ -59,19 +59,17 @@ Factor = tuple[int, int]
 class ExpandOptions:
     """Knobs for ``expand``.
 
-    degree_cap bounds the dense coefficient window (memory guard).
+    degree_cap bounds the dense coefficient window (memory guard) and
+    subset_cap the tuple length whose 2^k subsets are enumerated.
     half_degree computes only the low half and mirrors it (the result is
     always palindromic); off by default so palindromy stays an independent
-    check.  fast_path_limit exists so tests can shrink the promotion
-    threshold; it is clamped to INT64_SAFE_LIMIT.
+    check.  The integer width is not a knob: ``expand`` always returns
+    exact coefficients.
     """
 
     degree_cap: int = DEFAULT_DEGREE_CAP
     subset_cap: int = DEFAULT_SUBSET_CAP
     half_degree: bool = False
-    fast_path: bool = True
-    promote_on_overflow: bool = True
-    fast_path_limit: int = INT64_SAFE_LIMIT
 
 
 DEFAULT_OPTIONS = ExpandOptions()
@@ -102,11 +100,16 @@ class FactorSystem:
         return sum(sign * d for d, sign in self.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IEPolynomial:
-    """Dense exact-integer coefficient vector; index i holds the x^i coefficient."""
+    """Dense exact-integer coefficient vector; index i holds the x^i coefficient.
 
-    coeffs: tuple[int, ...]
+    ``coeffs`` is a one-dimensional numpy array: int64, or dtype=object
+    (Python integers) when the values need more than 62 bits.  Compare two
+    polynomials with ``np.array_equal`` on their coefficients.
+    """
+
+    coeffs: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -158,10 +161,14 @@ def factor_system(rho: CoprimeTuple, subset_cap: int = DEFAULT_SUBSET_CAP) -> Fa
 
 
 def ordered_factors(system: FactorSystem) -> list[Factor]:
-    """Default application order: divisions ascending by d, then multiplications."""
-    divisions = sorted(f for f in system.factors if f[1] < 0)
+    """Default application order: multiplications ascending by d, then divisions.
+
+    Multiplying first keeps intermediate coefficients small, so the int64
+    sweep rarely needs to restart in Python integers.
+    """
     multiplications = sorted(f for f in system.factors if f[1] > 0)
-    return divisions + multiplications
+    divisions = sorted(f for f in system.factors if f[1] < 0)
+    return multiplications + divisions
 
 
 def expand(rho: CoprimeTuple, opts: ExpandOptions = DEFAULT_OPTIONS) -> IEPolynomial:
@@ -171,47 +178,43 @@ def expand(rho: CoprimeTuple, opts: ExpandOptions = DEFAULT_OPTIONS) -> IEPolyno
         raise DegreeCapExceeded(degree, opts.degree_cap)
     system = factor_system(rho, subset_cap=opts.subset_cap)
     window = (degree + 2) // 2 if opts.half_degree else degree + 1
-    coeffs = apply_factors(window, ordered_factors(system), opts)
+    coeffs = apply_factors(window, ordered_factors(system))
     if opts.half_degree:
-        coeffs = coeffs + [coeffs[degree - i] for i in range(window, degree + 1)]
-    return IEPolynomial(tuple(coeffs))
+        coeffs = np.concatenate([coeffs, coeffs[: degree + 1 - window][::-1]])
+    return IEPolynomial(coeffs)
 
 
-def apply_factors(window: int, factors: Sequence[Factor], opts: ExpandOptions = DEFAULT_OPTIONS) -> list[int]:
+def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
     """Apply signed (1 - x^d) factors in the given order to the constant polynomial 1.
 
-    The result is the truncation to ``window`` coefficients.  Exposed
+    The result is the truncation to ``window`` coefficients: an int64 array,
+    or an object array of Python integers when an int64 sweep could have
+    wrapped, in which case every factor is applied again from 1.  Exposed
     separately from ``expand`` so order-independence can be exercised
     directly.
     """
-    if opts.fast_path:
-        return _apply_fast(window, factors, opts)
-    c = [0] * window
-    c[0] = 1
-    _apply_bigint(c, factors)
+    c = _sweep(window, factors, np.int64)
+    if c is None:
+        c = _sweep(window, factors, object)
     return c
 
 
-def _apply_fast(window: int, factors: Sequence[Factor], opts: ExpandOptions) -> list[int]:
-    limit = min(opts.fast_path_limit, INT64_SAFE_LIMIT)
-    c = np.zeros(window, dtype=np.int64)
+def _sweep(window: int, factors: Sequence[Factor], dtype: type) -> Optional[np.ndarray]:
+    # The same slices run on int64 and on object arrays.  Only int64 can
+    # wrap; None reports a sweep after which a coefficient left
+    # INT64_SAFE_LIMIT, so the array can no longer be trusted.
+    c = np.zeros(window, dtype=dtype)
     c[0] = 1
-    for pos, (d, sign) in enumerate(factors):
+    for d, sign in factors:
         if d >= window:
             continue
         if sign > 0:
             c[d:] -= c[: window - d]
         else:
             _strided_prefix_sum(c, d)
-        if int(c.max()) > limit or -int(c.min()) > limit:
-            if not opts.promote_on_overflow:
-                raise OverflowInFastPath(
-                    f"coefficient magnitude exceeded {limit} while applying (1 - x^{d})"
-                )
-            big = [int(v) for v in c]
-            _apply_bigint(big, factors[pos + 1 :])
-            return big
-    return [int(v) for v in c]
+        if dtype is np.int64 and (int(c.max()) > INT64_SAFE_LIMIT or -int(c.min()) > INT64_SAFE_LIMIT):
+            return None
+    return c
 
 
 def _strided_prefix_sum(c: np.ndarray, d: int) -> None:
@@ -227,28 +230,20 @@ def _strided_prefix_sum(c: np.ndarray, d: int) -> None:
         c[rows * d :] += c[(rows - 1) * d : n - d]
 
 
-def _apply_bigint(c: list[int], factors: Sequence[Factor]) -> None:
-    n = len(c)
-    for d, sign in factors:
-        if d >= n:
-            continue
-        if sign > 0:
-            for i in range(n - 1, d - 1, -1):
-                c[i] -= c[i - d]
-        else:
-            for i in range(d, n):
-                c[i] += c[i - d]
-
-
 def height(p: IEPolynomial) -> int:
     """Largest coefficient magnitude."""
-    return max(max(p.coeffs), -min(p.coeffs))
+    return max(int(p.coeffs.max()), -int(p.coeffs.min()))
 
 
 def is_palindromic(p: IEPolynomial) -> bool:
-    return p.coeffs == p.coeffs[::-1]
+    return bool(np.array_equal(p.coeffs, p.coeffs[::-1]))
 
 
 def eval_at_one(p: IEPolynomial) -> int:
     """Coefficient sum; q_1 for a single-entry tuple and 1 otherwise."""
-    return sum(p.coeffs)
+    c = p.coeffs
+    if c.dtype == object:
+        return int(c.sum())
+    # An int64 sum can wrap.  The sums of the high and low 32-bit halves
+    # cannot while the window has fewer than 2^31 entries.
+    return (int((c >> 32).sum()) << 32) + int((c & 0xFFFFFFFF).sum())

@@ -77,10 +77,6 @@ class CapExceeded(CapacityError):
     """Generic cap violation for search and bound computations."""
 
 
-class OverflowInFastPath(IEPolyError, OverflowError):
-    """Fixed-width coefficients overflowed and promotion was disabled."""
-
-
 class NonzeroRemainder(IEPolyError, ArithmeticError):
     """Polynomial long division left a nonzero remainder where exactness was required."""
 

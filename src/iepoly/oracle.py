@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import CoprimeTuple, IEPolynomial, factor_system
 from .errors import NonzeroRemainder, OracleCapExceeded
 
@@ -92,7 +94,8 @@ def oracle_expand(rho: CoprimeTuple, oracle_cap: int = DEFAULT_ORACLE_CAP) -> IE
 
     Intermediate degrees reach roughly m * 2^(k-1), hence the cap on m.
     A NonzeroRemainder here means an arithmetic bug: the quotient is a
-    polynomial for every valid tuple.
+    polynomial for every valid tuple.  Under the cap every coefficient fits
+    in int64, so the result is an int64 array like ``expand``'s.
     """
     if rho.m > oracle_cap:
         raise OracleCapExceeded(rho.m, oracle_cap)
@@ -105,4 +108,4 @@ def oracle_expand(rho: CoprimeTuple, oracle_cap: int = DEFAULT_ORACLE_CAP) -> IE
     for d, sign in sorted(system.factors, reverse=True):
         if sign < 0:
             num = exact_div(num, one_minus_x_pow(d))
-    return IEPolynomial(num.coeffs)
+    return IEPolynomial(np.array(num.coeffs, dtype=np.int64))

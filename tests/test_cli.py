@@ -75,6 +75,14 @@ class TestCompute:
         _, halved, _ = run_json(capsys, "compute", "--q", "3,5,7", "--half-degree")
         assert full == halved
 
+    @pytest.mark.parametrize("q, expected", [("5,7,11,13,17", "67"), ("3,5,7,11,13,17", "532")])
+    def test_high_k_heights(self, capsys, q, expected):
+        code, payload, _ = run_json(capsys, "compute", "--q", q)
+        assert code == 0
+        assert payload["height"] == expected
+        assert payload["palindromic"] is True
+        assert payload["eval_at_one"] == "1"
+
     def test_coefficient_file_sink(self, capsys, tmp_path):
         sink = tmp_path / "coeffs.txt"
         code, payload, _ = run_json(capsys, "compute", "--q", "2,3", "--out", str(sink))
@@ -151,6 +159,11 @@ class TestConstant:
         code, _, _ = run(capsys, "constant", "--terms", "0")
         assert code == 2
 
+    def test_tiny_bound_stays_positive(self, capsys):
+        code, payload, _ = run_json(capsys, "constant", "--terms", "4000")
+        assert code == 0
+        assert payload["error_bound"] > 0
+
 
 class TestVerify:
     def test_passing_instance(self, capsys):
@@ -194,10 +207,6 @@ class TestSearch:
         assert payload["count"] == 0
         assert payload["results"] == []
 
-    def test_jobs_deterministic(self, capsys):
-        _, seq, _ = run(capsys, "search", "--k", "3", "--m-cap", "150")
-        _, par, _ = run(capsys, "search", "--k", "3", "--m-cap", "150", "--jobs", "3")
-        assert seq == par
 
 
 class TestOracleCheck:

@@ -1,6 +1,8 @@
 import math
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from iepoly.core import (
     DEFAULT_SUBSET_CAP,
     ExpandOptions,
     IEPolynomial,
+    _sweep,
     apply_factors,
     degree_of,
     eval_at_one,
@@ -25,7 +28,6 @@ from iepoly.errors import (
     EntryBelowTwo,
     NotCoprime,
     NotIncreasing,
-    OverflowInFastPath,
     TupleTooLarge,
 )
 
@@ -106,10 +108,10 @@ def test_degree_of():
 
 class TestExpand:
     def test_single_even(self):
-        assert expand(validate_tuple([2])).coeffs == (1, 1)
+        assert expand(validate_tuple([2])).coeffs.tolist() == [1, 1]
 
     def test_pair(self):
-        assert expand(validate_tuple([2, 3])).coeffs == (1, -1, 1)
+        assert expand(validate_tuple([2, 3])).coeffs.tolist() == [1, -1, 1]
 
     def test_triple_105(self):
         p = expand(validate_tuple([3, 5, 7]))
@@ -123,25 +125,9 @@ class TestExpand:
         with pytest.raises(DegreeCapExceeded):
             expand(validate_tuple([3, 5, 7]), ExpandOptions(degree_cap=10))
 
-    def test_lanes_agree(self, small_corpus, random_corpus):
-        for rho in small_corpus + random_corpus[:10]:
-            fast = expand(rho, ExpandOptions(fast_path=True))
-            slow = expand(rho, ExpandOptions(fast_path=False))
-            assert fast.coeffs == slow.coeffs, rho
-
     def test_half_degree_matches_full(self, small_corpus):
         for rho in small_corpus:
-            assert expand(rho, ExpandOptions(half_degree=True)).coeffs == expand(rho).coeffs
-
-    def test_promotion_preserves_result(self, small_corpus):
-        for rho in small_corpus:
-            promoted = expand(rho, ExpandOptions(fast_path_limit=1))
-            assert promoted.coeffs == expand(rho).coeffs
-
-    def test_overflow_raises_when_promotion_disabled(self):
-        rho = validate_tuple([3, 5, 7])
-        with pytest.raises(OverflowInFastPath):
-            expand(rho, ExpandOptions(fast_path_limit=1, promote_on_overflow=False))
+            assert np.array_equal(expand(rho, ExpandOptions(half_degree=True)).coeffs, expand(rho).coeffs)
 
 
 class TestExpandProperties:
@@ -174,8 +160,55 @@ class TestExpandProperties:
             for _ in range(3):
                 shuffled = factors[:]
                 rng.shuffle(shuffled)
-                assert apply_factors(window, shuffled) == reference
-                assert apply_factors(window, shuffled, ExpandOptions(fast_path=False)) == reference
+                assert np.array_equal(apply_factors(window, shuffled), reference)
+
+
+def divisions_first(rho):
+    """The order under which the int64 sweep wraps on k >= 5: all divisions, then multiplications."""
+    factors = factor_system(rho).factors
+    return sorted(f for f in factors if f[1] < 0) + sorted(f for f in factors if f[1] > 0)
+
+
+class TestPromotion:
+    """An int64 sweep that could wrap restarts in Python integers and stays exact."""
+
+    @pytest.mark.parametrize("qs, expected_height", [((5, 7, 11, 13, 17), 67), ((3, 5, 7, 11, 13, 17), 532)])
+    def test_divisions_first_promotes_and_agrees(self, qs, expected_height):
+        rho = validate_tuple(qs)
+        forced = apply_factors(degree_of(rho) + 1, divisions_first(rho))
+        assert forced.dtype == object
+        default = expand(rho).coeffs
+        assert np.array_equal(forced, default)
+        p = IEPolynomial(forced)
+        assert height(p) == expected_height
+        assert is_palindromic(p)
+        assert eval_at_one(p) == 1
+
+    def test_object_sweep_matches_int64_sweep(self, small_corpus, random_corpus):
+        for rho in small_corpus + random_corpus[:10]:
+            factors = ordered_factors(factor_system(rho))
+            window = degree_of(rho) + 1
+            as_int64 = _sweep(window, factors, np.int64)
+            as_object = _sweep(window, factors, object)
+            assert as_int64.dtype == np.int64 and as_object.dtype == object
+            assert np.array_equal(as_int64, as_object), rho
+
+    def test_random_high_k_orders_agree(self):
+        rng = random.Random(0x5A1E)
+        promoted = 0
+        checked = 0
+        while checked < 8:
+            qs = sorted(rng.sample(range(2, 24), rng.choice((5, 6))))
+            if any(math.gcd(a, b) != 1 for a, b in combinations(qs, 2)):
+                continue
+            rho = validate_tuple(qs)
+            if degree_of(rho) > 60_000:
+                continue
+            checked += 1
+            forced = apply_factors(degree_of(rho) + 1, divisions_first(rho))
+            promoted += forced.dtype == object
+            assert np.array_equal(forced, expand(rho).coeffs), qs
+        assert promoted > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,13 +223,19 @@ class TestMeasures:
     def test_height_examples(self):
         assert height(expand(validate_tuple([2, 3]))) == 1
         assert height(expand(validate_tuple([2]))) == 1
-        assert height(IEPolynomial((1, -5, 3))) == 5
+        assert height(IEPolynomial(np.array([1, -5, 3]))) == 5
 
     def test_palindrome_examples(self):
-        assert is_palindromic(IEPolynomial((1, -1, 1)))
-        assert not is_palindromic(IEPolynomial((1, 2)))
+        assert is_palindromic(IEPolynomial(np.array([1, -1, 1])))
+        assert not is_palindromic(IEPolynomial(np.array([1, 2])))
 
     def test_eval_at_one_examples(self):
         assert eval_at_one(expand(validate_tuple([7]))) == 7
         assert eval_at_one(expand(validate_tuple([2, 3]))) == 1
         assert eval_at_one(expand(validate_tuple([3, 5, 7]))) == 1
+
+    @pytest.mark.parametrize("value", [(1 << 62) - 1, -(1 << 62)])
+    def test_eval_at_one_exact_past_int64(self, value):
+        c = np.full(4, value, dtype=np.int64)
+        assert int(c.sum()) != 4 * value  # the int64 sum wraps
+        assert eval_at_one(IEPolynomial(c)) == 4 * value

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,10 +60,10 @@ def test_mul_div_round_trip(a, b_body, b_lead):
 
 class TestOracleExpand:
     def test_pair(self):
-        assert oracle_expand(validate_tuple([2, 3])).coeffs == (1, -1, 1)
+        assert oracle_expand(validate_tuple([2, 3])).coeffs.tolist() == [1, -1, 1]
 
     def test_singleton(self):
-        assert oracle_expand(validate_tuple([7])).coeffs == (1,) * 7
+        assert oracle_expand(validate_tuple([7])).coeffs.tolist() == [1] * 7
 
     def test_nonprime_pair(self):
         p = oracle_expand(validate_tuple([4, 9]))
@@ -77,6 +78,6 @@ class TestOracleExpand:
         checked = 0
         for k in (1, 2, 3):
             for rho in coprime_tuples(k, 300):
-                assert oracle_expand(rho).coeffs == expand(rho).coeffs, rho
+                assert np.array_equal(oracle_expand(rho).coeffs, expand(rho).coeffs), rho
                 checked += 1
         assert checked > 100
