@@ -4,7 +4,11 @@ The scale against which coefficient heights are measured is the normalizer
 M = prod_{j=1}^{k-2} q_j^(2^(k-j-1) - 1) (empty product 1 for k <= 2); the
 reported statistic is the normalized ratio (A / M)^(2^-k) where A is the
 height.  Ratios are always evaluated through logarithms of exact integers:
-M alone overflows double-precision range at moderate k.
+M alone overflows double-precision range at moderate k.  A large exact
+integer enters mpmath as its odd part shifted by its power of two
+(``_log_int``): mpmath strips trailing zero bits a byte at a time, shifting
+the whole integer each time, so r^(2^(k-1)) would otherwise cost quadratic
+time before the logarithm starts.
 
 ``limit_constant`` evaluates prod_{j>=1} (4j - 2)^(-2^(-j-1)), the limiting
 value of the constructed families' predicted ratio, together with a proven
@@ -24,6 +28,7 @@ from .core import (
     CoprimeTuple,
     ExpandOptions,
     IEPolynomial,
+    check_subset_cap,
     degree_of,
     expand,
     height,
@@ -63,6 +68,12 @@ def normalizer(rho: CoprimeTuple) -> int:
     for j in range(1, k - 1):
         out *= rho.qs[j - 1] ** ((1 << (k - j - 1)) - 1)
     return out
+
+
+def _log_int(n: int) -> "mp.mpf":
+    """mp.log(n) for an integer n >= 1, bit-identical and in linear time."""
+    tz = (n & -n).bit_length() - 1
+    return mp.log(mp.ldexp(n >> tz, tz))
 
 
 def normalized_ratio(A: int, M: int, k: int, mantissa_bits: int = DEFAULT_MANTISSA_BITS) -> "mp.mpf":
@@ -121,7 +132,7 @@ def predicted_ratio(
             M = 1
             for j in range(1, k - 1):
                 M *= qs[j - 1] ** ((1 << (k - j - 1)) - 1)
-            grouped = mp.log(numerator) - mp.log(m) - mp.log(M)
+            grouped = _log_int(numerator) - mp.log(m) - mp.log(M)
         else:
             log_M = mp.mpf(0)
             for j in range(1, k - 1):
@@ -219,8 +230,7 @@ def search_max_ratio(
     more.  Ties in the ratio are broken by lexicographic tuple order, so the
     ranking is a pure function of the enumerated set.
     """
-    if k > subset_cap:
-        raise CapExceeded(f"k = {k} exceeds subset cap {subset_cap}")
+    check_subset_cap(k, subset_cap)
     if m_cap > MAX_ENUM_PRODUCT:
         raise CapExceeded(f"m_cap = {m_cap} exceeds enumeration cap {MAX_ENUM_PRODUCT}")
     opts = ExpandOptions(degree_cap=expand_cap + 1, subset_cap=subset_cap)

@@ -23,8 +23,10 @@ from typing import Optional
 from .core import CoprimeTuple, validate_tuple
 from .errors import CongruenceNotSatisfied, InvalidParameter
 
-# Exact bounds are materialized only below this size; ~2^19 bits keeps the
-# decimal rendering of the numerator under a second on CPython.
+# Exact bounds are materialized only below this size.  It is part of the
+# output contract, not a speed setting: it decides which (N, k) families
+# report lemma_bound and height_floor (k <= 14 for N < 2 * 10^8), and it
+# caps each of those numbers at about 158k decimal digits.
 DEFAULT_BOUND_BITS_CAP = 1 << 19
 
 

@@ -145,10 +145,15 @@ def degree_of(rho: CoprimeTuple) -> int:
     return deg
 
 
+def check_subset_cap(k: int, subset_cap: int) -> None:
+    """Raise TupleTooLarge when a k-tuple's 2^k subsets exceed the cap."""
+    if k > subset_cap:
+        raise TupleTooLarge(k, subset_cap)
+
+
 def factor_system(rho: CoprimeTuple, subset_cap: int = DEFAULT_SUBSET_CAP) -> FactorSystem:
     """Enumerate all 2^k subsets as signed factors (d = m / prod q_i, sign = parity)."""
-    if rho.k > subset_cap:
-        raise TupleTooLarge(rho.k, subset_cap)
+    check_subset_cap(rho.k, subset_cap)
     factors: list[Factor] = []
     for size in range(rho.k + 1):
         sign = 1 if size % 2 == 0 else -1

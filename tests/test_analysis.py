@@ -5,6 +5,7 @@ from mpmath import mp
 
 from iepoly.analysis import (
     ConstantResult,
+    _log_int,
     constant_log_tail_bound,
     coprime_tuples,
     height_report,
@@ -14,8 +15,9 @@ from iepoly.analysis import (
     predicted_ratio,
     search_max_ratio,
 )
+from iepoly.construction import family_parameters
 from iepoly.core import degree_of, validate_tuple
-from iepoly.errors import CapExceeded, InvalidParameter
+from iepoly.errors import CapExceeded, InvalidParameter, TupleTooLarge
 
 
 def rel_close(a, b, tol):
@@ -58,6 +60,28 @@ class TestNormalizedRatio:
             normalized_ratio(1, 0, 3)
         with pytest.raises(InvalidParameter):
             normalized_ratio(1, 1, 0)
+
+
+class TestLogInt:
+    @staticmethod
+    def assert_same(n):
+        with mp.workprec(128):
+            assert _log_int(n)._mpf_ == mp.log(n)._mpf_, n
+
+    def test_small_and_odd(self):
+        for n in (1, 3, 5, 7, 2**61 - 1, 3**200, 10**50 + 1):
+            self.assert_same(n)
+
+    def test_powers_of_two(self):
+        for e in (1, 2, 7, 8, 9, 64, 1000, 4096):
+            self.assert_same(1 << e)
+
+    def test_family_numerators(self):
+        # r^(2^(k-1)) carries a long run of trailing zero bits.
+        for N in (1, 2, 5):
+            for k in range(2, 13):
+                r, _ = family_parameters(N, k)
+                self.assert_same(r ** (1 << (k - 1)))
 
 
 class TestPredictedRatio:
@@ -180,7 +204,7 @@ class TestSearch:
         assert reports[0].rho.qs == (3, 4, 5)
 
     def test_caps(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(TupleTooLarge):
             search_max_ratio(100, 25)
         with pytest.raises(CapExceeded):
             search_max_ratio(10**8, 2)

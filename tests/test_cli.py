@@ -1,8 +1,15 @@
 import json
+import random
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from iepoly import cli
 from iepoly.cli import main
+from iepoly.construction import congruence_family, height_lower_bound
 
 
 @pytest.fixture(autouse=True)
@@ -138,9 +145,51 @@ class TestConstruct:
         assert payload["lemma_bound"] is not None
         assert len(payload["lemma_bound"]) > 10**4
 
+    def test_k14_bounds_match_str(self, capsys):
+        code, payload, _ = run_json(capsys, "construct", "--N", "1", "--k", "14")
+        assert code == 0
+        fam = congruence_family(1, 14)
+        bound = height_lower_bound(fam.rho, fam.r)
+        assert payload["lemma_bound"] == f"{bound.bound.numerator}/{bound.bound.denominator}"
+        assert payload["height_floor"] == str(bound.floor)
+        assert payload["predicted_ratio"] == 0.48704363223809843
+
     def test_big_k_refuses_expand(self, capsys):
         code, _, err = run(capsys, "construct", "--N", "1", "--k", "25", "--expand")
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def unlimited_str_digits():
+    # str() of the reference values must pass the int-to-str guard (3.11+).
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestBigRendering:
+    # Both sides of the str() threshold, with signs and 10^j +- 1 edges.
+    EDGE = [0, 1, -1, (1 << cli.STR_BITS) - 1, 1 << cli.STR_BITS, -(1 << cli.STR_BITS) - 1]
+    EDGE += [s * (10**j + d) for j in (2466, 2467, 30000) for d in (-1, 0, 1) for s in (1, -1)]
+
+    def test_edges(self, unlimited_str_digits):
+        for x in self.EDGE:
+            assert cli._big(x) == str(x)
+        fr = Fraction(10**30000 + 1, 3**20000)
+        assert cli._frac(fr) == f"{fr.numerator}/{fr.denominator}"
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(bits=st.integers(0, 200_000), seed=st.integers(0, 2**32), negative=st.booleans())
+    @example(bits=cli.STR_BITS, seed=1, negative=False)
+    @example(bits=cli.STR_BITS + 1, seed=1, negative=True)
+    def test_matches_str(self, unlimited_str_digits, bits, seed, negative):
+        x = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)
+        x = -x if negative else x
+        assert cli._big(x) == str(x)
 
 
 class TestConstant:
