@@ -62,12 +62,19 @@ class ConstantResult:
 
 
 def normalizer(rho: CoprimeTuple) -> int:
-    """M = prod_{j=1}^{k-2} q_j^(2^(k-j-1) - 1); 1 for k <= 2."""
-    k = rho.k
-    out = 1
-    for j in range(1, k - 1):
-        out *= rho.qs[j - 1] ** ((1 << (k - j - 1)) - 1)
-    return out
+    """M = prod_{j=1}^{k-2} q_j^(2^(k-j-1) - 1); 1 for k <= 2.
+
+    Built as P = (((q_1)^2 q_2)^2 ... q_{k-2})^2 = prod q_j^(2^(k-j-1)) and
+    divided exactly by prod q_j: k - 2 squarings and small multiplications,
+    where one power per member would spend a full multiplication per
+    exponent bit.
+    """
+    P = 1
+    base = 1
+    for q in rho.qs[: rho.k - 2]:
+        P = P * P * q
+        base *= q
+    return P * P // base
 
 
 def _log_int(n: int) -> "mp.mpf":
@@ -129,9 +136,7 @@ def predicted_ratio(
             m *= q
         if (1 << (k - 1)) * r.bit_length() <= exact_bits_cap:
             numerator = r ** (1 << (k - 1))
-            M = 1
-            for j in range(1, k - 1):
-                M *= qs[j - 1] ** ((1 << (k - j - 1)) - 1)
+            M = normalizer(CoprimeTuple(tuple(qs), m))
             grouped = _log_int(numerator) - mp.log(m) - mp.log(M)
         else:
             log_M = mp.mpf(0)

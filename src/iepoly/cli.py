@@ -27,9 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import analysis, construction, core, oracle
 from .errors import (
@@ -37,8 +35,12 @@ from .errors import (
     IdentityMismatch,
     InvalidParameter,
     NonzeroRemainder,
+    OracleCapExceeded,
     TupleValidationError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -145,7 +147,8 @@ def _write_coeffs(path: str, coeffs: np.ndarray) -> None:
     # never exist at once.
     with open(path, "w", encoding="ascii") as sink:
         for start in range(0, len(coeffs), OUT_CHUNK):
-            sink.write("\n".join(map(str, coeffs[start : start + OUT_CHUNK].tolist())) + "\n")
+            values = coeffs[start : start + OUT_CHUNK].tolist()
+            sink.write(("%d\n" * len(values)) % tuple(values))
 
 
 def emit(payload: dict[str, Any], fmt: str, out: Any = None) -> None:
@@ -369,8 +372,10 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
 
 
 def cmd_oracle_check(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
+    import numpy as np
+
     if args.m_cap > config.oracle_cap_m:
-        raise CapacityError(f"m_cap = {args.m_cap} exceeds oracle cap {config.oracle_cap_m}")
+        raise OracleCapExceeded(args.m_cap, config.oracle_cap_m)
     k_values = list(range(1, args.k_max + 1))
     opts = _expand_options(config)
     checked = 0

@@ -20,7 +20,11 @@ coefficients live in one numpy array and one sweep loop serves both of its
 dtypes: int64 first, with a sound check after every sweep (see
 INT64_SAFE_LIMIT); if that check fires, the whole expansion runs again from
 1 in an object array of Python integers.  A wrapped array is never carried
-on.
+on.  The multiplication sweep runs top-down in blocks (SWEEP_BLOCK), so it
+needs no copy of the window.
+
+numpy is imported only by the functions that allocate an array, so
+``import iepoly`` stays cheap and numpy loads on the first expansion.
 """
 
 from __future__ import annotations
@@ -28,9 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
     DegreeCapExceeded,
@@ -41,12 +43,20 @@ from .errors import (
     TupleTooLarge,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Post-sweep magnitude limit for the int64 lane.  If every stored value is
 # within L = 2^62 - 1 after each sweep, no step can have wrapped silently:
 # a multiplication step computes |a - b| <= 2L < 2^63 from pre-sweep values,
 # and the first division step able to wrap would need an already-final
 # operand of magnitude > L, which the same post-sweep check rejects.
 INT64_SAFE_LIMIT = (1 << 62) - 1
+
+# Longest slice one multiplication step subtracts at a time.  A block longer
+# than d overlaps its own source, and numpy then copies the source first, so
+# a block bounds that copy to SWEEP_BLOCK entries instead of the window.
+SWEEP_BLOCK = 1 << 16
 
 DEFAULT_DEGREE_CAP = 1 << 28
 DEFAULT_SUBSET_CAP = 20
@@ -185,6 +195,8 @@ def expand(rho: CoprimeTuple, opts: ExpandOptions = DEFAULT_OPTIONS) -> IEPolyno
     window = (degree + 2) // 2 if opts.half_degree else degree + 1
     coeffs = apply_factors(window, ordered_factors(system))
     if opts.half_degree:
+        import numpy as np
+
         coeffs = np.concatenate([coeffs, coeffs[: degree + 1 - window][::-1]])
     return IEPolynomial(coeffs)
 
@@ -198,28 +210,41 @@ def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
     separately from ``expand`` so order-independence can be exercised
     directly.
     """
-    c = _sweep(window, factors, np.int64)
+    c = _sweep(window, factors, "int64")
     if c is None:
         c = _sweep(window, factors, object)
     return c
 
 
-def _sweep(window: int, factors: Sequence[Factor], dtype: type) -> Optional[np.ndarray]:
+def _sweep(window: int, factors: Sequence[Factor], dtype: str | type) -> Optional[np.ndarray]:
     # The same slices run on int64 and on object arrays.  Only int64 can
     # wrap; None reports a sweep after which a coefficient left
     # INT64_SAFE_LIMIT, so the array can no longer be trusted.
+    import numpy as np
+
     c = np.zeros(window, dtype=dtype)
     c[0] = 1
+    checked = c.dtype == "int64"
     for d, sign in factors:
         if d >= window:
             continue
         if sign > 0:
-            c[d:] -= c[: window - d]
+            _shifted_difference(c, d)
         else:
             _strided_prefix_sum(c, d)
-        if dtype is np.int64 and (int(c.max()) > INT64_SAFE_LIMIT or -int(c.min()) > INT64_SAFE_LIMIT):
+        if checked and (int(c.max()) > INT64_SAFE_LIMIT or -int(c.min()) > INT64_SAFE_LIMIT):
             return None
     return c
+
+
+def _shifted_difference(c: np.ndarray, d: int) -> None:
+    # c[i] -= c[i-d] for i descending, as c[d:] -= c[:n-d] computes it, but
+    # a block of at most max(d, SWEEP_BLOCK) entries at a time, from the top:
+    # every source entry is read before the block below overwrites it.
+    block = max(d, SWEEP_BLOCK)
+    for end in range(c.shape[0], d, -block):
+        start = max(d, end - block)
+        c[start:end] -= c[start - d : end - d]
 
 
 def _strided_prefix_sum(c: np.ndarray, d: int) -> None:
@@ -230,7 +255,7 @@ def _strided_prefix_sum(c: np.ndarray, d: int) -> None:
     rows = n // d
     if rows >= 2:
         head = c[: rows * d].reshape(rows, d)
-        np.cumsum(head, axis=0, out=head)
+        head.cumsum(axis=0, out=head)
     if rows * d < n:
         c[rows * d :] += c[(rows - 1) * d : n - d]
 
@@ -241,7 +266,7 @@ def height(p: IEPolynomial) -> int:
 
 
 def is_palindromic(p: IEPolynomial) -> bool:
-    return bool(np.array_equal(p.coeffs, p.coeffs[::-1]))
+    return bool((p.coeffs == p.coeffs[::-1]).all())
 
 
 def eval_at_one(p: IEPolynomial) -> int:

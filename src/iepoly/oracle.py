@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import CoprimeTuple, IEPolynomial, factor_system
 from .errors import NonzeroRemainder, OracleCapExceeded
 
@@ -97,6 +95,8 @@ def oracle_expand(rho: CoprimeTuple, oracle_cap: int = DEFAULT_ORACLE_CAP) -> IE
     polynomial for every valid tuple.  Under the cap every coefficient fits
     in int64, so the result is an int64 array like ``expand``'s.
     """
+    import numpy as np
+
     if rho.m > oracle_cap:
         raise OracleCapExceeded(rho.m, oracle_cap)
     system = factor_system(rho)

@@ -39,6 +39,17 @@ class TestNormalizer:
                 rhs *= rho.qs[j - 1] ** (1 << (k - j - 1))
             assert rho.m * normalizer(rho) == rhs, rho
 
+    def test_matches_per_member_powers(self, small_corpus, random_corpus):
+        families = [validate_tuple(family_parameters(N, k)[1]) for N in (1, 2) for k in range(1, 16)]
+        for rho in families + small_corpus + random_corpus:
+            k = rho.k
+            expected = 1
+            for j in range(1, k - 1):
+                expected *= rho.qs[j - 1] ** ((1 << (k - j - 1)) - 1)
+            assert normalizer(rho) == expected, rho
+            if k <= 2:
+                assert normalizer(rho) == 1
+
 
 class TestNormalizedRatio:
     def test_unit(self):

@@ -1,8 +1,12 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -269,6 +273,26 @@ class TestOracleCheck:
         code, _, _ = run(capsys, "oracle-check", "--m-cap", "100", "--oracle-cap", "50")
         assert code == 3
 
+    def test_cap_message(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--m-cap", "20000")
+        assert code == 3
+        assert out == ""
+        assert err == "error: OracleCapExceeded: m = 20000 exceeds oracle cap 10000\n"
+
+
+class TestCoefficientWriter:
+    @pytest.mark.parametrize("length", [1, cli.OUT_CHUNK, cli.OUT_CHUNK + 1])
+    @pytest.mark.parametrize("dtype", ["int64", "object"])
+    def test_bytes_match_str(self, tmp_path, dtype, length):
+        rng = random.Random(length)
+        if dtype == "int64":
+            values = [rng.randint(-(1 << 63), (1 << 63) - 1) for _ in range(length)]
+        else:
+            values = [rng.choice((-1, 1)) * rng.randint(1 << 63, 1 << 100) for _ in range(length)]
+        sink = tmp_path / "coeffs.txt"
+        cli._write_coeffs(str(sink), np.array(values, dtype=dtype))
+        assert sink.read_bytes() == ("\n".join(map(str, values)) + "\n").encode("ascii")
+
 
 class TestOutputContract:
     def test_json_round_trip(self, capsys):
@@ -296,3 +320,23 @@ class TestOutputContract:
         code, out, _ = run(capsys, "constant", "--terms", "2")
         assert code == 0
         assert out.startswith("command: constant")
+
+
+def test_array_free_commands_do_not_import_numpy():
+    # numpy loads with the first coefficient array; import and the
+    # closed-form commands run without it.
+    script = """
+import sys
+from iepoly.cli import main
+assert "numpy" not in sys.modules, "import iepoly.cli"
+for argv in (["constant", "--terms", "5"], ["verify", "--q", "13,37,61", "--r", "6"],
+             ["construct", "--N", "1", "--k", "5"]):
+    assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert main(["compute", "--q", "3,5,7"]) == 0
+assert "numpy" in sys.modules, "compute"
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("IEPOLY_")}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from iepoly.core import (
     DEFAULT_SUBSET_CAP,
+    SWEEP_BLOCK,
     ExpandOptions,
     IEPolynomial,
+    _shifted_difference,
     _sweep,
     apply_factors,
     degree_of,
@@ -209,6 +212,40 @@ class TestPromotion:
             promoted += forced.dtype == object
             assert np.array_equal(forced, expand(rho).coeffs), qs
         assert promoted > 0
+
+
+class TestShiftedDifference:
+    """The blocked multiplication step equals the whole-slice subtraction."""
+
+    @pytest.mark.parametrize("window", [1000, 3 * SWEEP_BLOCK + 5])
+    @pytest.mark.parametrize("dtype", ["int64", "object"])
+    def test_matches_whole_slice(self, window, dtype):
+        rng = np.random.default_rng(window)
+        values = rng.integers(-(1 << 40), 1 << 40, size=window)
+        if dtype == "object":
+            values = values.astype(object) * (1 << 70)
+        half = window // 2
+        for d in sorted({1, 7, SWEEP_BLOCK - 1, SWEEP_BLOCK + 1, half - 1, half, half + 1, window - 1}):
+            if d >= window:
+                continue
+            expected = values.copy()
+            expected[d:] -= values[: window - d]
+            blocked = values.copy()
+            _shifted_difference(blocked, d)
+            assert blocked.dtype == expected.dtype
+            assert np.array_equal(blocked, expected), d
+
+    @pytest.mark.parametrize("d", [1, 1000])
+    def test_needs_no_copy_of_the_window(self, d):
+        c = np.zeros(10**6, dtype=np.int64)
+        c[0] = 1
+        tracemalloc.start()
+        try:
+            _shifted_difference(c, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the window itself is 8 MB
 
 
 @settings(max_examples=60, deadline=None)
