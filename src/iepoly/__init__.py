@@ -34,7 +34,7 @@ from .core import (
     is_palindromic,
     validate_tuple,
 )
-from .oracle import DensePoly, dense_mul, exact_div, oracle_expand, poly
+from .oracle import div_one_minus_x_pow, mul_one_minus_x_pow, oracle_expand
 
 __all__ = [
     "ConstantResult",
@@ -42,7 +42,6 @@ __all__ = [
     "CongruenceReport",
     "CoprimalityTrace",
     "CoprimeTuple",
-    "DensePoly",
     "ExpandOptions",
     "FactorSystem",
     "HeightBound",
@@ -53,9 +52,8 @@ __all__ = [
     "coprimality_trace",
     "coprime_tuples",
     "degree_of",
-    "dense_mul",
+    "div_one_minus_x_pow",
     "eval_at_one",
-    "exact_div",
     "expand",
     "factor_system",
     "height",
@@ -63,10 +61,10 @@ __all__ = [
     "height_report",
     "is_palindromic",
     "limit_constant",
+    "mul_one_minus_x_pow",
     "normalized_ratio",
     "normalizer",
     "oracle_expand",
-    "poly",
     "predicted_ratio",
     "search_max_ratio",
     "validate_tuple",

@@ -274,6 +274,12 @@ def eval_at_one(p: IEPolynomial) -> int:
     c = p.coeffs
     if c.dtype == object:
         return int(c.sum())
-    # An int64 sum can wrap.  The sums of the high and low 32-bit halves
-    # cannot while the window has fewer than 2^31 entries.
-    return (int((c >> 32).sum()) << 32) + int((c & 0xFFFFFFFF).sum())
+    # An int64 sum can wrap.  The sums of the high and low 32-bit halves of
+    # a SWEEP_BLOCK-entry block cannot, and summing a block at a time keeps
+    # the temporaries at one block instead of the window.
+    high = low = 0
+    for start in range(0, c.shape[0], SWEEP_BLOCK):
+        block = c[start : start + SWEEP_BLOCK]
+        high += int((block >> 32).sum())
+        low += int((block & 0xFFFFFFFF).sum())
+    return (high << 32) + low

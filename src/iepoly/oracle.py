@@ -1,111 +1,109 @@
-"""Brute-force reference route for inclusion-exclusion polynomials.
+"""Independent reference route for inclusion-exclusion polynomials.
 
-Deliberately uses a different algorithm from ``core.expand``: multiply all
-positive-sign factors into one dense polynomial, then long-divide by each
-negative-sign factor, requiring a zero remainder at every step.  Agreement
-between the two routes is the main correctness evidence for both.
+Deliberately a different algorithm from ``core.expand``: multiply all
+positive-sign factors into the full, untruncated product, then divide by
+each negative-sign factor from the top down, requiring a zero remainder at
+every step.  Agreement between the two routes is the main correctness
+evidence for both.
 
-Schoolbook arithmetic only, intentionally small-scale (m is capped).
+Each step is linear in the length of one numpy array: multiplying by
+(1 - x^d) is one shifted subtraction into an array d entries longer,
+dividing by it one descending cumulative sum with stride d.  A step runs in
+int64 when its operand lies within ``core.INT64_SAFE_LIMIT``: a product
+cannot wrap there, and a quotient that leaves the limit is computed again
+in Python integers (dtype=object).  Any other operand runs in Python
+integers, so a possibly wrapped array is never returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
-from .core import CoprimeTuple, IEPolynomial, factor_system
+from .core import INT64_SAFE_LIMIT, CoprimeTuple, IEPolynomial, factor_system
 from .errors import NonzeroRemainder, OracleCapExceeded
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ORACLE_CAP = 10**4
 
 
-@dataclass(frozen=True)
-class DensePoly:
-    """Dense integer polynomial; trailing coefficient nonzero unless zero poly."""
+def mul_one_minus_x_pow(c: np.ndarray, d: int) -> np.ndarray:
+    """Coefficients of c(x) * (1 - x^d), d entries longer than ``c``."""
+    import numpy as np
 
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    c = _exact_operand(c)
+    n = c.shape[0]
+    out = np.zeros(n + d, dtype=c.dtype)
+    out[:n] = c
+    out[d:] -= c
+    return out
 
 
-def poly(coeffs: Sequence[int]) -> DensePoly:
-    """Build a DensePoly, trimming trailing zeros."""
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return DensePoly(tuple(coeffs[:end]))
+def div_one_minus_x_pow(c: np.ndarray, d: int) -> np.ndarray:
+    """Coefficients of c(x) / (1 - x^d), d entries shorter than ``c``.
+
+    Raises NonzeroRemainder unless (1 - x^d) divides c(x).
+    """
+    if c.shape[0] <= d:
+        raise ValueError(f"{c.shape[0]} coefficients cannot be divided by 1 - x^{d}")
+    c = _exact_operand(c)
+    s = _negated_suffix_sums(c, d)
+    if s.dtype == "int64" and not _fits(s):
+        s = _negated_suffix_sums(c.astype(object), d)
+    # s[d:] is the quotient, from the top: q_j = q_{j+d} - c_{j+d}.  The
+    # recurrence continued below x^d gives s[:d], the remainder.
+    if s[:d].any():
+        raise NonzeroRemainder(f"1 - x^{d} leaves a nonzero remainder")
+    return s[d:]
 
 
-def one_minus_x_pow(d: int) -> DensePoly:
-    return poly([1] + [0] * (d - 1) + [-1])
+def _exact_operand(c: np.ndarray) -> np.ndarray:
+    # As in core: from int64 operands within L = INT64_SAFE_LIMIT, a
+    # difference cannot wrap, and a cumulative sum can first wrap only after
+    # a final value beyond L, which the check on the sums rejects.
+    return c if c.dtype == "int64" and _fits(c) else c.astype(object, copy=False)
 
 
-def dense_mul(a: DensePoly, b: DensePoly) -> DensePoly:
-    if a.is_zero() or b.is_zero():
-        return poly([])
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb:
-                out[i + j] += ca * cb
-    return poly(out)
+def _fits(c: np.ndarray) -> bool:
+    return -INT64_SAFE_LIMIT <= int(c.min()) and int(c.max()) <= INT64_SAFE_LIMIT
 
 
-def exact_div(num: DensePoly, den: DensePoly) -> DensePoly:
-    """Long division requiring a zero remainder; den must have a +-1 leading coefficient."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = den.coeffs[-1]
-    if lead not in (1, -1):
-        raise ValueError(f"leading coefficient {lead} is not invertible over the integers")
-    if num.is_zero():
-        return poly([])
-    if num.degree < den.degree:
-        raise NonzeroRemainder(f"degree {num.degree} numerator not divisible by degree {den.degree}")
-    rem = list(num.coeffs)
-    dn = den.degree
-    support = [(j, c) for j, c in enumerate(den.coeffs) if c != 0 and j != dn]
-    quot = [0] * (len(rem) - dn)
-    for i in range(len(rem) - 1, dn - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        t = c * lead  # c / lead for lead = +-1
-        quot[i - dn] = t
-        rem[i] = 0
-        for j, dc in support:
-            rem[i - dn + j] -= t * dc
-    if any(rem):
-        raise NonzeroRemainder("division left a nonzero remainder")
-    return poly(quot)
+def _negated_suffix_sums(c: np.ndarray, d: int) -> np.ndarray:
+    # s_i = -(c_i + c_{i+d} + c_{i+2d} + ...).  Reversed, that is a prefix
+    # sum down each residue class mod d: full rows as one 2-d cumsum, then
+    # the ragged tail, whose predecessors are final by then.
+    import numpy as np
+
+    r = np.negative(c[::-1])
+    n = r.shape[0]
+    rows = n // d
+    if rows >= 2:
+        head = r[: rows * d].reshape(rows, d)
+        head.cumsum(axis=0, out=head)
+    if rows * d < n:
+        r[rows * d :] += r[(rows - 1) * d : n - d]
+    return r[::-1]
 
 
 def oracle_expand(rho: CoprimeTuple, oracle_cap: int = DEFAULT_ORACLE_CAP) -> IEPolynomial:
-    """Expand via full multiplication of even-subset factors, then exact division.
+    """Expand via the full product of even-subset factors, then exact division.
 
     Intermediate degrees reach roughly m * 2^(k-1), hence the cap on m.
     A NonzeroRemainder here means an arithmetic bug: the quotient is a
-    polynomial for every valid tuple.  Under the cap every coefficient fits
-    in int64, so the result is an int64 array like ``expand``'s.
+    polynomial for every valid tuple.
     """
     import numpy as np
 
     if rho.m > oracle_cap:
         raise OracleCapExceeded(rho.m, oracle_cap)
-    system = factor_system(rho)
-    num = poly([1])
-    for d, sign in system.factors:
+    factors = factor_system(rho).factors
+    c = np.ones(1, dtype=np.int64)
+    for d, sign in factors:
         if sign > 0:
-            num = dense_mul(num, one_minus_x_pow(d))
+            c = mul_one_minus_x_pow(c, d)
     # Descending d keeps intermediate degrees shrinking fastest.
-    for d, sign in sorted(system.factors, reverse=True):
+    for d, sign in sorted(factors, reverse=True):
         if sign < 0:
-            num = exact_div(num, one_minus_x_pow(d))
-    return IEPolynomial(np.array(num.coeffs, dtype=np.int64))
+            c = div_one_minus_x_pow(c, d)
+    return IEPolynomial(c)

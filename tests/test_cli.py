@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iepoly import cli
+from iepoly import cli, oracle
 from iepoly.cli import main
 from iepoly.construction import congruence_family, height_lower_bound
 
@@ -268,6 +268,21 @@ class TestOracleCheck:
         assert code == 0
         assert payload["mismatches"] == 0
         assert payload["tuples_checked"] > 100
+
+    def test_mismatch_is_reported(self, capsys, monkeypatch):
+        real = oracle.oracle_expand
+
+        def flipped(rho, oracle_cap):
+            p = real(rho, oracle_cap)
+            if rho.qs == (3, 5, 7):
+                p.coeffs[7] += 1
+            return p
+
+        monkeypatch.setattr(oracle, "oracle_expand", flipped)
+        code, payload, _ = run_json(capsys, "oracle-check", "--m-cap", "120")
+        assert code == 1
+        assert payload["mismatches"] == 1
+        assert payload["mismatched_tuples"] == ["{3,5,7}"]
 
     def test_cap(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--m-cap", "100", "--oracle-cap", "50")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from iepoly.analysis import coprime_tuples
 from iepoly.core import (
     DEFAULT_SUBSET_CAP,
     SWEEP_BLOCK,
@@ -165,6 +166,24 @@ class TestExpandProperties:
                 rng.shuffle(shuffled)
                 assert np.array_equal(apply_factors(window, shuffled), reference)
 
+    def test_adjoining_an_entry(self):
+        # Q_{rho + q}(x) * Q_rho(x) = Q_rho(x^q), from the subset definition:
+        # a third route, by convolution, sharing no division code with either
+        # expander.  q lands before, between and after the entries of rho.
+        positions = set()
+        for k in (1, 2, 3):
+            for rho in coprime_tuples(k, 200):
+                base = expand(rho).coeffs
+                for q in range(2, 12):
+                    if q in rho.qs or any(math.gcd(q, p) != 1 for p in rho.qs):
+                        continue
+                    stretched = np.zeros(degree_of(rho) * q + 1, dtype=np.int64)
+                    stretched[::q] = base
+                    joined = expand(validate_tuple(sorted(rho.qs + (q,)))).coeffs
+                    assert np.array_equal(np.convolve(joined, base), stretched), (rho, q)
+                    positions.add(sum(p < q for p in rho.qs))
+        assert positions == {0, 1, 2, 3}
+
 
 def divisions_first(rho):
     """The order under which the int64 sweep wraps on k >= 5: all divisions, then multiplications."""
@@ -276,3 +295,18 @@ class TestMeasures:
         c = np.full(4, value, dtype=np.int64)
         assert int(c.sum()) != 4 * value  # the int64 sum wraps
         assert eval_at_one(IEPolynomial(c)) == 4 * value
+
+    def test_eval_at_one_across_blocks(self):
+        rng = np.random.default_rng(3)
+        c = rng.integers(-(1 << 63), (1 << 63) - 1, size=3 * SWEEP_BLOCK + 5, dtype=np.int64, endpoint=True)
+        assert eval_at_one(IEPolynomial(c)) == sum(int(v) for v in c)
+
+    def test_eval_at_one_needs_no_copy_of_the_window(self):
+        p = IEPolynomial(np.ones(10**6, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            assert eval_at_one(p) == 10**6
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the window itself is 8 MB
