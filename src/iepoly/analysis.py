@@ -19,21 +19,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 from mpmath import mp
 
 from .construction import family_parameters
 from .core import (
+    DEFAULT_OPTIONS,
     CoprimeTuple,
     ExpandOptions,
     IEPolynomial,
     check_subset_cap,
     degree_of,
-    expand,
     height,
+    low_half,
 )
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MANTISSA_BITS = 128
 DEFAULT_SEARCH_EXPAND_CAP = 10**5
@@ -92,18 +96,16 @@ def normalized_ratio(A: int, M: int, k: int, mantissa_bits: int = DEFAULT_MANTIS
 
 
 def height_report(
-    rho: CoprimeTuple,
-    opts: Optional[ExpandOptions] = None,
-    mantissa_bits: int = DEFAULT_MANTISSA_BITS,
-    polynomial: Optional[IEPolynomial] = None,
+    rho: CoprimeTuple, coeffs: np.ndarray, mantissa_bits: int = DEFAULT_MANTISSA_BITS
 ) -> HeightReport:
-    """Expand (unless a polynomial is supplied), measure, and normalize."""
-    if polynomial is None:
-        polynomial = expand(rho, opts if opts is not None else ExpandOptions())
-    A = height(polynomial)
+    """Measure and normalize Q_rho from ``coeffs``: all its coefficients, or ``low_half(rho)``.
+
+    Q is palindromic, so its low half holds every coefficient value and the
+    same height; a caller that needs only the height sweeps only that half.
+    """
+    A = height(IEPolynomial(coeffs))
     M = normalizer(rho)
-    ratio = normalized_ratio(A, M, rho.k, mantissa_bits)
-    return HeightReport(rho, A, M, polynomial.degree, ratio)
+    return HeightReport(rho, A, M, degree_of(rho), normalized_ratio(A, M, rho.k, mantissa_bits))
 
 
 def predicted_ratio(
@@ -226,24 +228,22 @@ def search_max_ratio(
     m_cap: int,
     k: int,
     expand_cap: int = DEFAULT_SEARCH_EXPAND_CAP,
-    subset_cap: int = 20,
+    opts: ExpandOptions = DEFAULT_OPTIONS,
     mantissa_bits: int = DEFAULT_MANTISSA_BITS,
 ) -> list[HeightReport]:
     """Rank every enumerable tuple (given k, m <= m_cap, degree <= expand_cap) by ratio.
 
-    The output is a finite-sample statistic over the enumerated set, nothing
+    Each tuple sweeps only its low half, under the caps of ``opts``.  The
+    output is a finite-sample statistic over the enumerated set, nothing
     more.  Ties in the ratio are broken by lexicographic tuple order, so the
     ranking is a pure function of the enumerated set.
     """
-    check_subset_cap(k, subset_cap)
+    check_subset_cap(k, opts.subset_cap)
     if m_cap > MAX_ENUM_PRODUCT:
         raise CapExceeded(f"m_cap = {m_cap} exceeds enumeration cap {MAX_ENUM_PRODUCT}")
-    opts = ExpandOptions(degree_cap=expand_cap + 1, subset_cap=subset_cap)
     reports = []
     for rho in coprime_tuples(k, m_cap):
         if degree_of(rho) <= expand_cap:
-            p = expand(rho, opts)
-            A, M = height(p), normalizer(rho)
-            reports.append(HeightReport(rho, A, M, p.degree, normalized_ratio(A, M, rho.k, mantissa_bits)))
+            reports.append(height_report(rho, low_half(rho, opts), mantissa_bits))
     reports.sort(key=lambda rep: (-rep.normalized_ratio, rep.rho.qs))
     return reports

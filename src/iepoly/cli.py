@@ -7,12 +7,14 @@ predicate is false, 2 invalid input, 3 a capacity cap was exceeded.
 
 Exact values never pass through lossy JSON numbers: arbitrary-precision
 integers serialize as decimal strings and rationals as "num/den" strings.
-Reals are reported as 64-bit floats (the underlying computations carry more
-precision internally).
+Reals are reported as 64-bit floats, computed with
+analysis.DEFAULT_MANTISSA_BITS bits of working precision.
 
 Configuration flags fall back to IEPOLY_* environment variables
 (IEPOLY_MEMORY_CAP_COEFFS, IEPOLY_ORACLE_CAP_M, IEPOLY_SUBSET_CAP_K,
-IEPOLY_MANTISSA_BITS, IEPOLY_FORMAT); explicit flags win.
+IEPOLY_FORMAT); explicit flags win.  --memory-cap counts the coefficients a
+run allocates: the full window when coefficients are output, the low half
+(core.low_half) when only the height is.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ class RunConfig:
     memory_cap_coeffs: int = 1 << 28
     oracle_cap_m: int = 10**4
     subset_cap_k: int = 20
-    mantissa_bits: int = 128
     output_format: str = "json"
 
 
@@ -93,10 +94,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         memory_cap_coeffs=args.memory_cap if args.memory_cap is not None else _env_int("MEMORY_CAP_COEFFS", 1 << 28),
         oracle_cap_m=args.oracle_cap if args.oracle_cap is not None else _env_int("ORACLE_CAP_M", 10**4),
         subset_cap_k=args.subset_cap if args.subset_cap is not None else _env_int("SUBSET_CAP_K", 20),
-        mantissa_bits=args.mantissa_bits if args.mantissa_bits is not None else _env_int("MANTISSA_BITS", 128),
         output_format=fmt,
     )
-    for field in ("memory_cap_coeffs", "oracle_cap_m", "subset_cap_k", "mantissa_bits"):
+    for field in ("memory_cap_coeffs", "oracle_cap_m", "subset_cap_k"):
         if getattr(cfg, field) < 1:
             raise InvalidParameter(f"{field} must be positive")
     return cfg
@@ -216,35 +216,35 @@ def _parse_q(raw: str) -> core.CoprimeTuple:
     return core.validate_tuple(values)
 
 
-def _expand_options(config: RunConfig, half_degree: bool = False) -> core.ExpandOptions:
-    return core.ExpandOptions(
-        degree_cap=config.memory_cap_coeffs,
-        subset_cap=config.subset_cap_k,
-        half_degree=half_degree,
-    )
+def _expand_options(config: RunConfig) -> core.ExpandOptions:
+    return core.ExpandOptions(degree_cap=config.memory_cap_coeffs, subset_cap=config.subset_cap_k)
 
 
 def cmd_compute(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
     rho = _parse_q(args.q)
-    opts = _expand_options(config, half_degree=args.half_degree)
-    p = core.expand(rho, opts)
-    report = analysis.height_report(rho, polynomial=p, mantissa_bits=config.mantissa_bits)
+    opts = _expand_options(config)
+    # A run that outputs no coefficients sweeps only the low half.
+    p = None if args.height_only else core.expand(rho, opts)
+    coeffs = core.low_half(rho, opts) if p is None else p.coeffs
+    report = analysis.height_report(rho, coeffs)
     payload: dict[str, Any] = {
         "command": "compute",
         "q": [_big(q) for q in rho.qs],
         "k": rho.k,
         "m": _big(rho.m),
-        "degree": p.degree,
+        "degree": report.degree,
         "height": _big(report.height),
         "normalizer": _big(report.normalizer),
         "normalized_ratio": _real(report.normalized_ratio),
     }
     if args.coeff is not None:
-        if not 0 <= args.coeff <= p.degree:
-            raise InvalidParameter(f"--coeff index {args.coeff} outside [0, {p.degree}]")
-        payload["coeff_index"] = args.coeff
-        payload["coeff"] = _big(int(p.coeffs[args.coeff]))
-    if not args.height_only:
+        i = args.coeff
+        if not 0 <= i <= report.degree:
+            raise InvalidParameter(f"--coeff index {i} outside [0, {report.degree}]")
+        payload["coeff_index"] = i
+        # Past the low half, coefficient i is coefficient degree - i.
+        payload["coeff"] = _big(int(coeffs[i if i < len(coeffs) else report.degree - i]))
+    if p is not None:
         payload["palindromic"] = core.is_palindromic(p)
         payload["eval_at_one"] = _big(core.eval_at_one(p))
         if args.out:
@@ -263,7 +263,7 @@ def cmd_compute(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, 
 
 def cmd_construct(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
     fam = construction.congruence_family(args.N, args.k)
-    ratio = analysis.predicted_ratio(args.N, args.k, mantissa_bits=config.mantissa_bits)
+    ratio = analysis.predicted_ratio(args.N, args.k)
     degree = core.degree_of(fam.rho)
     payload: dict[str, Any] = {
         "command": "construct",
@@ -281,8 +281,7 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str
     }
     code = EXIT_OK
     if args.expand:
-        p = core.expand(fam.rho, _expand_options(config))
-        report = analysis.height_report(fam.rho, polynomial=p, mantissa_bits=config.mantissa_bits)
+        report = analysis.height_report(fam.rho, core.low_half(fam.rho, _expand_options(config)))
         payload["height"] = _big(report.height)
         payload["normalized_ratio"] = _real(report.normalized_ratio)
         if fam.height_bound is not None:
@@ -294,7 +293,7 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str
 
 
 def cmd_constant(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
-    result = analysis.limit_constant(args.terms, mantissa_bits=config.mantissa_bits)
+    result = analysis.limit_constant(args.terms)
     # Below the smallest normal float the bound would round to 0.0 and
     # claim an exact value; the smallest normal float still bounds it.
     bound = result.error_bound
@@ -330,11 +329,10 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
         payload["lemma_bound"] = _frac(bound.bound)
         payload["height_floor"] = _big(bound.floor)
         if args.expand:
-            p = core.expand(rho, _expand_options(config))
-            measured = core.height(p)
-            payload["degree"] = p.degree
-            payload["height"] = _big(measured)
-            payload["height_ok"] = measured >= bound.floor
+            report = analysis.height_report(rho, core.low_half(rho, _expand_options(config)))
+            payload["degree"] = report.degree
+            payload["height"] = _big(report.height)
+            payload["height_ok"] = report.height >= bound.floor
             if not payload["height_ok"]:
                 code = EXIT_VERIFY_FAILED
     return payload, code
@@ -345,8 +343,7 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
         args.m_cap,
         args.k,
         expand_cap=args.expand_cap,
-        subset_cap=config.subset_cap_k,
-        mantissa_bits=config.mantissa_bits,
+        opts=_expand_options(config),
     )
     payload: dict[str, Any] = {
         "command": "search",
@@ -374,6 +371,8 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
 def cmd_oracle_check(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
     import numpy as np
 
+    if args.k_max < 1:
+        raise InvalidParameter(f"--k-max must be >= 1, got {args.k_max}")
     if args.m_cap > config.oracle_cap_m:
         raise OracleCapExceeded(args.m_cap, config.oracle_cap_m)
     k_values = list(range(1, args.k_max + 1))
@@ -405,13 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv", "text"], default=None,
                         help="output format (default: json when piped, text on a terminal)")
     common.add_argument("--memory-cap", type=int, default=None, metavar="COEFFS",
-                        help="dense coefficient cap (default 2^28)")
+                        help="cap on the coefficients a run allocates (default 2^28)")
     common.add_argument("--oracle-cap", type=int, default=None, metavar="M",
                         help="largest m the reference expander accepts (default 10^4)")
     common.add_argument("--subset-cap", type=int, default=None, metavar="K",
                         help="largest tuple length for subset enumeration (default 20)")
-    common.add_argument("--mantissa-bits", type=int, default=None, metavar="BITS",
-                        help="working precision for real-valued outputs (default 128)")
 
     parser = argparse.ArgumentParser(
         prog="iepoly",
@@ -421,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", parents=[common], help="expand a tuple and report height statistics")
     p.add_argument("--q", required=True, help="comma-separated tuple entries, e.g. 3,5,7")
-    p.add_argument("--height-only", action="store_true", help="omit coefficients and structural checks")
+    p.add_argument("--height-only", action="store_true",
+                   help="omit coefficients and structural checks; sweep only the low half")
     p.add_argument("--coeff", type=int, default=None, metavar="INDEX", help="also report one coefficient")
-    p.add_argument("--half-degree", action="store_true", help="compute half the window and mirror")
     p.add_argument("--force-coeffs", action="store_true",
                    help=f"inline coefficients even above {COEFF_INLINE_LIMIT} entries")
     p.add_argument("--out", default=None, metavar="FILE",

@@ -11,17 +11,17 @@ which is always a polynomial, of degree prod (q_j - 1).  When every q_j is
 prime, Q is the cyclotomic polynomial of index m.
 
 ``expand`` computes the coefficient vector exactly by streaming the signed
-factors through a window of degree+1 coefficients: multiplication by
-(1 - x^d) is a high-to-low subtraction sweep, division by (1 - x^d) is a
-low-to-high prefix-sum sweep with stride d (the truncated geometric series).
-A factor whose d exceeds the window is the identity on the truncation and is
-skipped; in particular the d = m factor never materializes.  The
-coefficients live in one numpy array and one sweep loop serves both of its
-dtypes: int64 first, with a sound check after every sweep (see
-INT64_SAFE_LIMIT); if that check fires, the whole expansion runs again from
-1 in an object array of Python integers.  A wrapped array is never carried
-on.  The multiplication sweep runs top-down in blocks (SWEEP_BLOCK), so it
-needs no copy of the window.
+factors through a window of degree+1 coefficients, ``low_half`` through the
+first floor(degree/2)+1, all a height needs.  Multiplication by (1 - x^d) is
+a high-to-low subtraction sweep, division by (1 - x^d) a low-to-high
+prefix-sum sweep with stride d (the truncated geometric series).  A factor
+whose d exceeds the window is the identity on the truncation and is skipped;
+in particular the d = m factor never materializes.  The coefficients live in
+one numpy array and one sweep loop serves both of its dtypes: int64 first,
+with a sound check after every sweep (see INT64_SAFE_LIMIT); if that check
+fires, the whole expansion runs again from 1 in an object array of Python
+integers.  A wrapped array is never carried on.  The multiplication sweep
+runs top-down in blocks (SWEEP_BLOCK), so it needs no copy of the window.
 
 numpy is imported only by the functions that allocate an array, so
 ``import iepoly`` stays cheap and numpy loads on the first expansion.
@@ -67,19 +67,15 @@ Factor = tuple[int, int]
 
 @dataclass(frozen=True)
 class ExpandOptions:
-    """Knobs for ``expand``.
+    """Knobs for ``expand`` and ``low_half``.
 
-    degree_cap bounds the dense coefficient window (memory guard) and
-    subset_cap the tuple length whose 2^k subsets are enumerated.
-    half_degree computes only the low half and mirrors it (the result is
-    always palindromic); off by default so palindromy stays an independent
-    check.  The integer width is not a knob: ``expand`` always returns
-    exact coefficients.
+    degree_cap bounds the coefficient window a call allocates (memory guard),
+    subset_cap the tuple length whose 2^k subsets are enumerated.  The
+    integer width is not a knob: the coefficients are always exact.
     """
 
     degree_cap: int = DEFAULT_DEGREE_CAP
     subset_cap: int = DEFAULT_SUBSET_CAP
-    half_degree: bool = False
 
 
 DEFAULT_OPTIONS = ExpandOptions()
@@ -188,17 +184,23 @@ def ordered_factors(system: FactorSystem) -> list[Factor]:
 
 def expand(rho: CoprimeTuple, opts: ExpandOptions = DEFAULT_OPTIONS) -> IEPolynomial:
     """Expand the inclusion-exclusion polynomial of ``rho`` exactly."""
-    degree = degree_of(rho)
-    if degree + 1 > opts.degree_cap:
-        raise DegreeCapExceeded(degree, opts.degree_cap)
-    system = factor_system(rho, subset_cap=opts.subset_cap)
-    window = (degree + 2) // 2 if opts.half_degree else degree + 1
-    coeffs = apply_factors(window, ordered_factors(system))
-    if opts.half_degree:
-        import numpy as np
+    return IEPolynomial(_truncated(rho, degree_of(rho) + 1, opts))
 
-        coeffs = np.concatenate([coeffs, coeffs[: degree + 1 - window][::-1]])
-    return IEPolynomial(coeffs)
+
+def low_half(rho: CoprimeTuple, opts: ExpandOptions = DEFAULT_OPTIONS) -> np.ndarray:
+    """Coefficients 0 .. floor(degree/2) of Q, exactly: every value of Q in half the memory.
+
+    A truncated sweep gives the low coefficients exactly.  Each (1 - x^d) is
+    -x^d (1 - x^-d), with 2^(k-1) factors on each side of the quotient, so
+    x^degree Q(1/x) = Q(x): coefficient degree - i equals coefficient i.
+    """
+    return _truncated(rho, degree_of(rho) // 2 + 1, opts)
+
+
+def _truncated(rho: CoprimeTuple, window: int, opts: ExpandOptions) -> np.ndarray:
+    if window > opts.degree_cap:
+        raise DegreeCapExceeded(degree_of(rho), opts.degree_cap)
+    return apply_factors(window, ordered_factors(factor_system(rho, subset_cap=opts.subset_cap)))
 
 
 def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
@@ -206,9 +208,7 @@ def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
 
     The result is the truncation to ``window`` coefficients: an int64 array,
     or an object array of Python integers when an int64 sweep could have
-    wrapped, in which case every factor is applied again from 1.  Exposed
-    separately from ``expand`` so order-independence can be exercised
-    directly.
+    wrapped, in which case every factor is applied again from 1.
     """
     c = _sweep(window, factors, "int64")
     if c is None:

@@ -16,8 +16,8 @@ from iepoly.analysis import (
     search_max_ratio,
 )
 from iepoly.construction import family_parameters
-from iepoly.core import degree_of, validate_tuple
-from iepoly.errors import CapExceeded, InvalidParameter, TupleTooLarge
+from iepoly.core import ExpandOptions, degree_of, expand, low_half, validate_tuple
+from iepoly.errors import CapExceeded, DegreeCapExceeded, InvalidParameter, TupleTooLarge
 
 
 def rel_close(a, b, tol):
@@ -220,12 +220,21 @@ class TestSearch:
         with pytest.raises(CapExceeded):
             search_max_ratio(10**8, 2)
 
+    def test_caps_come_from_opts(self):
+        # (3,5,7) has degree 48, so its low half needs 25 coefficients.
+        with pytest.raises(DegreeCapExceeded):
+            search_max_ratio(105, 3, opts=ExpandOptions(degree_cap=24))
+        assert search_max_ratio(105, 3, opts=ExpandOptions(degree_cap=25)) == search_max_ratio(105, 3)
+        with pytest.raises(TupleTooLarge):
+            search_max_ratio(105, 3, opts=ExpandOptions(subset_cap=2))
+
 
 def test_height_report_fields():
     rho = validate_tuple([3, 5, 7])
-    rep = height_report(rho)
+    rep = height_report(rho, low_half(rho))
     assert (rep.height, rep.normalizer, rep.degree) == (2, 3, 48)
     assert rep.degree == degree_of(rho)
+    assert height_report(rho, expand(rho).coeffs) == rep
 
 
 def test_constant_result_is_frozen_record():

@@ -1,9 +1,12 @@
+import argparse
 import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iepoly import cli, oracle
+from iepoly import cli, core, oracle
+from iepoly.analysis import coprime_tuples
 from iepoly.cli import main
 from iepoly.construction import congruence_family, height_lower_bound
 
@@ -22,7 +26,6 @@ def clean_env(monkeypatch):
         "IEPOLY_MEMORY_CAP_COEFFS",
         "IEPOLY_ORACLE_CAP_M",
         "IEPOLY_SUBSET_CAP_K",
-        "IEPOLY_MANTISSA_BITS",
         "IEPOLY_FORMAT",
     ):
         monkeypatch.delenv(name, raising=False)
@@ -81,10 +84,31 @@ class TestCompute:
         assert code == 3
         assert "DegreeCapExceeded" in err
 
-    def test_half_degree_matches(self, capsys):
-        _, full, _ = run_json(capsys, "compute", "--q", "3,5,7")
-        _, halved, _ = run_json(capsys, "compute", "--q", "3,5,7", "--half-degree")
-        assert full == halved
+    @pytest.mark.parametrize("q", ["12", "3,5,7"])  # degrees 11 and 48
+    def test_height_only_coeff_matches_full(self, capsys, q):
+        _, full, _ = run_json(capsys, "compute", "--q", q)
+        for i, expected in enumerate(full["coefficients"]):
+            code, payload, _ = run_json(capsys, "compute", "--q", q, "--height-only", "--coeff", str(i))
+            assert code == 0
+            assert payload["coeff"] == str(expected), i
+
+    def test_memory_cap_counts_the_window_allocated(self, capsys):
+        # 3,5,7 has degree 48: 49 coefficients, 25 in the low half.
+        for cap, height_only, expected in [("25", True, 0), ("24", True, 3), ("48", True, 0),
+                                           ("48", False, 3), ("49", False, 0)]:
+            argv = ["compute", "--q", "3,5,7", "--memory-cap", cap] + (["--height-only"] if height_only else [])
+            assert run(capsys, *argv)[0] == expected, argv
+
+    @pytest.mark.parametrize("flag", [["--mantissa-bits", "8"], ["--half-degree"]])
+    def test_removed_flags_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--q", "13,37,61", "--height-only"] + flag)
+        assert exc.value.code == 2
+
+    def test_reals_keep_full_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv("IEPOLY_MANTISSA_BITS", "8")
+        _, payload, _ = run_json(capsys, "compute", "--q", "13,37,61", "--height-only")
+        assert payload["normalized_ratio"] == 0.8874182002360939
 
     @pytest.mark.parametrize("q, expected", [("5,7,11,13,17", "67"), ("3,5,7,11,13,17", "532")])
     def test_high_k_heights(self, capsys, q, expected):
@@ -260,6 +284,13 @@ class TestSearch:
         assert payload["count"] == 0
         assert payload["results"] == []
 
+    def test_memory_cap(self, capsys):
+        # The largest tuple, 3,5,7, has degree 48: 25 coefficients in its low half.
+        code, _, err = run(capsys, "search", "--k", "3", "--m-cap", "105", "--memory-cap", "10")
+        assert code == 3
+        assert "DegreeCapExceeded" in err
+        capped = run(capsys, "search", "--k", "3", "--m-cap", "105", "--memory-cap", "25")
+        assert capped == run(capsys, "search", "--k", "3", "--m-cap", "105")
 
 
 class TestOracleCheck:
@@ -287,6 +318,13 @@ class TestOracleCheck:
     def test_cap(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--m-cap", "100", "--oracle-cap", "50")
         assert code == 3
+
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_k_max_below_one(self, capsys, k_max):
+        code, out, err = run(capsys, "oracle-check", "--m-cap", "100", "--k-max", k_max)
+        assert code == 2
+        assert out == ""
+        assert "--k-max" in err
 
     def test_cap_message(self, capsys):
         code, out, err = run(capsys, "oracle-check", "--m-cap", "20000")
@@ -355,3 +393,63 @@ assert "numpy" in sys.modules, "compute"
     env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestHeightOnlyWindow:
+    """Callers that output no coefficients sweep only coefficients 0 .. degree // 2."""
+
+    @pytest.mark.parametrize("argv, windows", [
+        (["compute", "--q", "3,5,7", "--height-only"], [25]),  # degree 48
+        (["compute", "--q", "3,5,7"], [49]),  # outputs coefficients: the full window
+        (["construct", "--N", "1", "--k", "3", "--expand"], [12961]),  # 13,37,61: degree 25920
+        (["verify", "--q", "13,37,61", "--r", "6", "--expand"], [12961]),
+        (["search", "--k", "3", "--m-cap", "105"], [core.degree_of(rho) // 2 + 1 for rho in coprime_tuples(3, 105)]),
+    ])
+    def test_windows(self, capsys, monkeypatch, argv, windows):
+        swept = []
+        real = core.apply_factors
+
+        def spy(window, factors):
+            swept.append(window)
+            return real(window, factors)
+
+        monkeypatch.setattr(core, "apply_factors", spy)
+        assert run(capsys, *argv)[0] == 0
+        assert swept == windows
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--q", "49,145,241", "--height-only"],
+        ["construct", "--N", "4", "--k", "3", "--expand"],
+        ["verify", "--q", "49,145,241", "--r", "24", "--expand"],
+    ])
+    def test_peak_memory(self, capsys, argv):
+        degree = 48 * 144 * 240  # 49,145,241: a 13.3 MB int64 window
+        run(capsys, "compute", "--q", "3,5,7", "--height-only")  # loads numpy outside the trace
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["height"] == "18"
+        assert peak < 0.6 * 8 * (degree + 1)
+
+
+def test_readme_configuration_table_matches_the_program(capsys, monkeypatch):
+    # Each row names a common flag and the IEPOLY_* variable it falls back
+    # to; every common flag has a row, and every variable is read.
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(--[\w-]+)` \| `(IEPOLY_\w+)` \|", readme, flags=re.MULTILINE)
+    assert rows
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = [{o for a in p._actions for o in a.option_strings} for p in subparsers.choices.values()]
+    common = set.intersection(*options) - {"-h", "--help"}
+    assert {flag for flag, _ in rows} == common
+    for _, env in rows:
+        # A non-integer value, or an unknown format, is rejected.
+        monkeypatch.setenv(env, "x")
+        code, out, err = run(capsys, "constant", "--terms", "1")
+        assert (code, out) == (2, ""), env
+        monkeypatch.delenv(env)

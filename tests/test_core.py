@@ -23,6 +23,7 @@ from iepoly.core import (
     factor_system,
     height,
     is_palindromic,
+    low_half,
     ordered_factors,
     validate_tuple,
 )
@@ -129,9 +130,16 @@ class TestExpand:
         with pytest.raises(DegreeCapExceeded):
             expand(validate_tuple([3, 5, 7]), ExpandOptions(degree_cap=10))
 
-    def test_half_degree_matches_full(self, small_corpus):
-        for rho in small_corpus:
-            assert np.array_equal(expand(rho, ExpandOptions(half_degree=True)).coeffs, expand(rho).coeffs)
+    # The k = 5-7 tuples of perfbench's high_k workload.
+    HIGH_K = [(5, 7, 11, 13, 17), (3, 5, 7, 11, 13, 17), (2, 3, 5, 7, 11, 13, 17), (11, 13, 17, 19, 23),
+              (7, 11, 13, 17, 19), (4, 5, 7, 9, 11, 13), (3, 5, 7, 11, 13), (3, 4, 5, 7, 11, 13)]
+
+    def test_low_half_is_a_prefix_of_expand(self, small_corpus):
+        for rho in small_corpus + [validate_tuple(qs) for qs in self.HIGH_K]:
+            full = expand(rho).coeffs
+            half = low_half(rho)
+            assert len(half) == degree_of(rho) // 2 + 1
+            assert np.array_equal(half, full[: len(half)]), rho
 
 
 class TestExpandProperties:
