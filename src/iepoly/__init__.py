@@ -23,7 +23,6 @@ from .construction import (
 )
 from .core import (
     CoprimeTuple,
-    ExpandOptions,
     FactorSystem,
     IEPolynomial,
     degree_of,
@@ -43,7 +42,6 @@ __all__ = [
     "CongruenceReport",
     "CoprimalityTrace",
     "CoprimeTuple",
-    "ExpandOptions",
     "FactorSystem",
     "HeightBound",
     "HeightReport",

@@ -24,16 +24,7 @@ from typing import TYPE_CHECKING, Iterator
 from mpmath import mp
 
 from .construction import family_parameters
-from .core import (
-    DEFAULT_OPTIONS,
-    CoprimeTuple,
-    ExpandOptions,
-    IEPolynomial,
-    check_subset_cap,
-    degree_of,
-    height,
-    low_half,
-)
+from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, IEPolynomial, degree_of, height, low_half
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 
 if TYPE_CHECKING:
@@ -199,12 +190,15 @@ def coprime_tuples(k: int, m_cap: int) -> Iterator[CoprimeTuple]:
 
     Recursive extension with pruning: entries are chosen ascending, and a
     branch dies as soon as the cheapest completion q(q+1)...(q+t-1) pushes
-    the product past the cap.
+    the product past the cap.  An m_cap above MAX_ENUM_PRODUCT raises
+    CapExceeded.
     """
     if k < 1:
         raise InvalidParameter(f"k must be >= 1, got {k}")
     if m_cap < 1:
         raise InvalidParameter(f"m_cap must be >= 1, got {m_cap}")
+    if m_cap > MAX_ENUM_PRODUCT:
+        raise CapExceeded(f"m_cap = {m_cap} exceeds enumeration cap {MAX_ENUM_PRODUCT}")
 
     def extend(prefix: tuple[int, ...], product: int, start: int, remaining: int) -> Iterator[CoprimeTuple]:
         if remaining == 0:
@@ -228,22 +222,19 @@ def search_max_ratio(
     m_cap: int,
     k: int,
     expand_cap: int = DEFAULT_SEARCH_EXPAND_CAP,
-    opts: ExpandOptions = DEFAULT_OPTIONS,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
     mantissa_bits: int = DEFAULT_MANTISSA_BITS,
 ) -> list[HeightReport]:
     """Rank every enumerable tuple (given k, m <= m_cap, degree <= expand_cap) by ratio.
 
-    Each tuple sweeps only its low half, under the caps of ``opts``.  The
-    output is a finite-sample statistic over the enumerated set, nothing
+    Each tuple sweeps only its low half, of at most ``degree_cap`` entries.
+    The output is a finite-sample statistic over the enumerated set, nothing
     more.  Ties in the ratio are broken by lexicographic tuple order, so the
     ranking is a pure function of the enumerated set.
     """
-    check_subset_cap(k, opts.subset_cap)
-    if m_cap > MAX_ENUM_PRODUCT:
-        raise CapExceeded(f"m_cap = {m_cap} exceeds enumeration cap {MAX_ENUM_PRODUCT}")
     reports = []
     for rho in coprime_tuples(k, m_cap):
         if degree_of(rho) <= expand_cap:
-            reports.append(height_report(rho, low_half(rho, opts), mantissa_bits))
+            reports.append(height_report(rho, low_half(rho, degree_cap), mantissa_bits))
     reports.sort(key=lambda rep: (-rep.normalized_ratio, rep.rho.qs))
     return reports

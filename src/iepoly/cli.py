@@ -3,18 +3,19 @@
 Subcommands: compute, construct, constant, verify, search, oracle-check.
 JSON goes to stdout (compact, fixed field order, byte-deterministic),
 diagnostics to stderr.  Exit codes: 0 success, 1 a checked mathematical
-predicate is false, 2 invalid input, 3 a capacity cap was exceeded.
+predicate is false, 2 invalid input (or an --out file that cannot be
+written), 3 a capacity cap was exceeded.
 
 Exact values never pass through lossy JSON numbers: arbitrary-precision
 integers serialize as decimal strings and rationals as "num/den" strings.
 Reals are reported as 64-bit floats, computed with
 analysis.DEFAULT_MANTISSA_BITS bits of working precision.
 
-Configuration flags fall back to IEPOLY_* environment variables
-(IEPOLY_MEMORY_CAP_COEFFS, IEPOLY_ORACLE_CAP_M, IEPOLY_SUBSET_CAP_K,
-IEPOLY_FORMAT); explicit flags win.  --memory-cap counts the coefficients a
-run allocates: the full window when coefficients are output, the low half
-(core.low_half) when only the height is.
+Configuration comes from the command line only: --format (text on a
+terminal, json when piped) and --memory-cap.  --memory-cap bounds the
+longest coefficient array a call allocates: the full window when
+coefficients are output, the low half (core.low_half) when only the height
+is, and in oracle-check also the reference route's untruncated product.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ import decimal
 import functools
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -37,7 +36,6 @@ from .errors import (
     IdentityMismatch,
     InvalidParameter,
     NonzeroRemainder,
-    OracleCapExceeded,
     TupleValidationError,
 )
 
@@ -49,7 +47,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 
-ENV_PREFIX = "IEPOLY_"
 COEFF_INLINE_LIMIT = 10**4
 OUT_CHUNK = 1 << 16
 JSON_SAFE_INT = (1 << 53) - 1
@@ -64,42 +61,6 @@ STR_BITS = 1 << 13
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
 )
-
-
-@dataclass
-class RunConfig:
-    memory_cap_coeffs: int = 1 << 28
-    oracle_cap_m: int = 10**4
-    subset_cap_k: int = 20
-    output_format: str = "json"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidParameter(f"environment variable {ENV_PREFIX}{name} = {raw!r} is not an integer") from exc
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    fmt = args.format or os.environ.get(ENV_PREFIX + "FORMAT")
-    if fmt is None:
-        fmt = "text" if sys.stdout.isatty() else "json"
-    if fmt not in ("json", "csv", "text"):
-        raise InvalidParameter(f"unknown output format {fmt!r}")
-    cfg = RunConfig(
-        memory_cap_coeffs=args.memory_cap if args.memory_cap is not None else _env_int("MEMORY_CAP_COEFFS", 1 << 28),
-        oracle_cap_m=args.oracle_cap if args.oracle_cap is not None else _env_int("ORACLE_CAP_M", 10**4),
-        subset_cap_k=args.subset_cap if args.subset_cap is not None else _env_int("SUBSET_CAP_K", 20),
-        output_format=fmt,
-    )
-    for field in ("memory_cap_coeffs", "oracle_cap_m", "subset_cap_k"):
-        if getattr(cfg, field) < 1:
-            raise InvalidParameter(f"{field} must be positive")
-    return cfg
 
 
 # ------------------------------ serialization ------------------------------
@@ -136,10 +97,6 @@ def _big(x: int) -> str:
 
 def _frac(fr: Fraction) -> str:
     return f"{_big(fr.numerator)}/{_big(fr.denominator)}"
-
-
-def _real(x: Any) -> float:
-    return float(x)
 
 
 def _write_coeffs(path: str, coeffs: np.ndarray) -> None:
@@ -216,16 +173,11 @@ def _parse_q(raw: str) -> core.CoprimeTuple:
     return core.validate_tuple(values)
 
 
-def _expand_options(config: RunConfig) -> core.ExpandOptions:
-    return core.ExpandOptions(degree_cap=config.memory_cap_coeffs, subset_cap=config.subset_cap_k)
-
-
-def cmd_compute(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
+def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     rho = _parse_q(args.q)
-    opts = _expand_options(config)
     # A run that outputs no coefficients sweeps only the low half.
-    p = None if args.height_only else core.expand(rho, opts)
-    coeffs = core.low_half(rho, opts) if p is None else p.coeffs
+    p = None if args.height_only else core.expand(rho, args.memory_cap)
+    coeffs = core.low_half(rho, args.memory_cap) if p is None else p.coeffs
     report = analysis.height_report(rho, coeffs)
     payload: dict[str, Any] = {
         "command": "compute",
@@ -235,7 +187,7 @@ def cmd_compute(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, 
         "degree": report.degree,
         "height": _big(report.height),
         "normalizer": _big(report.normalizer),
-        "normalized_ratio": _real(report.normalized_ratio),
+        "normalized_ratio": float(report.normalized_ratio),
     }
     if args.coeff is not None:
         i = args.coeff
@@ -248,7 +200,10 @@ def cmd_compute(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, 
         payload["palindromic"] = core.is_palindromic(p)
         payload["eval_at_one"] = _big(core.eval_at_one(p))
         if args.out:
-            _write_coeffs(args.out, p.coeffs)
+            try:
+                _write_coeffs(args.out, p.coeffs)
+            except OSError as exc:
+                raise InvalidParameter(f"cannot write --out: {exc}") from exc
             payload["coefficients_file"] = args.out
         elif len(p.coeffs) <= COEFF_INLINE_LIMIT or args.force_coeffs:
             as_strings = report.height > JSON_SAFE_INT
@@ -261,7 +216,7 @@ def cmd_compute(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, 
     return payload, EXIT_OK
 
 
-def cmd_construct(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
+def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     fam = construction.congruence_family(args.N, args.k)
     ratio = analysis.predicted_ratio(args.N, args.k)
     degree = core.degree_of(fam.rho)
@@ -277,13 +232,13 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str
         "branch": "plus",
         "lemma_bound": _frac(fam.height_bound.bound) if fam.height_bound else None,
         "height_floor": _big(fam.height_bound.floor) if fam.height_bound else None,
-        "predicted_ratio": _real(ratio),
+        "predicted_ratio": float(ratio),
     }
     code = EXIT_OK
     if args.expand:
-        report = analysis.height_report(fam.rho, core.low_half(fam.rho, _expand_options(config)))
+        report = analysis.height_report(fam.rho, core.low_half(fam.rho, args.memory_cap))
         payload["height"] = _big(report.height)
-        payload["normalized_ratio"] = _real(report.normalized_ratio)
+        payload["normalized_ratio"] = float(report.normalized_ratio)
         if fam.height_bound is not None:
             ok = report.height >= fam.height_bound.floor
             payload["height_ok"] = ok
@@ -292,7 +247,7 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str
     return payload, code
 
 
-def cmd_constant(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
+def cmd_constant(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     result = analysis.limit_constant(args.terms)
     # Below the smallest normal float the bound would round to 0.0 and
     # claim an exact value; the smallest normal float still bounds it.
@@ -300,15 +255,16 @@ def cmd_constant(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str,
     payload = {
         "command": "constant",
         "terms": result.terms_used,
-        "value": _real(result.value),
-        "error_bound": _real(bound) if bound >= sys.float_info.min else sys.float_info.min,
+        "value": float(result.value),
+        "error_bound": float(bound) if bound >= sys.float_info.min else sys.float_info.min,
     }
     return payload, EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     rho = _parse_q(args.q)
-    core.check_subset_cap(rho.k, config.subset_cap_k)
+    # The subset cap also bounds r^(2^(k-1)) in the height floor.
+    core.check_subset_cap(rho.k)
     if args.r < 1:
         raise InvalidParameter(f"--r must be positive, got {args.r}")
     report = construction.check_congruence(rho, args.r)
@@ -329,7 +285,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
         payload["lemma_bound"] = _frac(bound.bound)
         payload["height_floor"] = _big(bound.floor)
         if args.expand:
-            report = analysis.height_report(rho, core.low_half(rho, _expand_options(config)))
+            report = analysis.height_report(rho, core.low_half(rho, args.memory_cap))
             payload["degree"] = report.degree
             payload["height"] = _big(report.height)
             payload["height_ok"] = report.height >= bound.floor
@@ -338,12 +294,12 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
     return payload, code
 
 
-def cmd_search(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
+def cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     reports = analysis.search_max_ratio(
         args.m_cap,
         args.k,
         expand_cap=args.expand_cap,
-        opts=_expand_options(config),
+        degree_cap=args.memory_cap,
     )
     payload: dict[str, Any] = {
         "command": "search",
@@ -360,7 +316,7 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
                 "degree": rep.degree,
                 "height": _big(rep.height),
                 "normalizer": _big(rep.normalizer),
-                "normalized_ratio": _real(rep.normalized_ratio),
+                "normalized_ratio": float(rep.normalized_ratio),
             }
             for rep in reports
         ],
@@ -368,21 +324,18 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, A
     return payload, EXIT_OK
 
 
-def cmd_oracle_check(args: argparse.Namespace, config: RunConfig) -> tuple[dict[str, Any], int]:
+def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     import numpy as np
 
     if args.k_max < 1:
         raise InvalidParameter(f"--k-max must be >= 1, got {args.k_max}")
-    if args.m_cap > config.oracle_cap_m:
-        raise OracleCapExceeded(args.m_cap, config.oracle_cap_m)
     k_values = list(range(1, args.k_max + 1))
-    opts = _expand_options(config)
     checked = 0
     mismatches: list[str] = []
     for k in k_values:
         for rho in analysis.coprime_tuples(k, args.m_cap):
-            fast = core.expand(rho, opts)
-            slow = oracle.oracle_expand(rho, oracle_cap=config.oracle_cap_m)
+            fast = core.expand(rho, args.memory_cap)
+            slow = oracle.oracle_expand(rho, degree_cap=args.memory_cap)
             checked += 1
             if not np.array_equal(fast.coeffs, slow.coeffs):
                 mismatches.append(str(rho))
@@ -403,12 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "text"], default=None,
                         help="output format (default: json when piped, text on a terminal)")
-    common.add_argument("--memory-cap", type=int, default=None, metavar="COEFFS",
-                        help="cap on the coefficients a run allocates (default 2^28)")
-    common.add_argument("--oracle-cap", type=int, default=None, metavar="M",
-                        help="largest m the reference expander accepts (default 10^4)")
-    common.add_argument("--subset-cap", type=int, default=None, metavar="K",
-                        help="largest tuple length for subset enumeration (default 20)")
+    common.add_argument("--memory-cap", type=int, default=core.DEFAULT_DEGREE_CAP, metavar="COEFFS",
+                        help="cap on the longest coefficient array a call allocates (default 2^28)")
 
     parser = argparse.ArgumentParser(
         prog="iepoly",
@@ -466,8 +415,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = resolve_config(args)
-        payload, code = args.handler(args, config)
+        if args.memory_cap < 1:
+            raise InvalidParameter(f"--memory-cap must be positive, got {args.memory_cap}")
+        payload, code = args.handler(args)
     except (TupleValidationError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -477,7 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (IdentityMismatch, NonzeroRemainder) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    emit(payload, config.output_format)
+    emit(payload, args.format or ("text" if sys.stdout.isatty() else "json"))
     return code
 
 

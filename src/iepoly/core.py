@@ -12,16 +12,18 @@ prime, Q is the cyclotomic polynomial of index m.
 
 ``expand`` computes the coefficient vector exactly by streaming the signed
 factors through a window of degree+1 coefficients, ``low_half`` through the
-first floor(degree/2)+1, all a height needs.  Multiplication by (1 - x^d) is
-a high-to-low subtraction sweep, division by (1 - x^d) a low-to-high
-prefix-sum sweep with stride d (the truncated geometric series).  A factor
-whose d exceeds the window is the identity on the truncation and is skipped;
-in particular the d = m factor never materializes.  The coefficients live in
-one numpy array and one sweep loop serves both of its dtypes: int64 first,
-with a sound check after every sweep (see INT64_SAFE_LIMIT); if that check
-fires, the whole expansion runs again from 1 in an object array of Python
-integers.  A wrapped array is never carried on.  The multiplication sweep
-runs top-down in blocks (SWEEP_BLOCK), so it needs no copy of the window.
+first floor(degree/2)+1, all a height needs.  ``degree_cap`` bounds that
+window, and SUBSET_CAP bounds k, since the factors are all 2^k subsets.
+Multiplication by (1 - x^d) is a high-to-low subtraction sweep, division by
+(1 - x^d) a low-to-high prefix-sum sweep with stride d (the truncated
+geometric series).  A factor whose d exceeds the window is the identity on
+the truncation and is skipped; in particular the d = m factor never
+materializes.  The coefficients live in one numpy array and one sweep loop
+serves both of its dtypes: int64 first, with a sound check after every sweep
+(see INT64_SAFE_LIMIT); if that check fires, the whole expansion runs again
+from 1 in an object array of Python integers.  A wrapped array is never
+carried on.  The multiplication sweep runs top-down in blocks (SWEEP_BLOCK),
+so it needs no copy of the window.
 
 numpy is imported only by the functions that allocate an array, so
 ``import iepoly`` stays cheap and numpy loads on the first expansion.
@@ -59,26 +61,10 @@ INT64_SAFE_LIMIT = (1 << 62) - 1
 SWEEP_BLOCK = 1 << 16
 
 DEFAULT_DEGREE_CAP = 1 << 28
-DEFAULT_SUBSET_CAP = 20
+SUBSET_CAP = 20
 
 # Sign convention for factors: +1 multiplies by (1 - x^d), -1 divides.
 Factor = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class ExpandOptions:
-    """Knobs for ``expand`` and ``low_half``.
-
-    degree_cap bounds the coefficient window a call allocates (memory guard),
-    subset_cap the tuple length whose 2^k subsets are enumerated.  The
-    integer width is not a knob: the coefficients are always exact.
-    """
-
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    subset_cap: int = DEFAULT_SUBSET_CAP
-
-
-DEFAULT_OPTIONS = ExpandOptions()
 
 
 @dataclass(frozen=True)
@@ -151,15 +137,15 @@ def degree_of(rho: CoprimeTuple) -> int:
     return deg
 
 
-def check_subset_cap(k: int, subset_cap: int) -> None:
-    """Raise TupleTooLarge when a k-tuple's 2^k subsets exceed the cap."""
-    if k > subset_cap:
-        raise TupleTooLarge(k, subset_cap)
+def check_subset_cap(k: int) -> None:
+    """Raise TupleTooLarge when k exceeds SUBSET_CAP: 2^k subsets are too many to enumerate."""
+    if k > SUBSET_CAP:
+        raise TupleTooLarge(k, SUBSET_CAP)
 
 
-def factor_system(rho: CoprimeTuple, subset_cap: int = DEFAULT_SUBSET_CAP) -> FactorSystem:
+def factor_system(rho: CoprimeTuple) -> FactorSystem:
     """Enumerate all 2^k subsets as signed factors (d = m / prod q_i, sign = parity)."""
-    check_subset_cap(rho.k, subset_cap)
+    check_subset_cap(rho.k)
     factors: list[Factor] = []
     for size in range(rho.k + 1):
         sign = 1 if size % 2 == 0 else -1
@@ -182,25 +168,25 @@ def ordered_factors(system: FactorSystem) -> list[Factor]:
     return multiplications + divisions
 
 
-def expand(rho: CoprimeTuple, opts: ExpandOptions = DEFAULT_OPTIONS) -> IEPolynomial:
+def expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> IEPolynomial:
     """Expand the inclusion-exclusion polynomial of ``rho`` exactly."""
-    return IEPolynomial(_truncated(rho, degree_of(rho) + 1, opts))
+    return IEPolynomial(_truncated(rho, degree_of(rho) + 1, degree_cap))
 
 
-def low_half(rho: CoprimeTuple, opts: ExpandOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def low_half(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndarray:
     """Coefficients 0 .. floor(degree/2) of Q, exactly: every value of Q in half the memory.
 
     A truncated sweep gives the low coefficients exactly.  Each (1 - x^d) is
     -x^d (1 - x^-d), with 2^(k-1) factors on each side of the quotient, so
     x^degree Q(1/x) = Q(x): coefficient degree - i equals coefficient i.
     """
-    return _truncated(rho, degree_of(rho) // 2 + 1, opts)
+    return _truncated(rho, degree_of(rho) // 2 + 1, degree_cap)
 
 
-def _truncated(rho: CoprimeTuple, window: int, opts: ExpandOptions) -> np.ndarray:
-    if window > opts.degree_cap:
-        raise DegreeCapExceeded(degree_of(rho), opts.degree_cap)
-    return apply_factors(window, ordered_factors(factor_system(rho, subset_cap=opts.subset_cap)))
+def _truncated(rho: CoprimeTuple, window: int, degree_cap: int) -> np.ndarray:
+    if window > degree_cap:
+        raise DegreeCapExceeded(window, degree_cap)
+    return apply_factors(window, ordered_factors(factor_system(rho)))
 
 
 def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:

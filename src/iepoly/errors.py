@@ -2,7 +2,9 @@
 
 Validation errors carry the offending index or pair so callers (and tests)
 can assert on the exact rule that fired.  Capacity errors are raised instead
-of letting exponential enumeration or dense allocation thrash.
+of letting exponential enumeration or dense allocation thrash: TupleTooLarge
+guards the 2^k subset enumeration, DegreeCapExceeded the longest coefficient
+array a call would allocate, CapExceeded the tuple enumeration.
 """
 
 from __future__ import annotations
@@ -60,21 +62,14 @@ class TupleTooLarge(CapacityError):
 
 
 class DegreeCapExceeded(CapacityError):
-    def __init__(self, degree: int, cap: int) -> None:
-        self.degree = degree
+    def __init__(self, coefficients: int, cap: int) -> None:
+        self.coefficients = coefficients
         self.cap = cap
-        super().__init__(f"DegreeCapExceeded: degree {degree} needs more than {cap} coefficients")
-
-
-class OracleCapExceeded(CapacityError):
-    def __init__(self, m: int, cap: int) -> None:
-        self.m = m
-        self.cap = cap
-        super().__init__(f"OracleCapExceeded: m = {m} exceeds oracle cap {cap}")
+        super().__init__(f"DegreeCapExceeded: {coefficients} coefficients exceed the cap of {cap}")
 
 
 class CapExceeded(CapacityError):
-    """Generic cap violation for search and bound computations."""
+    """The tuple enumeration would pass its product cap."""
 
 
 class NonzeroRemainder(IEPolyError, ArithmeticError):

@@ -13,19 +13,21 @@ int64 when its operand lies within ``core.INT64_SAFE_LIMIT``: a product
 cannot wrap there, and a quotient that leaves the limit is computed again
 in Python integers (dtype=object).  Any other operand runs in Python
 integers, so a possibly wrapped array is never returned.
+
+The longest array is the untruncated product, 1 + (prod (q+1) + prod (q-1)) / 2
+coefficients; ``degree_cap`` bounds it as it bounds the window of
+``core.expand``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import INT64_SAFE_LIMIT, CoprimeTuple, IEPolynomial, factor_system
-from .errors import NonzeroRemainder, OracleCapExceeded
+from .core import DEFAULT_DEGREE_CAP, INT64_SAFE_LIMIT, CoprimeTuple, IEPolynomial, factor_system
+from .errors import DegreeCapExceeded, NonzeroRemainder
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_ORACLE_CAP = 10**4
 
 
 def mul_one_minus_x_pow(c: np.ndarray, d: int) -> np.ndarray:
@@ -86,17 +88,30 @@ def _negated_suffix_sums(c: np.ndarray, d: int) -> np.ndarray:
     return r[::-1]
 
 
-def oracle_expand(rho: CoprimeTuple, oracle_cap: int = DEFAULT_ORACLE_CAP) -> IEPolynomial:
+def _product_length(rho: CoprimeTuple) -> int:
+    # The product's degree is the sum of m / prod_S q over the even-size
+    # subsets S: m times the even part of prod (1 + 1/q), which is
+    # (prod (1 + 1/q) + prod (1 - 1/q)) / 2.
+    plus = minus = 1
+    for q in rho.qs:
+        plus *= q + 1
+        minus *= q - 1
+    return 1 + (plus + minus) // 2
+
+
+def oracle_expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> IEPolynomial:
     """Expand via the full product of even-subset factors, then exact division.
 
-    Intermediate degrees reach roughly m * 2^(k-1), hence the cap on m.
-    A NonzeroRemainder here means an arithmetic bug: the quotient is a
+    The product is the longest array, about m coefficients for small k;
+    DegreeCapExceeded is raised when its length passes ``degree_cap``.  A
+    NonzeroRemainder here means an arithmetic bug: the quotient is a
     polynomial for every valid tuple.
     """
     import numpy as np
 
-    if rho.m > oracle_cap:
-        raise OracleCapExceeded(rho.m, oracle_cap)
+    length = _product_length(rho)
+    if length > degree_cap:
+        raise DegreeCapExceeded(length, degree_cap)
     factors = factor_system(rho).factors
     c = np.ones(1, dtype=np.int64)
     for d, sign in factors:

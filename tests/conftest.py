@@ -25,6 +25,18 @@ SMALL_TUPLES = [
     (3, 4, 5, 7),
 ]
 
+# The k = 5-7 tuples of perfbench's high_k workload.
+HIGH_K_TUPLES = [
+    (5, 7, 11, 13, 17),
+    (3, 5, 7, 11, 13, 17),
+    (2, 3, 5, 7, 11, 13, 17),
+    (11, 13, 17, 19, 23),
+    (7, 11, 13, 17, 19),
+    (4, 5, 7, 9, 11, 13),
+    (3, 5, 7, 11, 13),
+    (3, 4, 5, 7, 11, 13),
+]
+
 
 def make_random_tuples(count: int, max_degree: int = 10**5, seed: int = 0x5EED, k_max: int = 5) -> list[CoprimeTuple]:
     """Deterministic corpus of valid tuples with degree at most max_degree."""
@@ -51,6 +63,11 @@ def make_random_tuples(count: int, max_degree: int = 10**5, seed: int = 0x5EED, 
 @pytest.fixture(scope="session")
 def small_corpus() -> list[CoprimeTuple]:
     return [validate_tuple(qs) for qs in SMALL_TUPLES]
+
+
+@pytest.fixture(scope="session")
+def high_k_corpus() -> list[CoprimeTuple]:
+    return [validate_tuple(qs) for qs in HIGH_K_TUPLES]
 
 
 @pytest.fixture(scope="session")

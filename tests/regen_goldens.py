@@ -15,20 +15,12 @@ from golden_cases import GOLDEN_CASES
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-def scrubbed_env() -> dict:
-    import os
-
-    env = {k: v for k, v in os.environ.items() if not k.startswith("IEPOLY_")}
-    return env
-
-
 def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv, expected_exit in GOLDEN_CASES:
         proc = subprocess.run(
             [sys.executable, "-m", "iepoly.cli", *argv],
             capture_output=True,
-            env=scrubbed_env(),
         )
         if proc.returncode != expected_exit:
             print(f"{name}: exit {proc.returncode}, expected {expected_exit}", file=sys.stderr)

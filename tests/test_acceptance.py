@@ -4,7 +4,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete.  Every tolerance and runtime budget is pinned here.
 """
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -142,7 +141,6 @@ def test_criterion_7_convergence_consistency():
 
 
 def test_criterion_8_cli_contract():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("IEPOLY_")}
     with Budget("8 CLI exit codes and byte determinism", 30):
         assert len(GOLDEN_CASES) >= 12
         for name, argv, expected_exit in GOLDEN_CASES:
@@ -151,7 +149,6 @@ def test_criterion_8_cli_contract():
                 subprocess.run(
                     [sys.executable, "-m", "iepoly.cli", *argv],
                     capture_output=True,
-                    env=env,
                 )
                 for _ in range(2)
             ]

@@ -16,8 +16,8 @@ from iepoly.analysis import (
     search_max_ratio,
 )
 from iepoly.construction import family_parameters
-from iepoly.core import ExpandOptions, degree_of, expand, low_half, validate_tuple
-from iepoly.errors import CapExceeded, DegreeCapExceeded, InvalidParameter, TupleTooLarge
+from iepoly.core import degree_of, expand, low_half, validate_tuple
+from iepoly.errors import CapExceeded, DegreeCapExceeded, InvalidParameter
 
 
 def rel_close(a, b, tol):
@@ -215,18 +215,14 @@ class TestSearch:
         assert reports[0].rho.qs == (3, 4, 5)
 
     def test_caps(self):
-        with pytest.raises(TupleTooLarge):
-            search_max_ratio(100, 25)
         with pytest.raises(CapExceeded):
             search_max_ratio(10**8, 2)
 
     def test_caps_come_from_opts(self):
         # (3,5,7) has degree 48, so its low half needs 25 coefficients.
         with pytest.raises(DegreeCapExceeded):
-            search_max_ratio(105, 3, opts=ExpandOptions(degree_cap=24))
-        assert search_max_ratio(105, 3, opts=ExpandOptions(degree_cap=25)) == search_max_ratio(105, 3)
-        with pytest.raises(TupleTooLarge):
-            search_max_ratio(105, 3, opts=ExpandOptions(subset_cap=2))
+            search_max_ratio(105, 3, degree_cap=24)
+        assert search_max_ratio(105, 3, degree_cap=25) == search_max_ratio(105, 3)
 
 
 def test_height_report_fields():

@@ -14,21 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iepoly import cli, core, oracle
+from iepoly import analysis, cli, core, oracle
 from iepoly.analysis import coprime_tuples
 from iepoly.cli import main
 from iepoly.construction import congruence_family, height_lower_bound
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in (
-        "IEPOLY_MEMORY_CAP_COEFFS",
-        "IEPOLY_ORACLE_CAP_M",
-        "IEPOLY_SUBSET_CAP_K",
-        "IEPOLY_FORMAT",
-    ):
-        monkeypatch.delenv(name, raising=False)
 
 
 def run(capsys, *argv):
@@ -84,6 +73,12 @@ class TestCompute:
         assert code == 3
         assert "DegreeCapExceeded" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_memory_cap_below_one(self, capsys, cap):
+        code, out, err = run(capsys, "compute", "--q", "3,5,7", "--memory-cap", cap)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --memory-cap") and err.count("\n") == 1
+
     @pytest.mark.parametrize("q", ["12", "3,5,7"])  # degrees 11 and 48
     def test_height_only_coeff_matches_full(self, capsys, q):
         _, full, _ = run_json(capsys, "compute", "--q", q)
@@ -99,7 +94,8 @@ class TestCompute:
             argv = ["compute", "--q", "3,5,7", "--memory-cap", cap] + (["--height-only"] if height_only else [])
             assert run(capsys, *argv)[0] == expected, argv
 
-    @pytest.mark.parametrize("flag", [["--mantissa-bits", "8"], ["--half-degree"]])
+    @pytest.mark.parametrize("flag", [["--mantissa-bits", "8"], ["--half-degree"], ["--oracle-cap", "50"],
+                                      ["--subset-cap", "2"]])
     def test_removed_flags_are_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--q", "13,37,61", "--height-only"] + flag)
@@ -125,6 +121,12 @@ class TestCompute:
         assert payload["coefficients_file"] == str(sink)
         assert sink.read_text().splitlines() == ["1", "-1", "1"]
 
+    @pytest.mark.parametrize("target", ["missing/coeffs.txt", "."])  # no such directory; a directory
+    def test_unwritable_coefficient_file(self, capsys, tmp_path, target):
+        code, out, err = run(capsys, "compute", "--q", "2,3", "--out", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
     def test_large_dumps_require_force(self, capsys):
         code, payload, _ = run_json(capsys, "compute", "--q", "2,10007")
         assert code == 0
@@ -133,12 +135,15 @@ class TestCompute:
         assert code == 0
         assert len(payload["coefficients"]) == 10007
 
-    def test_env_cap_and_flag_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("IEPOLY_MEMORY_CAP_COEFFS", "10")
-        code, _, _ = run(capsys, "compute", "--q", "3,5,7")
-        assert code == 3
-        code, _, _ = run(capsys, "compute", "--q", "3,5,7", "--memory-cap", "1000")
+    def test_environment_does_not_configure(self, capsys, monkeypatch):
+        # Variables an earlier version read in place of the flags.
+        for name, value in [("IEPOLY_MEMORY_CAP_COEFFS", "10"), ("IEPOLY_ORACLE_CAP_M", "1"),
+                            ("IEPOLY_SUBSET_CAP_K", "1"), ("IEPOLY_FORMAT", "text")]:
+            monkeypatch.setenv(name, value)
+        code, payload, _ = run_json(capsys, "compute", "--q", "3,5,7")
         assert code == 0
+        assert payload["height"] == "2"
+        assert run(capsys, "compute", "--q", "3,5,7", "--memory-cap", "10")[0] == 3
 
 
 class TestConstruct:
@@ -303,8 +308,8 @@ class TestOracleCheck:
     def test_mismatch_is_reported(self, capsys, monkeypatch):
         real = oracle.oracle_expand
 
-        def flipped(rho, oracle_cap):
-            p = real(rho, oracle_cap)
+        def flipped(rho, degree_cap):
+            p = real(rho, degree_cap)
             if rho.qs == (3, 5, 7):
                 p.coeffs[7] += 1
             return p
@@ -316,8 +321,10 @@ class TestOracleCheck:
         assert payload["mismatched_tuples"] == ["{3,5,7}"]
 
     def test_cap(self, capsys):
-        code, _, _ = run(capsys, "oracle-check", "--m-cap", "100", "--oracle-cap", "50")
-        assert code == 3
+        # Every expand window is at most 105, from (105,), whose oracle product has 106 coefficients.
+        assert run(capsys, "oracle-check", "--m-cap", "105", "--memory-cap", "105")[0] == 3
+        assert run(capsys, "oracle-check", "--m-cap", "105", "--k-max", "1", "--memory-cap", "105")[0] == 3
+        assert run(capsys, "oracle-check", "--m-cap", "105", "--k-max", "1", "--memory-cap", "106")[0] == 0
 
     @pytest.mark.parametrize("k_max", ["0", "-1"])
     def test_k_max_below_one(self, capsys, k_max):
@@ -327,10 +334,22 @@ class TestOracleCheck:
         assert "--k-max" in err
 
     def test_cap_message(self, capsys):
-        code, out, err = run(capsys, "oracle-check", "--m-cap", "20000")
-        assert code == 3
-        assert out == ""
-        assert err == "error: OracleCapExceeded: m = 20000 exceeds oracle cap 10000\n"
+        code, out, err = run(capsys, "oracle-check", "--m-cap", "105", "--memory-cap", "105")
+        assert (code, out) == (3, "")
+        assert err == "error: DegreeCapExceeded: 106 coefficients exceed the cap of 105\n"
+
+    def test_default_cap_reaches_past_m_10_4(self, capsys, monkeypatch):
+        # Enumerating every tuple up to m = 1.7e6 is slow; one tuple stands in.
+        monkeypatch.setattr(analysis, "coprime_tuples",
+                            lambda k, m_cap: [core.validate_tuple([49, 145, 241])] if k == 3 else [])
+        code, payload, _ = run_json(capsys, "oracle-check", "--m-cap", "1712305")
+        assert code == 0
+        assert (payload["tuples_checked"], payload["mismatches"]) == (1, 0)
+
+    def test_enumeration_cap(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--m-cap", "100000000")
+        assert (code, out) == (3, "")
+        assert "enumeration cap" in err
 
 
 class TestCoefficientWriter:
@@ -368,12 +387,6 @@ class TestOutputContract:
         assert code == 0
         assert "height: 1" in out
 
-    def test_env_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("IEPOLY_FORMAT", "text")
-        code, out, _ = run(capsys, "constant", "--terms", "2")
-        assert code == 0
-        assert out.startswith("command: constant")
-
 
 def test_array_free_commands_do_not_import_numpy():
     # numpy loads with the first coefficient array; import and the
@@ -389,8 +402,7 @@ for argv in (["constant", "--terms", "5"], ["verify", "--q", "13,37,61", "--r", 
 assert main(["compute", "--q", "3,5,7"]) == 0
 assert "numpy" in sys.modules, "compute"
 """
-    env = {k: v for k, v in os.environ.items() if not k.startswith("IEPOLY_")}
-    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
@@ -436,20 +448,13 @@ class TestHeightOnlyWindow:
         assert peak < 0.6 * 8 * (degree + 1)
 
 
-def test_readme_configuration_table_matches_the_program(capsys, monkeypatch):
-    # Each row names a common flag and the IEPOLY_* variable it falls back
-    # to; every common flag has a row, and every variable is read.
+def test_readme_configuration_table_matches_the_program():
+    # Each row names a common flag and its default; every common flag has a row.
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-    rows = re.findall(r"^\| `(--[\w-]+)` \| `(IEPOLY_\w+)` \|", readme, flags=re.MULTILINE)
-    assert rows
+    rows = re.findall(r"^\| `(--[\w-]+)` \| [^|]+ \|$", readme, flags=re.MULTILINE)
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = [{o for a in p._actions for o in a.option_strings} for p in subparsers.choices.values()]
     common = set.intersection(*options) - {"-h", "--help"}
-    assert {flag for flag, _ in rows} == common
-    for _, env in rows:
-        # A non-integer value, or an unknown format, is rejected.
-        monkeypatch.setenv(env, "x")
-        code, out, err = run(capsys, "constant", "--terms", "1")
-        assert (code, out) == (2, ""), env
-        monkeypatch.delenv(env)
+    assert common == {"--format", "--memory-cap"}
+    assert sorted(rows) == sorted(common)

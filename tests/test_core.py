@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from iepoly.analysis import coprime_tuples
 from iepoly.core import (
-    DEFAULT_SUBSET_CAP,
+    SUBSET_CAP,
     SWEEP_BLOCK,
-    ExpandOptions,
     IEPolynomial,
     _shifted_difference,
     _sweep,
@@ -100,7 +99,7 @@ class TestFactorSystem:
 
     def test_subset_cap(self):
         rho = validate_tuple(FIRST_PRIMES)
-        assert rho.k == DEFAULT_SUBSET_CAP + 1
+        assert rho.k == SUBSET_CAP + 1
         with pytest.raises(TupleTooLarge):
             factor_system(rho)
 
@@ -127,15 +126,17 @@ class TestExpand:
         assert eval_at_one(p) == 1
 
     def test_degree_cap(self):
-        with pytest.raises(DegreeCapExceeded):
-            expand(validate_tuple([3, 5, 7]), ExpandOptions(degree_cap=10))
+        # The error carries the coefficients refused: 49 for expand, 25 for the low half.
+        rho = validate_tuple([3, 5, 7])
+        with pytest.raises(DegreeCapExceeded) as err:
+            expand(rho, degree_cap=10)
+        assert (err.value.coefficients, err.value.cap) == (49, 10)
+        with pytest.raises(DegreeCapExceeded) as err:
+            low_half(rho, degree_cap=24)
+        assert (err.value.coefficients, err.value.cap) == (25, 24)
 
-    # The k = 5-7 tuples of perfbench's high_k workload.
-    HIGH_K = [(5, 7, 11, 13, 17), (3, 5, 7, 11, 13, 17), (2, 3, 5, 7, 11, 13, 17), (11, 13, 17, 19, 23),
-              (7, 11, 13, 17, 19), (4, 5, 7, 9, 11, 13), (3, 5, 7, 11, 13), (3, 4, 5, 7, 11, 13)]
-
-    def test_low_half_is_a_prefix_of_expand(self, small_corpus):
-        for rho in small_corpus + [validate_tuple(qs) for qs in self.HIGH_K]:
+    def test_low_half_is_a_prefix_of_expand(self, small_corpus, high_k_corpus):
+        for rho in small_corpus + high_k_corpus:
             full = expand(rho).coeffs
             half = low_half(rho)
             assert len(half) == degree_of(rho) // 2 + 1

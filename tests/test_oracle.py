@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from iepoly.analysis import coprime_tuples
 from iepoly.core import INT64_SAFE_LIMIT, expand, height, validate_tuple
-from iepoly.errors import NonzeroRemainder, OracleCapExceeded
+from iepoly.errors import DegreeCapExceeded, NonzeroRemainder
 from iepoly.oracle import div_one_minus_x_pow, mul_one_minus_x_pow, oracle_expand
 
 L = INT64_SAFE_LIMIT
@@ -112,8 +112,22 @@ class TestOracleExpand:
         assert height(p) == 1
 
     def test_cap(self):
-        with pytest.raises(OracleCapExceeded):
-            oracle_expand(validate_tuple([101, 102]), oracle_cap=10**4)
+        # The product of 3,5,7's even-subset factors has degree 105 + 7 + 5 + 3:
+        # 1 + (4*6*8 + 2*4*6) / 2 = 121 coefficients.
+        rho = validate_tuple([3, 5, 7])
+        with pytest.raises(DegreeCapExceeded) as err:
+            oracle_expand(rho, degree_cap=120)
+        assert (err.value.coefficients, err.value.cap) == (121, 120)
+        assert np.array_equal(oracle_expand(rho, degree_cap=121).coeffs, expand(rho).coeffs)
+
+    @pytest.mark.parametrize("qs", [(49, 51, 149), (49, 145, 241), (19, 23, 29, 31)])
+    def test_agrees_with_fast_route_past_m_10_4(self, qs):
+        rho = validate_tuple(qs)
+        assert np.array_equal(oracle_expand(rho).coeffs, expand(rho).coeffs)
+
+    def test_agrees_with_fast_route_high_k(self, high_k_corpus):
+        for rho in high_k_corpus:
+            assert np.array_equal(oracle_expand(rho).coeffs, expand(rho).coeffs), rho
 
     def test_agrees_with_fast_route_small_sweep(self):
         checked = 0
