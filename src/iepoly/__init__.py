@@ -34,7 +34,7 @@ from .core import (
     low_half,
     validate_tuple,
 )
-from .oracle import div_one_minus_x_pow, mul_one_minus_x_pow, oracle_expand
+from .oracle import oracle_expand
 
 __all__ = [
     "ConstantResult",
@@ -51,7 +51,6 @@ __all__ = [
     "coprimality_trace",
     "coprime_tuples",
     "degree_of",
-    "div_one_minus_x_pow",
     "eval_at_one",
     "expand",
     "factor_system",
@@ -61,7 +60,6 @@ __all__ = [
     "is_palindromic",
     "limit_constant",
     "low_half",
-    "mul_one_minus_x_pow",
     "normalized_ratio",
     "normalizer",
     "oracle_expand",

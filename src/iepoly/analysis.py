@@ -8,7 +8,9 @@ M alone overflows double-precision range at moderate k.  A large exact
 integer enters mpmath as its odd part shifted by its power of two
 (``_log_int``): mpmath strips trailing zero bits a byte at a time, shifting
 the whole integer each time, so r^(2^(k-1)) would otherwise cost quadratic
-time before the logarithm starts.
+time before the logarithm starts.  mpmath is imported by the functions
+that compute with it, so ``import iepoly`` and the commands that report no
+real never load it.
 
 ``limit_constant`` evaluates prod_{j>=1} (4j - 2)^(-2^(-j-1)), the limiting
 value of the constructed families' predicted ratio, together with a proven
@@ -21,14 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from mpmath import mp
-
 from .construction import family_parameters
 from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, IEPolynomial, degree_of, height, low_half
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 
 if TYPE_CHECKING:
     import numpy as np
+    from mpmath import mp
 
 DEFAULT_MANTISSA_BITS = 128
 DEFAULT_SEARCH_EXPAND_CAP = 10**5
@@ -74,12 +75,16 @@ def normalizer(rho: CoprimeTuple) -> int:
 
 def _log_int(n: int) -> "mp.mpf":
     """mp.log(n) for an integer n >= 1, bit-identical and in linear time."""
+    from mpmath import mp
+
     tz = (n & -n).bit_length() - 1
     return mp.log(mp.ldexp(n >> tz, tz))
 
 
 def normalized_ratio(A: int, M: int, k: int, mantissa_bits: int = DEFAULT_MANTISSA_BITS) -> "mp.mpf":
     """(A / M)^(2^-k), computed as exp(2^-k (ln A - ln M)) on exact integers."""
+    from mpmath import mp
+
     if A < 1 or M < 1 or k < 1:
         raise InvalidParameter(f"need A >= 1, M >= 1, k >= 1, got A={A}, M={M}, k={k}")
     with mp.workprec(mantissa_bits):
@@ -115,6 +120,8 @@ def predicted_ratio(
     When the exact integers would exceed ``exact_bits_cap`` bits, route (a)
     falls back to scaled logarithms of r and the q_j.
     """
+    from mpmath import mp
+
     r, qs = family_parameters(N, k)
     with mp.workprec(mantissa_bits):
         log_r = mp.log(r)
@@ -159,6 +166,8 @@ def constant_log_tail_bound(terms: int) -> "mp.mpf":
 
     Checked against direct summation out to 200 terms in the test suite.
     """
+    from mpmath import mp
+
     if terms < 1:
         raise InvalidParameter(f"terms must be >= 1, got {terms}")
     return mp.ldexp(mp.log(4 * terms + 2) + mp.log(2), -(terms + 1))
@@ -172,6 +181,8 @@ def limit_constant(terms: int, mantissa_bits: int = DEFAULT_MANTISSA_BITS) -> Co
     value * tail dominates the truncation error.  Rounding error at >= 64
     mantissa bits is orders of magnitude below the reported bound.
     """
+    from mpmath import mp
+
     if terms < 1:
         raise InvalidParameter(f"terms must be >= 1, got {terms}")
     if mantissa_bits < 64:

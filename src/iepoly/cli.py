@@ -16,6 +16,18 @@ terminal, json when piped) and --memory-cap.  --memory-cap bounds the
 longest coefficient array a call allocates: the full window when
 coefficients are output, the low half (core.low_half) when only the height
 is, and in oracle-check also the reference route's untruncated product.
+
+``run`` is the process entry point (``python -m iepoly.cli`` and the
+``iepoly`` script); ``main(argv)`` is the pure part that tests and
+in-process callers use.  A run pays start-up only for what it uses: numpy
+loads with the first coefficient array and mpmath with the first real
+(see the core and analysis modules).  ``run`` also sets
+OPENBLAS_NUM_THREADS=1 for its own process before anything can load numpy,
+because iepoly calls no BLAS routine and starting OpenBLAS's thread pool
+doubles numpy's import time; the value changes no result.  It freezes the
+garbage collector's objects before exit, so shutdown does not walk every
+object of numpy, mpmath and argparse.  Neither ``import iepoly`` nor any
+library call touches the environment.
 """
 
 from __future__ import annotations
@@ -24,8 +36,10 @@ import argparse
 import csv
 import decimal
 import functools
+import gc
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional, Sequence
@@ -431,5 +445,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> None:
+    """Process entry point: main() on sys.argv, then exit with its code."""
+    # Assigned, not defaulted: the value changes no result, so it is no knob.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    code = main()
+    # Frozen objects are skipped by the collection at interpreter shutdown,
+    # which would otherwise walk every object numpy, mpmath and argparse made.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,86 +6,105 @@ each negative-sign factor from the top down, requiring a zero remainder at
 every step.  Agreement between the two routes is the main correctness
 evidence for both.
 
-Each step is linear in the length of one numpy array: multiplying by
-(1 - x^d) is one shifted subtraction into an array d entries longer,
-dividing by it one descending cumulative sum with stride d.  A step runs in
-int64 when its operand lies within ``core.INT64_SAFE_LIMIT``: a product
-cannot wrap there, and a quotient that leaves the limit is computed again
-in Python integers (dtype=object).  Any other operand runs in Python
-integers, so a possibly wrapped array is never returned.
+The route runs in one numpy array, allocated once at the length of the
+untruncated product, 1 + (prod (q+1) + prod (q-1)) / 2 coefficients;
+``degree_cap`` bounds that length as it bounds the window of
+``core.expand``, and no step allocates more than ``core.SWEEP_BLOCK``
+entries beside it.  Multiplying by (1 - x^d) is a shifted subtraction in
+blocks from the top of the growing product; dividing by it is one
+descending cumulative sum with stride d, in place on a reversed view, after
+which the quotient is the view past the d remainder entries.  The route
+keeps its own loops and calls none of ``core``'s sweep functions.
 
-The longest array is the untruncated product, 1 + (prod (q+1) + prod (q-1)) / 2
-coefficients; ``degree_cap`` bounds it as it bounds the window of
-``core.expand``.
+It runs in int64 first and checks after every step that each value lies
+within ``core.INT64_SAFE_LIMIT``, which proves that no step wrapped (the
+argument of ``core``); if the check fires, the route starts again from 1 in
+Python integers (dtype=object).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .core import DEFAULT_DEGREE_CAP, INT64_SAFE_LIMIT, CoprimeTuple, IEPolynomial, factor_system
+from .core import (
+    DEFAULT_DEGREE_CAP,
+    INT64_SAFE_LIMIT,
+    SWEEP_BLOCK,
+    CoprimeTuple,
+    IEPolynomial,
+    factor_system,
+)
 from .errors import DegreeCapExceeded, NonzeroRemainder
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def mul_one_minus_x_pow(c: np.ndarray, d: int) -> np.ndarray:
-    """Coefficients of c(x) * (1 - x^d), d entries longer than ``c``."""
+def _multiply(c: np.ndarray, d: int) -> None:
+    # c(x) * (1 - x^d) in place, where the top d entries of c are zero:
+    # c[i] -= c[i-d] for i descending, a block of at most max(d, SWEEP_BLOCK)
+    # entries at a time, so every source entry is read before it changes.  A
+    # block longer than d overlaps its source, which numpy then copies.
+    block = max(d, SWEEP_BLOCK)
+    for end in range(c.shape[0], d, -block):
+        start = max(d, end - block)
+        c[start:end] -= c[start - d : end - d]
+
+
+def _divide(c: np.ndarray, d: int) -> np.ndarray:
+    # c(x) / (1 - x^d) in place, from the top: q_j = q_{j+d} - c_{j+d}.  The
+    # entries become s_i = -(c_i + c_{i+d} + c_{i+2d} + ...), a prefix sum
+    # down each residue class mod d of the reversed array: full rows as one
+    # 2-d cumsum, then the ragged tail, whose predecessors are final by
+    # then.  s[d:] is the quotient; the recurrence continued below x^d gives
+    # s[:d], the remainder, which must vanish.
     import numpy as np
 
-    c = _exact_operand(c)
     n = c.shape[0]
-    out = np.zeros(n + d, dtype=c.dtype)
-    out[:n] = c
-    out[d:] -= c
-    return out
-
-
-def div_one_minus_x_pow(c: np.ndarray, d: int) -> np.ndarray:
-    """Coefficients of c(x) / (1 - x^d), d entries shorter than ``c``.
-
-    Raises NonzeroRemainder unless (1 - x^d) divides c(x).
-    """
-    if c.shape[0] <= d:
-        raise ValueError(f"{c.shape[0]} coefficients cannot be divided by 1 - x^{d}")
-    c = _exact_operand(c)
-    s = _negated_suffix_sums(c, d)
-    if s.dtype == "int64" and not _fits(s):
-        s = _negated_suffix_sums(c.astype(object), d)
-    # s[d:] is the quotient, from the top: q_j = q_{j+d} - c_{j+d}.  The
-    # recurrence continued below x^d gives s[:d], the remainder.
-    if s[:d].any():
-        raise NonzeroRemainder(f"1 - x^{d} leaves a nonzero remainder")
-    return s[d:]
-
-
-def _exact_operand(c: np.ndarray) -> np.ndarray:
-    # As in core: from int64 operands within L = INT64_SAFE_LIMIT, a
-    # difference cannot wrap, and a cumulative sum can first wrap only after
-    # a final value beyond L, which the check on the sums rejects.
-    return c if c.dtype == "int64" and _fits(c) else c.astype(object, copy=False)
-
-
-def _fits(c: np.ndarray) -> bool:
-    return -INT64_SAFE_LIMIT <= int(c.min()) and int(c.max()) <= INT64_SAFE_LIMIT
-
-
-def _negated_suffix_sums(c: np.ndarray, d: int) -> np.ndarray:
-    # s_i = -(c_i + c_{i+d} + c_{i+2d} + ...).  Reversed, that is a prefix
-    # sum down each residue class mod d: full rows as one 2-d cumsum, then
-    # the ragged tail, whose predecessors are final by then.
-    import numpy as np
-
-    r = np.negative(c[::-1])
-    n = r.shape[0]
+    if n <= d:
+        raise ValueError(f"{n} coefficients cannot be divided by 1 - x^{d}")
+    np.negative(c, out=c)
+    r = c[::-1]
     rows = n // d
     if rows >= 2:
         head = r[: rows * d].reshape(rows, d)
         head.cumsum(axis=0, out=head)
     if rows * d < n:
         r[rows * d :] += r[(rows - 1) * d : n - d]
-    return r[::-1]
+    if c[:d].any():
+        raise NonzeroRemainder(f"1 - x^{d} leaves a nonzero remainder")
+    return c[d:]
+
+
+def _fits(c: np.ndarray) -> bool:
+    return -INT64_SAFE_LIMIT <= int(c.min()) and int(c.max()) <= INT64_SAFE_LIMIT
+
+
+def _route(
+    length: int, multipliers: Sequence[int], divisors: Sequence[int], dtype: str | type
+) -> Optional[np.ndarray]:
+    # None reports an int64 step after which a value left INT64_SAFE_LIMIT.
+    # From operands within the limit a difference cannot wrap, and a
+    # cumulative sum can first wrap only after a quotient entry beyond it.
+    # The remainder may be read before that check: int64 sums are exact
+    # modulo 2^64, so a zero remainder reads zero, and a nonzero one reads
+    # zero only after a wrap, which the check on the quotient then reports.
+    import numpy as np
+
+    c = np.zeros(length, dtype=dtype)
+    c[0] = 1
+    checked = c.dtype == "int64"
+    n = 1
+    for d in multipliers:
+        n += d
+        _multiply(c[:n], d)
+        if checked and not _fits(c[:n]):
+            return None
+    for d in divisors:
+        c = _divide(c, d)
+        if checked and not _fits(c):
+            return None
+    return c
 
 
 def _product_length(rho: CoprimeTuple) -> int:
@@ -103,22 +122,18 @@ def oracle_expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> IE
     """Expand via the full product of even-subset factors, then exact division.
 
     The product is the longest array, about m coefficients for small k;
-    DegreeCapExceeded is raised when its length passes ``degree_cap``.  A
-    NonzeroRemainder here means an arithmetic bug: the quotient is a
-    polynomial for every valid tuple.
+    DegreeCapExceeded is raised when its length passes ``degree_cap``.  The
+    result is a view into that array.  A NonzeroRemainder here means an
+    arithmetic bug: the quotient is a polynomial for every valid tuple.
     """
-    import numpy as np
-
     length = _product_length(rho)
     if length > degree_cap:
         raise DegreeCapExceeded(length, degree_cap)
     factors = factor_system(rho).factors
-    c = np.ones(1, dtype=np.int64)
-    for d, sign in factors:
-        if sign > 0:
-            c = mul_one_minus_x_pow(c, d)
+    multipliers = [d for d, sign in factors if sign > 0]
     # Descending d keeps intermediate degrees shrinking fastest.
-    for d, sign in sorted(factors, reverse=True):
-        if sign < 0:
-            c = div_one_minus_x_pow(c, d)
+    divisors = sorted((d for d, sign in factors if sign < 0), reverse=True)
+    c = _route(length, multipliers, divisors, "int64")
+    if c is None:
+        c = _route(length, multipliers, divisors, object)
     return IEPolynomial(c)

@@ -388,23 +388,71 @@ class TestOutputContract:
         assert "height: 1" in out
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=SRC_ENV)
+
+
 def test_array_free_commands_do_not_import_numpy():
-    # numpy loads with the first coefficient array; import and the
-    # closed-form commands run without it.
+    # numpy loads with the first coefficient array and mpmath with the first
+    # real, so import and the commands that need neither run without them;
+    # the library leaves the environment alone.
     script = """
-import sys
+import json, os, sys
+environ = dict(os.environ)
 from iepoly.cli import main
-assert "numpy" not in sys.modules, "import iepoly.cli"
-for argv in (["constant", "--terms", "5"], ["verify", "--q", "13,37,61", "--r", "6"],
-             ["construct", "--N", "1", "--k", "5"]):
+loaded = [[m for m in ("numpy", "mpmath") if m in sys.modules]]
+for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
-assert main(["compute", "--q", "3,5,7"]) == 0
-assert "numpy" in sys.modules, "compute"
+    loaded.append([m for m in ("numpy", "mpmath") if m in sys.modules])
+assert dict(os.environ) == environ, "the library changed the environment"
+print(json.dumps(loaded))
 """
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    verify = ["verify", "--q", "13,37,61", "--r", "6"]
+    oracle_check = ["oracle-check", "--m-cap", "30", "--k-max", "2"]
+    compute = ["compute", "--q", "3,5,7"]
+    for commands, loaded in [
+        ([["constant", "--terms", "5"], verify, ["construct", "--N", "1", "--k", "5"], compute],
+         [[], ["mpmath"], ["mpmath"], ["mpmath"], ["numpy", "mpmath"]]),
+        ([verify, oracle_check, compute], [[], [], ["numpy"], ["numpy", "mpmath"]]),
+    ]:
+        proc = run_python("-c", script, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_run_leaves_one_thread_after_an_expansion():
+    # run() keeps OpenBLAS from starting its thread pool; that holds only if
+    # nothing loads numpy before run() sets the variable.
+    script = """
+import os, sys
+from iepoly.cli import run
+sys.argv = ["iepoly", "compute", "--q", "49,145,241", "--height-only"]
+try:
+    run()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert "numpy" in sys.modules
+print(len(os.listdir("/proc/self/task")))
+"""
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compute", "--q", "3,5,7"], 0),
+    (["verify", "--q", "7", "--r", "2"], 1),
+    (["compute", "--q", "3,x"], 2),
+    (["compute", "--q", "3,5,7", "--memory-cap", "10"], 3),
+])
+def test_module_exit_codes_through_run(argv, code):
+    proc = run_python("-m", "iepoly.cli", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert bool(proc.stdout) == (code in (0, 1))
 
 
 class TestHeightOnlyWindow:

@@ -1,18 +1,33 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iepoly import oracle
 from iepoly.analysis import coprime_tuples
-from iepoly.core import INT64_SAFE_LIMIT, expand, height, validate_tuple
+from iepoly.core import INT64_SAFE_LIMIT, SWEEP_BLOCK, expand, height, validate_tuple
 from iepoly.errors import DegreeCapExceeded, NonzeroRemainder
-from iepoly.oracle import div_one_minus_x_pow, mul_one_minus_x_pow, oracle_expand
+from iepoly.oracle import oracle_expand
 
 L = INT64_SAFE_LIMIT
 
 
-def ints(values):
-    return np.array(values, dtype=np.int64)
+def ints(values, dtype=np.int64):
+    return np.array(values, dtype=dtype)
+
+
+def mul(values, d, dtype=np.int64):
+    # The route's multiplication step, on an array with d zeros on top.
+    c = ints(list(values) + [0] * d, dtype)
+    oracle._multiply(c, d)
+    return c
+
+
+def div(values, d, dtype=np.int64):
+    # The route's division step; it returns the quotient, a view of the array.
+    return oracle._divide(ints(values, dtype), d)
 
 
 def reference_mul(c, d):
@@ -35,55 +50,68 @@ def reference_div(c, d):
 
 class TestDenseMul:
     def test_difference_of_squares(self):
-        assert mul_one_minus_x_pow(ints([1, 1]), 1).tolist() == [1, 0, -1]
+        assert mul([1, 1], 1).tolist() == [1, 0, -1]
 
     def test_identity(self):
-        assert mul_one_minus_x_pow(ints([1]), 3).tolist() == [1, 0, 0, -1]
+        assert mul([1], 3).tolist() == [1, 0, 0, -1]
 
     def test_four_terms(self):
-        out = mul_one_minus_x_pow(mul_one_minus_x_pow(ints([1]), 2), 3)
-        assert out.tolist() == [1, 0, -1, -1, 0, 1]
+        assert mul(mul([1], 2), 3).tolist() == [1, 0, -1, -1, 0, 1]
 
     def test_zero(self):
-        assert mul_one_minus_x_pow(ints([0, 0]), 2).tolist() == [0, 0, 0, 0]
+        assert mul([0, 0], 2).tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("d", [1, 5, SWEEP_BLOCK + 3])
+    def test_across_blocks(self, d):
+        values = list(range(1, 3 * SWEEP_BLOCK))
+        assert mul(values, d).tolist() == reference_mul(values, d)
 
     def test_operand_past_int64_limit(self):
-        c = ints([(1 << 63) - 1, -(1 << 63), 5])
-        out = mul_one_minus_x_pow(c, 1)
-        assert out.dtype == object
-        assert out.tolist() == reference_mul([int(v) for v in c], 1)
+        # Python integers are exact past int64; in int64, a product of
+        # operands within the limit that leaves it fails the route's check.
+        c = [(1 << 63) - 1, -(1 << 63), 5]
+        assert mul(c, 1, object).tolist() == reference_mul(c, 1)
+        product = mul([L, -L, 5], 1)
+        assert product.tolist() == reference_mul([L, -L, 5], 1)
+        assert not oracle._fits(product)
 
 
 class TestExactDiv:
     def test_geometric(self):
-        assert div_one_minus_x_pow(ints([1, 0, -1]), 1).tolist() == [1, 1]
+        assert div([1, 0, -1], 1).tolist() == [1, 1]
 
     def test_pair_quotient(self):
-        num = mul_one_minus_x_pow(mul_one_minus_x_pow(ints([1]), 6), 1)
-        q = div_one_minus_x_pow(div_one_minus_x_pow(num, 3), 2)
+        q = div(div(mul(mul([1], 6), 1), 3), 2)
         assert q.tolist() == [1, -1, 1]
 
     def test_nonzero_remainder(self):
         with pytest.raises(NonzeroRemainder):
-            div_one_minus_x_pow(ints([1, 0, 0, -1]), 2)
+            div([1, 0, 0, -1], 2)
 
     def test_div_by_zero(self):
         # 1 - x^0 is the zero polynomial.
         with pytest.raises(ZeroDivisionError):
-            div_one_minus_x_pow(ints([1, 2]), 0)
+            div([1, 2], 0)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            div_one_minus_x_pow(ints([1, 0, -1]), 3)
+            div([1, 0, -1], 3)
+
+    def test_quotient_is_a_view(self):
+        c = ints(mul([1, 2, 3], 2))
+        q = oracle._divide(c, 2)
+        assert q.tolist() == [1, 2, 3]
+        assert np.shares_memory(q, c)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("d", [1, 2])
     def test_quotient_past_int64_limit(self, sign, d):
         # Every coefficient of the numerator is within the limit, the
-        # quotient's middle reaches 3L and would wrap in int64.
+        # quotient's middle reaches 3L: in int64 it fails the route's check,
+        # in Python integers it is exact.
         num = [sign * v for v in [L] * (3 * d) + [-L] * (3 * d)]
-        q = div_one_minus_x_pow(ints(num), d)
-        assert q.dtype == object
+        assert not oracle._fits(div(num, d))
+        q = div(num, d, object)
         assert q.tolist() == reference_div(num, d)
         assert max(abs(v) for v in q.tolist()) == 3 * L
 
@@ -94,9 +122,9 @@ class TestExactDiv:
     d=st.integers(1, 7),
 )
 def test_mul_div_round_trip(a, d):
-    product = mul_one_minus_x_pow(ints(a), d)
+    product = mul(a, d)
     assert product.tolist() == reference_mul(a, d)
-    assert div_one_minus_x_pow(product, d).tolist() == a
+    assert div(product, d).tolist() == a
 
 
 class TestOracleExpand:
@@ -144,3 +172,41 @@ class TestOracleExpand:
                 assert np.array_equal(oracle_expand(rho).coeffs, expand(rho).coeffs), rho
                 checked += 1
         assert checked == 1257
+
+    @pytest.mark.parametrize("qs", [(49, 145, 241), (19, 23, 29, 31)])
+    def test_peak_memory_is_one_product(self, qs):
+        # The route allocates its product once and runs every step inside it.
+        rho = validate_tuple(qs)
+        length = oracle._product_length(rho)
+        expected = expand(rho).coeffs
+        tracemalloc.start()
+        try:
+            p = oracle_expand(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p.coeffs, expected)
+        assert peak < 1.25 * 8 * length
+
+    def test_restarts_in_python_integers(self, monkeypatch):
+        # A check that fires on the first int64 step sends the whole route
+        # back to 1 in Python integers, with the same result.
+        rho = validate_tuple([3, 5, 7])
+        monkeypatch.setattr(oracle, "_fits", lambda c: False)
+        p = oracle_expand(rho)
+        assert p.coeffs.dtype == object
+        assert p.coeffs.tolist() == expand(rho).coeffs.tolist()
+
+    @pytest.mark.parametrize("multipliers, divisors", [
+        ([1] * 70, []),  # (1 - x)^70 reaches C(70, 35) > 2^62 while multiplying
+        (list(range(30, 60)), [1] * 30),  # prod (1 + x + ... + x^(d-1)) passes it while dividing
+    ])
+    def test_route_checks_every_step(self, multipliers, divisors):
+        length = 1 + sum(multipliers)
+        assert oracle._route(length, multipliers, divisors, "int64") is None
+        expected = [1]
+        for d in multipliers:
+            expected = reference_mul(expected, d)
+        for d in divisors:
+            expected = reference_div(expected, d)
+        assert oracle._route(length, multipliers, divisors, object).tolist() == expected
