@@ -23,8 +23,6 @@ from .construction import (
 )
 from .core import (
     CoprimeTuple,
-    FactorSystem,
-    IEPolynomial,
     degree_of,
     eval_at_one,
     expand,
@@ -42,10 +40,8 @@ __all__ = [
     "CongruenceReport",
     "CoprimalityTrace",
     "CoprimeTuple",
-    "FactorSystem",
     "HeightBound",
     "HeightReport",
-    "IEPolynomial",
     "check_congruence",
     "congruence_family",
     "coprimality_trace",

@@ -3,14 +3,14 @@
 The scale against which coefficient heights are measured is the normalizer
 M = prod_{j=1}^{k-2} q_j^(2^(k-j-1) - 1) (empty product 1 for k <= 2); the
 reported statistic is the normalized ratio (A / M)^(2^-k) where A is the
-height.  Ratios are always evaluated through logarithms of exact integers:
-M alone overflows double-precision range at moderate k.  A large exact
-integer enters mpmath as its odd part shifted by its power of two
-(``_log_int``): mpmath strips trailing zero bits a byte at a time, shifting
-the whole integer each time, so r^(2^(k-1)) would otherwise cost quadratic
-time before the logarithm starts.  mpmath is imported by the functions
-that compute with it, so ``import iepoly`` and the commands that report no
-real never load it.
+height.  Ratios are always evaluated through logarithms of exact integers,
+at MANTISSA_BITS bits of working precision: M alone overflows
+double-precision range at moderate k.  A large exact integer enters mpmath
+as its odd part shifted by its power of two (``_log_int``): mpmath strips
+trailing zero bits a byte at a time, shifting the whole integer each time,
+so r^(2^(k-1)) would otherwise cost quadratic time before the logarithm
+starts.  mpmath is imported by the functions that compute with it, so
+``import iepoly`` and the commands that report no real never load it.
 
 ``limit_constant`` evaluates prod_{j>=1} (4j - 2)^(-2^(-j-1)), the limiting
 value of the constructed families' predicted ratio, together with a proven
@@ -24,14 +24,22 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .construction import family_parameters
-from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, IEPolynomial, degree_of, height, low_half
+from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, degree_of, height, low_half
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 
 if TYPE_CHECKING:
     import numpy as np
     from mpmath import mp
 
-DEFAULT_MANTISSA_BITS = 128
+# Working precision of every real: far above the 53 bits a reported float
+# keeps, and above the identity check's tolerance.
+MANTISSA_BITS = 128
+# predicted_ratio's two routes must agree to this relative error.
+IDENTITY_REL_TOL = 1e-9
+# Route (a) of predicted_ratio takes the logarithm of r^(2^(k-1)) as an
+# exact integer up to this many bits (k <= 17 for N = 1), and scaled
+# logarithms of r and the q_j beyond.
+EXACT_BITS_CAP = 1 << 22
 DEFAULT_SEARCH_EXPAND_CAP = 10**5
 MAX_ENUM_PRODUCT = 10**7
 
@@ -81,49 +89,41 @@ def _log_int(n: int) -> "mp.mpf":
     return mp.log(mp.ldexp(n >> tz, tz))
 
 
-def normalized_ratio(A: int, M: int, k: int, mantissa_bits: int = DEFAULT_MANTISSA_BITS) -> "mp.mpf":
+def normalized_ratio(A: int, M: int, k: int) -> "mp.mpf":
     """(A / M)^(2^-k), computed as exp(2^-k (ln A - ln M)) on exact integers."""
     from mpmath import mp
 
     if A < 1 or M < 1 or k < 1:
         raise InvalidParameter(f"need A >= 1, M >= 1, k >= 1, got A={A}, M={M}, k={k}")
-    with mp.workprec(mantissa_bits):
+    with mp.workprec(MANTISSA_BITS):
         return mp.exp((mp.log(A) - mp.log(M)) / (1 << k))
 
 
-def height_report(
-    rho: CoprimeTuple, coeffs: np.ndarray, mantissa_bits: int = DEFAULT_MANTISSA_BITS
-) -> HeightReport:
+def height_report(rho: CoprimeTuple, coeffs: np.ndarray) -> HeightReport:
     """Measure and normalize Q_rho from ``coeffs``: all its coefficients, or ``low_half(rho)``.
 
     Q is palindromic, so its low half holds every coefficient value and the
     same height; a caller that needs only the height sweeps only that half.
     """
-    A = height(IEPolynomial(coeffs))
+    A = height(coeffs)
     M = normalizer(rho)
-    return HeightReport(rho, A, M, degree_of(rho), normalized_ratio(A, M, rho.k, mantissa_bits))
+    return HeightReport(rho, A, M, degree_of(rho), normalized_ratio(A, M, rho.k))
 
 
-def predicted_ratio(
-    N: int,
-    k: int,
-    mantissa_bits: int = DEFAULT_MANTISSA_BITS,
-    rel_tol: float = 1e-9,
-    exact_bits_cap: int = 1 << 22,
-) -> "mp.mpf":
+def predicted_ratio(N: int, k: int) -> "mp.mpf":
     """Predicted normalized ratio of the (N, k) family, checked two ways.
 
     Route (a) takes logarithms of the exact integers r^(2^(k-1)), m, and M;
     route (b) evaluates the per-member product (r/q_k) * prod (r/q_j)^(2^(k-j-1))
     in the log domain.  The two arrangements are algebraically identical, so
-    disagreement beyond ``rel_tol`` relative error raises IdentityMismatch.
-    When the exact integers would exceed ``exact_bits_cap`` bits, route (a)
-    falls back to scaled logarithms of r and the q_j.
+    disagreement beyond IDENTITY_REL_TOL relative error raises
+    IdentityMismatch.  When the exact integers would exceed EXACT_BITS_CAP
+    bits, route (a) falls back to scaled logarithms of r and the q_j.
     """
     from mpmath import mp
 
     r, qs = family_parameters(N, k)
-    with mp.workprec(mantissa_bits):
+    with mp.workprec(MANTISSA_BITS):
         log_r = mp.log(r)
         logs_q = [mp.log(q) for q in qs]
         chain = log_r - logs_q[-1]
@@ -134,7 +134,7 @@ def predicted_ratio(
         m = 1
         for q in qs:
             m *= q
-        if (1 << (k - 1)) * r.bit_length() <= exact_bits_cap:
+        if (1 << (k - 1)) * r.bit_length() <= EXACT_BITS_CAP:
             numerator = r ** (1 << (k - 1))
             M = normalizer(CoprimeTuple(tuple(qs), m))
             grouped = _log_int(numerator) - mp.log(m) - mp.log(M)
@@ -145,7 +145,7 @@ def predicted_ratio(
             grouped = (1 << (k - 1)) * log_r - mp.log(m) - log_M
         value_a = mp.exp(grouped / (1 << k))
 
-        if abs(value_a - value_b) > mp.mpf(rel_tol) * abs(value_b):
+        if abs(value_a - value_b) > mp.mpf(IDENTITY_REL_TOL) * abs(value_b):
             raise IdentityMismatch(
                 f"ratio routes disagree for N={N}, k={k}: {value_a} vs {value_b}"
             )
@@ -173,21 +173,19 @@ def constant_log_tail_bound(terms: int) -> "mp.mpf":
     return mp.ldexp(mp.log(4 * terms + 2) + mp.log(2), -(terms + 1))
 
 
-def limit_constant(terms: int, mantissa_bits: int = DEFAULT_MANTISSA_BITS) -> ConstantResult:
+def limit_constant(terms: int) -> ConstantResult:
     """Partial product prod_{j=1}^{terms} (4j - 2)^(-2^(-j-1)) with a rigorous error bar.
 
     The value is exp(-S) for the partial log sum S; the true limit lies in
     [value * exp(-tail), value] for the proven tail bound, so
-    value * tail dominates the truncation error.  Rounding error at >= 64
-    mantissa bits is orders of magnitude below the reported bound.
+    value * tail dominates the truncation error.  Rounding error at
+    MANTISSA_BITS is orders of magnitude below the reported bound.
     """
     from mpmath import mp
 
     if terms < 1:
         raise InvalidParameter(f"terms must be >= 1, got {terms}")
-    if mantissa_bits < 64:
-        raise InvalidParameter(f"mantissa_bits must be >= 64, got {mantissa_bits}")
-    with mp.workprec(mantissa_bits):
+    with mp.workprec(MANTISSA_BITS):
         log_sum = mp.mpf(0)
         for j in range(1, terms + 1):
             log_sum += mp.ldexp(mp.log(4 * j - 2), -(j + 1))
@@ -234,7 +232,6 @@ def search_max_ratio(
     k: int,
     expand_cap: int = DEFAULT_SEARCH_EXPAND_CAP,
     degree_cap: int = DEFAULT_DEGREE_CAP,
-    mantissa_bits: int = DEFAULT_MANTISSA_BITS,
 ) -> list[HeightReport]:
     """Rank every enumerable tuple (given k, m <= m_cap, degree <= expand_cap) by ratio.
 
@@ -246,6 +243,6 @@ def search_max_ratio(
     reports = []
     for rho in coprime_tuples(k, m_cap):
         if degree_of(rho) <= expand_cap:
-            reports.append(height_report(rho, low_half(rho, degree_cap), mantissa_bits))
+            reports.append(height_report(rho, low_half(rho, degree_cap)))
     reports.sort(key=lambda rep: (-rep.normalized_ratio, rep.rho.qs))
     return reports

@@ -9,7 +9,7 @@ written), 3 a capacity cap was exceeded.
 Exact values never pass through lossy JSON numbers: arbitrary-precision
 integers serialize as decimal strings and rationals as "num/den" strings.
 Reals are reported as 64-bit floats, computed with
-analysis.DEFAULT_MANTISSA_BITS bits of working precision.
+analysis.MANTISSA_BITS bits of working precision.
 
 Configuration comes from the command line only: --format (text on a
 terminal, json when piped) and --memory-cap.  --memory-cap bounds the
@@ -19,15 +19,17 @@ is, and in oracle-check also the reference route's untruncated product.
 
 ``run`` is the process entry point (``python -m iepoly.cli`` and the
 ``iepoly`` script); ``main(argv)`` is the pure part that tests and
-in-process callers use.  A run pays start-up only for what it uses: numpy
-loads with the first coefficient array and mpmath with the first real
-(see the core and analysis modules).  ``run`` also sets
-OPENBLAS_NUM_THREADS=1 for its own process before anything can load numpy,
-because iepoly calls no BLAS routine and starting OpenBLAS's thread pool
-doubles numpy's import time; the value changes no result.  It freezes the
-garbage collector's objects before exit, so shutdown does not walk every
-object of numpy, mpmath and argparse.  Neither ``import iepoly`` nor any
-library call touches the environment.
+in-process callers use; it changes no process-wide setting.  A run pays
+start-up only for what it uses: numpy loads with the first coefficient
+array and mpmath with the first real (see the core and analysis modules).
+``run`` also sets OPENBLAS_NUM_THREADS=1 for its own process before
+anything can load numpy, because iepoly calls no BLAS routine and starting
+OpenBLAS's thread pool doubles numpy's import time; the value changes no
+result.  It lifts the interpreter's int-to-str digit limit, so --q and --r
+accept integers of any length, and it freezes the garbage collector's
+objects before exit, so shutdown does not walk every object of numpy,
+mpmath and argparse.  Neither ``import iepoly`` nor any library call
+touches the environment.
 """
 
 from __future__ import annotations
@@ -190,8 +192,8 @@ def _parse_q(raw: str) -> core.CoprimeTuple:
 def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     rho = _parse_q(args.q)
     # A run that outputs no coefficients sweeps only the low half.
-    p = None if args.height_only else core.expand(rho, args.memory_cap)
-    coeffs = core.low_half(rho, args.memory_cap) if p is None else p.coeffs
+    full = None if args.height_only else core.expand(rho, args.memory_cap)
+    coeffs = core.low_half(rho, args.memory_cap) if full is None else full
     report = analysis.height_report(rho, coeffs)
     payload: dict[str, Any] = {
         "command": "compute",
@@ -210,18 +212,18 @@ def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         payload["coeff_index"] = i
         # Past the low half, coefficient i is coefficient degree - i.
         payload["coeff"] = _big(int(coeffs[i if i < len(coeffs) else report.degree - i]))
-    if p is not None:
-        payload["palindromic"] = core.is_palindromic(p)
-        payload["eval_at_one"] = _big(core.eval_at_one(p))
+    if full is not None:
+        payload["palindromic"] = core.is_palindromic(full)
+        payload["eval_at_one"] = _big(core.eval_at_one(full))
         if args.out:
             try:
-                _write_coeffs(args.out, p.coeffs)
+                _write_coeffs(args.out, full)
             except OSError as exc:
                 raise InvalidParameter(f"cannot write --out: {exc}") from exc
             payload["coefficients_file"] = args.out
-        elif len(p.coeffs) <= COEFF_INLINE_LIMIT or args.force_coeffs:
+        elif len(full) <= COEFF_INLINE_LIMIT or args.force_coeffs:
             as_strings = report.height > JSON_SAFE_INT
-            values = p.coeffs.tolist()
+            values = full.tolist()
             payload["coefficients"] = [str(c) for c in values] if as_strings else values
             if as_strings:
                 payload["coefficients_as_strings"] = True
@@ -351,7 +353,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             fast = core.expand(rho, args.memory_cap)
             slow = oracle.oracle_expand(rho, degree_cap=args.memory_cap)
             checked += 1
-            if not np.array_equal(fast.coeffs, slow.coeffs):
+            if not np.array_equal(fast, slow):
                 mismatches.append(str(rho))
     payload = {
         "command": "oracle-check",
@@ -422,10 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Arbitrary-precision integers are a deliberate output; the default
-        # 4300-digit conversion guard would reject moderate-k bounds.
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -449,6 +447,10 @@ def run() -> None:
     """Process entry point: main() on sys.argv, then exit with its code."""
     # Assigned, not defaulted: the value changes no result, so it is no knob.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Arbitrary-precision integers are a deliberate input; the default
+        # 4300-digit conversion guard would reject a long --q or --r.
+        sys.set_int_max_str_digits(0)
     code = main()
     # Frozen objects are skipped by the collection at interpreter shutdown,
     # which would otherwise walk every object numpy, mpmath and argparse made.

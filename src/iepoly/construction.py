@@ -8,9 +8,8 @@ q_j = 2r + 1 (mod 4r), which guarantees the coefficient height of the
 expanded polynomial is at least r^(2^(k-1)) / m.
 
 The exact rational height bound has r^(2^(k-1)) in the numerator and is
-materialized only while its estimated size fits ``bound_bits_cap``; beyond
-that the family still constructs (r, q_j stay cheap) and the bound is
-reported in the log domain by callers.
+materialized only while its estimated size fits BOUND_BITS_CAP bits; beyond
+that the family still constructs (r, q_j stay cheap) and its bound is None.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import CongruenceNotSatisfied, InvalidParameter
 # output contract, not a speed setting: it decides which (N, k) families
 # report lemma_bound and height_floor (k <= 14 for N < 2 * 10^8), and it
 # caps each of those numbers at about 158k decimal digits.
-DEFAULT_BOUND_BITS_CAP = 1 << 19
+BOUND_BITS_CAP = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class CongruenceFamily:
     k: int
     r: int
     rho: CoprimeTuple
-    height_bound: Optional[HeightBound]  # None when larger than bound_bits_cap
+    height_bound: Optional[HeightBound]  # None when larger than BOUND_BITS_CAP bits
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def family_parameters(N: int, k: int) -> tuple[int, list[int]]:
     return r, [(4 * j - 2) * r + 1 for j in range(1, k + 1)]
 
 
-def congruence_family(N: int, k: int, bound_bits_cap: int = DEFAULT_BOUND_BITS_CAP) -> CongruenceFamily:
+def congruence_family(N: int, k: int) -> CongruenceFamily:
     """Build the (N, k) family and re-check every property it is supposed to have."""
     r, qs = family_parameters(N, k)
     rho = validate_tuple(qs)
@@ -131,7 +130,7 @@ def congruence_family(N: int, k: int, bound_bits_cap: int = DEFAULT_BOUND_BITS_C
     if not report.ok or any(e.branch != "plus" for e in report.elements):
         raise AssertionError("constructed family must sit on the 2r + 1 branch")
     bound: Optional[HeightBound] = None
-    if (1 << (k - 1)) * r.bit_length() <= bound_bits_cap:
+    if (1 << (k - 1)) * r.bit_length() <= BOUND_BITS_CAP:
         bound = height_lower_bound(rho, r)
     return CongruenceFamily(N, k, r, rho, bound)
 

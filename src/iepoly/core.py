@@ -23,7 +23,10 @@ serves both of its dtypes: int64 first, with a sound check after every sweep
 (see INT64_SAFE_LIMIT); if that check fires, the whole expansion runs again
 from 1 in an object array of Python integers.  A wrapped array is never
 carried on.  The multiplication sweep runs top-down in blocks (SWEEP_BLOCK),
-so it needs no copy of the window.
+so it needs no copy of the window.  That array is the one polynomial type:
+``expand`` and ``low_half`` return it, index i holding the x^i coefficient,
+and ``height``, ``is_palindromic`` and ``eval_at_one`` take it, in either
+dtype.
 
 numpy is imported only by the functions that allocate an array, so
 ``import iepoly`` stays cheap and numpy loads on the first expansion.
@@ -82,32 +85,6 @@ class CoprimeTuple:
         return "{" + ",".join(str(q) for q in self.qs) + "}"
 
 
-@dataclass(frozen=True)
-class FactorSystem:
-    """Signed divisor multiset: one (d, sign) entry per subset of the tuple."""
-
-    factors: tuple[Factor, ...]
-
-    def signed_degree_sum(self) -> int:
-        return sum(sign * d for d, sign in self.factors)
-
-
-@dataclass(frozen=True, eq=False)
-class IEPolynomial:
-    """Dense exact-integer coefficient vector; index i holds the x^i coefficient.
-
-    ``coeffs`` is a one-dimensional numpy array: int64, or dtype=object
-    (Python integers) when the values need more than 62 bits.  Compare two
-    polynomials with ``np.array_equal`` on their coefficients.
-    """
-
-    coeffs: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 def validate_tuple(values: Iterable[int]) -> CoprimeTuple:
     """Check k >= 1, all q >= 2, strict increase, pairwise coprimality; compute m."""
     qs = tuple(int(v) for v in values)
@@ -143,7 +120,7 @@ def check_subset_cap(k: int) -> None:
         raise TupleTooLarge(k, SUBSET_CAP)
 
 
-def factor_system(rho: CoprimeTuple) -> FactorSystem:
+def factor_system(rho: CoprimeTuple) -> tuple[Factor, ...]:
     """Enumerate all 2^k subsets as signed factors (d = m / prod q_i, sign = parity)."""
     check_subset_cap(rho.k)
     factors: list[Factor] = []
@@ -154,23 +131,23 @@ def factor_system(rho: CoprimeTuple) -> FactorSystem:
             for q in subset:
                 d //= q
             factors.append((d, sign))
-    return FactorSystem(tuple(factors))
+    return tuple(factors)
 
 
-def ordered_factors(system: FactorSystem) -> list[Factor]:
+def ordered_factors(factors: Sequence[Factor]) -> list[Factor]:
     """Default application order: multiplications ascending by d, then divisions.
 
     Multiplying first keeps intermediate coefficients small, so the int64
     sweep rarely needs to restart in Python integers.
     """
-    multiplications = sorted(f for f in system.factors if f[1] > 0)
-    divisions = sorted(f for f in system.factors if f[1] < 0)
+    multiplications = sorted(f for f in factors if f[1] > 0)
+    divisions = sorted(f for f in factors if f[1] < 0)
     return multiplications + divisions
 
 
-def expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> IEPolynomial:
-    """Expand the inclusion-exclusion polynomial of ``rho`` exactly."""
-    return IEPolynomial(_truncated(rho, degree_of(rho) + 1, degree_cap))
+def expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndarray:
+    """Coefficients 0 .. degree of Q, exactly; index i holds the x^i coefficient."""
+    return _truncated(rho, degree_of(rho) + 1, degree_cap)
 
 
 def low_half(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndarray:
@@ -246,18 +223,17 @@ def _strided_prefix_sum(c: np.ndarray, d: int) -> None:
         c[rows * d :] += c[(rows - 1) * d : n - d]
 
 
-def height(p: IEPolynomial) -> int:
+def height(c: np.ndarray) -> int:
     """Largest coefficient magnitude."""
-    return max(int(p.coeffs.max()), -int(p.coeffs.min()))
+    return max(int(c.max()), -int(c.min()))
 
 
-def is_palindromic(p: IEPolynomial) -> bool:
-    return bool((p.coeffs == p.coeffs[::-1]).all())
+def is_palindromic(c: np.ndarray) -> bool:
+    return bool((c == c[::-1]).all())
 
 
-def eval_at_one(p: IEPolynomial) -> int:
+def eval_at_one(c: np.ndarray) -> int:
     """Coefficient sum; q_1 for a single-entry tuple and 1 otherwise."""
-    c = p.coeffs
     if c.dtype == object:
         return int(c.sum())
     # An int64 sum can wrap.  The sums of the high and low 32-bit halves of

@@ -31,7 +31,6 @@ from .core import (
     INT64_SAFE_LIMIT,
     SWEEP_BLOCK,
     CoprimeTuple,
-    IEPolynomial,
     factor_system,
 )
 from .errors import DegreeCapExceeded, NonzeroRemainder
@@ -118,7 +117,7 @@ def _product_length(rho: CoprimeTuple) -> int:
     return 1 + (plus + minus) // 2
 
 
-def oracle_expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> IEPolynomial:
+def oracle_expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndarray:
     """Expand via the full product of even-subset factors, then exact division.
 
     The product is the longest array, about m coefficients for small k;
@@ -129,11 +128,11 @@ def oracle_expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> IE
     length = _product_length(rho)
     if length > degree_cap:
         raise DegreeCapExceeded(length, degree_cap)
-    factors = factor_system(rho).factors
+    factors = factor_system(rho)
     multipliers = [d for d, sign in factors if sign > 0]
     # Descending d keeps intermediate degrees shrinking fastest.
     divisors = sorted((d for d, sign in factors if sign < 0), reverse=True)
     c = _route(length, multipliers, divisors, "int64")
     if c is None:
         c = _route(length, multipliers, divisors, object)
-    return IEPolynomial(c)
+    return c

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp
 
 from iepoly.analysis import (
+    EXACT_BITS_CAP,
     ConstantResult,
     _log_int,
     constant_log_tail_bound,
@@ -21,7 +22,9 @@ from iepoly.errors import CapExceeded, DegreeCapExceeded, InvalidParameter
 
 
 def rel_close(a, b, tol):
-    return abs(mp.mpf(a) - mp.mpf(b)) <= tol * abs(mp.mpf(b))
+    # At mpmath's default 53 bits, a tolerance below about 1e-16 could not fail.
+    with mp.workprec(256):
+        return abs(mp.mpf(a) - mp.mpf(b)) <= tol * abs(mp.mpf(b))
 
 
 class TestNormalizer:
@@ -110,9 +113,19 @@ class TestPredictedRatio:
                 predicted_ratio(N, k)  # IdentityMismatch would raise
 
     def test_fallback_route_for_huge_families(self):
-        exact = predicted_ratio(1, 12)
-        forced_fallback = predicted_ratio(1, 12, exact_bits_cap=1)
-        assert rel_close(forced_fallback, exact, 1e-20)
+        # r^(2^17) has 53 * 2^17 = 6.9 M bits, past EXACT_BITS_CAP, so route
+        # (a) takes scaled logarithms.  The reference is ratio^(2^k) =
+        # r^(2^(k-1)) / (m M) = r^(2^(k-1)) / (q_k prod_{j<k} q_j^(2^(k-j-1))).
+        N, k = 1, 18
+        r, qs = family_parameters(N, k)
+        assert (1 << (k - 1)) * r.bit_length() > EXACT_BITS_CAP
+        with mp.workprec(256):
+            log_ratio = (1 << (k - 1)) * mp.log(r) - mp.log(qs[-1])
+            for j in range(1, k):
+                log_ratio -= (1 << (k - j - 1)) * mp.log(qs[j - 1])
+            ref = mp.exp(log_ratio / (1 << k))
+        # 128 working bits leave about 1e-38 relative error here.
+        assert rel_close(predicted_ratio(N, k), ref, 1e-30)
 
     def test_converges_toward_limit_constant(self):
         limit = limit_constant(30).value
@@ -137,7 +150,8 @@ class TestLimitConstant:
 
     def test_error_bound_encloses_truth(self):
         # Truncation error against a much deeper partial product.
-        deep = limit_constant(200, mantissa_bits=256).value
+        with mp.workprec(256):
+            deep = mp.exp(-sum(mp.log(4 * j - 2) / (1 << (j + 1)) for j in range(1, 201)))
         for t in range(1, 60):
             result = limit_constant(t)
             assert abs(result.value - deep) <= result.error_bound
@@ -152,8 +166,6 @@ class TestLimitConstant:
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameter):
             limit_constant(0)
-        with pytest.raises(InvalidParameter):
-            limit_constant(5, mantissa_bits=16)
 
     def test_deep_term_counts_stay_cheap(self):
         # 2^(-j-1) scaling must not materialize million-bit integers.
@@ -230,7 +242,7 @@ def test_height_report_fields():
     rep = height_report(rho, low_half(rho))
     assert (rep.height, rep.normalizer, rep.degree) == (2, 3, 48)
     assert rep.degree == degree_of(rho)
-    assert height_report(rho, expand(rho).coeffs) == rep
+    assert height_report(rho, expand(rho)) == rep
 
 
 def test_constant_result_is_frozen_record():

@@ -178,7 +178,7 @@ class TestConstruct:
         assert payload["lemma_bound"] is not None
         assert len(payload["lemma_bound"]) > 10**4
 
-    def test_k14_bounds_match_str(self, capsys):
+    def test_k14_bounds_match_str(self, capsys, unlimited_str_digits):
         code, payload, _ = run_json(capsys, "construct", "--N", "1", "--k", "14")
         assert code == 0
         fam = congruence_family(1, 14)
@@ -309,10 +309,10 @@ class TestOracleCheck:
         real = oracle.oracle_expand
 
         def flipped(rho, degree_cap):
-            p = real(rho, degree_cap)
+            c = real(rho, degree_cap)
             if rho.qs == (3, 5, 7):
-                p.coeffs[7] += 1
-            return p
+                c[7] += 1
+            return c
 
         monkeypatch.setattr(oracle, "oracle_expand", flipped)
         code, payload, _ = run_json(capsys, "oracle-check", "--m-cap", "120")
@@ -441,6 +441,31 @@ print(len(os.listdir("/proc/self/task")))
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_main_leaves_the_str_digit_limit_alone(capsys):
+    # The limit guards the whole process against quadratic int <-> str
+    # conversions; only run(), the process entry, lifts it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(capsys, "constant", "--terms", "3")[0] == 0
+        code, payload, _ = run_json(capsys, "construct", "--N", "1", "--k", "12")
+        assert code == 0 and len(payload["lemma_bound"]) > 10**4
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_run_accepts_integers_past_the_str_digit_limit():
+    # 5,001-digit --q and --r: q = 2r + 1 with r = 10^5000.
+    r = "1" + "0" * 5000
+    q = "2" + "0" * 4999 + "1"
+    proc = run_python("-m", "iepoly.cli", "verify", "--q", q, "--r", r)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["q"], payload["r"], payload["congruence_ok"]) == ([q], r, True)
 
 
 @pytest.mark.parametrize("argv, code", [

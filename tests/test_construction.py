@@ -48,8 +48,6 @@ class TestFamily:
     def test_bound_materialization_boundary(self):
         assert congruence_family(1, 14).height_bound is not None
         assert congruence_family(1, 16).height_bound is None
-        forced = congruence_family(1, 3, bound_bits_cap=1)
-        assert forced.height_bound is None
 
     def test_invariants_sweep(self):
         # Construction must never fail and always sit on the 2r+1 branch.

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import tracemalloc
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import iepoly
 from iepoly.analysis import coprime_tuples
 from iepoly.core import (
     SUBSET_CAP,
     SWEEP_BLOCK,
-    IEPolynomial,
     _shifted_difference,
     _sweep,
     apply_factors,
@@ -34,6 +35,7 @@ from iepoly.errors import (
     NotIncreasing,
     TupleTooLarge,
 )
+from iepoly.oracle import oracle_expand
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
 
@@ -73,29 +75,29 @@ class TestValidate:
 class TestFactorSystem:
     def test_pair(self):
         fs = factor_system(validate_tuple([2, 3]))
-        assert sorted(fs.factors) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+        assert sorted(fs) == [(1, 1), (2, -1), (3, -1), (6, 1)]
 
     def test_singleton(self):
         fs = factor_system(validate_tuple([7]))
-        assert sorted(fs.factors) == [(1, -1), (7, 1)]
+        assert sorted(fs) == [(1, -1), (7, 1)]
 
     def test_triple_signed_degree_sum(self):
         fs = factor_system(validate_tuple([3, 5, 7]))
-        assert len(fs.factors) == 8
-        assert fs.signed_degree_sum() == 2 * 4 * 6
+        assert len(fs) == 8
+        assert sum(sign * d for d, sign in fs) == 2 * 4 * 6
 
     @pytest.mark.parametrize("qs", [(2,), (2, 3), (4, 9), (3, 5, 7), (2, 3, 5, 7)])
     def test_invariants(self, qs):
         rho = validate_tuple(qs)
         fs = factor_system(rho)
         k = rho.k
-        assert len(fs.factors) == 2**k
-        assert sum(1 for _, s in fs.factors if s > 0) == 2 ** (k - 1)
-        assert sum(1 for _, s in fs.factors if s < 0) == 2 ** (k - 1)
-        ds = [d for d, _ in fs.factors]
+        assert len(fs) == 2**k
+        assert sum(1 for _, s in fs if s > 0) == 2 ** (k - 1)
+        assert sum(1 for _, s in fs if s < 0) == 2 ** (k - 1)
+        ds = [d for d, _ in fs]
         assert len(set(ds)) == len(ds)
         assert all(rho.m % d == 0 for d in ds)
-        assert fs.signed_degree_sum() == degree_of(rho)
+        assert sum(sign * d for d, sign in fs) == degree_of(rho)
 
     def test_subset_cap(self):
         rho = validate_tuple(FIRST_PRIMES)
@@ -112,15 +114,15 @@ def test_degree_of():
 
 class TestExpand:
     def test_single_even(self):
-        assert expand(validate_tuple([2])).coeffs.tolist() == [1, 1]
+        assert expand(validate_tuple([2])).tolist() == [1, 1]
 
     def test_pair(self):
-        assert expand(validate_tuple([2, 3])).coeffs.tolist() == [1, -1, 1]
+        assert expand(validate_tuple([2, 3])).tolist() == [1, -1, 1]
 
     def test_triple_105(self):
         p = expand(validate_tuple([3, 5, 7]))
-        assert p.degree == 48
-        assert p.coeffs[7] == -2
+        assert len(p) == 49
+        assert p[7] == -2
         assert height(p) == 2
         assert is_palindromic(p)
         assert eval_at_one(p) == 1
@@ -137,7 +139,7 @@ class TestExpand:
 
     def test_low_half_is_a_prefix_of_expand(self, small_corpus, high_k_corpus):
         for rho in small_corpus + high_k_corpus:
-            full = expand(rho).coeffs
+            full = expand(rho)
             half = low_half(rho)
             assert len(half) == degree_of(rho) // 2 + 1
             assert np.array_equal(half, full[: len(half)]), rho
@@ -147,9 +149,9 @@ class TestExpandProperties:
     def test_structure(self, small_corpus, random_corpus):
         for rho in small_corpus + random_corpus:
             p = expand(rho)
-            assert p.degree == degree_of(rho)
-            assert p.coeffs[0] == 1
-            assert p.coeffs[-1] == 1
+            assert len(p) == degree_of(rho) + 1
+            assert p[0] == 1
+            assert p[-1] == 1
             assert is_palindromic(p)
             assert eval_at_one(p) == (rho.qs[0] if rho.k == 1 else 1)
 
@@ -161,7 +163,7 @@ class TestExpandProperties:
             seen += 1
             p = expand(rho)
             assert height(p) == 1
-            assert set(p.coeffs) <= {-1, 0, 1}
+            assert set(p) <= {-1, 0, 1}
         assert seen > 0
 
     def test_order_independence(self, small_corpus):
@@ -182,13 +184,13 @@ class TestExpandProperties:
         positions = set()
         for k in (1, 2, 3):
             for rho in coprime_tuples(k, 200):
-                base = expand(rho).coeffs
+                base = expand(rho)
                 for q in range(2, 12):
                     if q in rho.qs or any(math.gcd(q, p) != 1 for p in rho.qs):
                         continue
                     stretched = np.zeros(degree_of(rho) * q + 1, dtype=np.int64)
                     stretched[::q] = base
-                    joined = expand(validate_tuple(sorted(rho.qs + (q,)))).coeffs
+                    joined = expand(validate_tuple(sorted(rho.qs + (q,))))
                     assert np.array_equal(np.convolve(joined, base), stretched), (rho, q)
                     positions.add(sum(p < q for p in rho.qs))
         assert positions == {0, 1, 2, 3}
@@ -196,7 +198,7 @@ class TestExpandProperties:
 
 def divisions_first(rho):
     """The order under which the int64 sweep wraps on k >= 5: all divisions, then multiplications."""
-    factors = factor_system(rho).factors
+    factors = factor_system(rho)
     return sorted(f for f in factors if f[1] < 0) + sorted(f for f in factors if f[1] > 0)
 
 
@@ -208,12 +210,11 @@ class TestPromotion:
         rho = validate_tuple(qs)
         forced = apply_factors(degree_of(rho) + 1, divisions_first(rho))
         assert forced.dtype == object
-        default = expand(rho).coeffs
+        default = expand(rho)
         assert np.array_equal(forced, default)
-        p = IEPolynomial(forced)
-        assert height(p) == expected_height
-        assert is_palindromic(p)
-        assert eval_at_one(p) == 1
+        assert height(forced) == expected_height
+        assert is_palindromic(forced)
+        assert eval_at_one(forced) == 1
 
     def test_object_sweep_matches_int64_sweep(self, small_corpus, random_corpus):
         for rho in small_corpus + random_corpus[:10]:
@@ -238,7 +239,7 @@ class TestPromotion:
             checked += 1
             forced = apply_factors(degree_of(rho) + 1, divisions_first(rho))
             promoted += forced.dtype == object
-            assert np.array_equal(forced, expand(rho).coeffs), qs
+            assert np.array_equal(forced, expand(rho)), qs
         assert promoted > 0
 
 
@@ -281,18 +282,18 @@ class TestShiftedDifference:
 def test_two_element_tuples_have_unit_coefficients(a, b):
     assume(a < b and math.gcd(a, b) == 1)
     p = expand(validate_tuple([a, b]))
-    assert set(p.coeffs) <= {-1, 0, 1}
+    assert set(p) <= {-1, 0, 1}
 
 
 class TestMeasures:
     def test_height_examples(self):
         assert height(expand(validate_tuple([2, 3]))) == 1
         assert height(expand(validate_tuple([2]))) == 1
-        assert height(IEPolynomial(np.array([1, -5, 3]))) == 5
+        assert height(np.array([1, -5, 3])) == 5
 
     def test_palindrome_examples(self):
-        assert is_palindromic(IEPolynomial(np.array([1, -1, 1])))
-        assert not is_palindromic(IEPolynomial(np.array([1, 2])))
+        assert is_palindromic(np.array([1, -1, 1]))
+        assert not is_palindromic(np.array([1, 2]))
 
     def test_eval_at_one_examples(self):
         assert eval_at_one(expand(validate_tuple([7]))) == 7
@@ -303,19 +304,62 @@ class TestMeasures:
     def test_eval_at_one_exact_past_int64(self, value):
         c = np.full(4, value, dtype=np.int64)
         assert int(c.sum()) != 4 * value  # the int64 sum wraps
-        assert eval_at_one(IEPolynomial(c)) == 4 * value
+        assert eval_at_one(c) == 4 * value
 
     def test_eval_at_one_across_blocks(self):
         rng = np.random.default_rng(3)
         c = rng.integers(-(1 << 63), (1 << 63) - 1, size=3 * SWEEP_BLOCK + 5, dtype=np.int64, endpoint=True)
-        assert eval_at_one(IEPolynomial(c)) == sum(int(v) for v in c)
+        assert eval_at_one(c) == sum(int(v) for v in c)
 
     def test_eval_at_one_needs_no_copy_of_the_window(self):
-        p = IEPolynomial(np.ones(10**6, dtype=np.int64))
+        c = np.ones(10**6, dtype=np.int64)
         tracemalloc.start()
         try:
-            assert eval_at_one(p) == 10**6
+            assert eval_at_one(c) == 10**6
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # the window itself is 8 MB
+
+
+class TestOneRepresentation:
+    """Every route returns a bare numpy array, and the measures take any of them."""
+
+    def test_int64_on_3_5_7(self):
+        rho = validate_tuple([3, 5, 7])
+        full = [
+            expand(rho),
+            apply_factors(degree_of(rho) + 1, ordered_factors(factor_system(rho))),
+            oracle_expand(rho),
+        ]
+        half = low_half(rho)
+        for c in full + [half]:
+            assert type(c) is np.ndarray and c.dtype == np.int64
+            assert height(c) == 2
+            assert isinstance(is_palindromic(c), bool)
+            assert eval_at_one(c) == sum(c.tolist())
+        for c in full:
+            assert is_palindromic(c) and eval_at_one(c) == 1
+
+    def test_object_on_divisions_first(self):
+        rho = validate_tuple([5, 7, 11, 13, 17])
+        c = apply_factors(degree_of(rho) + 1, divisions_first(rho))
+        assert type(c) is np.ndarray and c.dtype == object
+        assert (height(c), is_palindromic(c), eval_at_one(c)) == (67, True, 1)
+
+    def test_public_names_resolve(self):
+        for name in iepoly.__all__:
+            assert getattr(iepoly, name, None) is not None, name
+
+
+def test_defaulted_parameters_are_cli_flags():
+    # A defaulted parameter of a public callable is a knob.  The ones left
+    # are the values CLI flags set: degree_cap from --memory-cap, expand_cap
+    # from search's --expand-cap.  A knob that only a test sets fails here.
+    defaulted = {
+        (name, param.name)
+        for name in iepoly.__all__
+        for param in inspect.signature(getattr(iepoly, name)).parameters.values()
+        if param.default is not inspect.Parameter.empty
+    }
+    assert {param for _, param in defaulted} == {"degree_cap", "expand_cap"}, sorted(defaulted)

@@ -129,14 +129,14 @@ def test_mul_div_round_trip(a, d):
 
 class TestOracleExpand:
     def test_pair(self):
-        assert oracle_expand(validate_tuple([2, 3])).coeffs.tolist() == [1, -1, 1]
+        assert oracle_expand(validate_tuple([2, 3])).tolist() == [1, -1, 1]
 
     def test_singleton(self):
-        assert oracle_expand(validate_tuple([7])).coeffs.tolist() == [1] * 7
+        assert oracle_expand(validate_tuple([7])).tolist() == [1] * 7
 
     def test_nonprime_pair(self):
         p = oracle_expand(validate_tuple([4, 9]))
-        assert p.degree == 24
+        assert len(p) == 25
         assert height(p) == 1
 
     def test_cap(self):
@@ -146,22 +146,22 @@ class TestOracleExpand:
         with pytest.raises(DegreeCapExceeded) as err:
             oracle_expand(rho, degree_cap=120)
         assert (err.value.coefficients, err.value.cap) == (121, 120)
-        assert np.array_equal(oracle_expand(rho, degree_cap=121).coeffs, expand(rho).coeffs)
+        assert np.array_equal(oracle_expand(rho, degree_cap=121), expand(rho))
 
     @pytest.mark.parametrize("qs", [(49, 51, 149), (49, 145, 241), (19, 23, 29, 31)])
     def test_agrees_with_fast_route_past_m_10_4(self, qs):
         rho = validate_tuple(qs)
-        assert np.array_equal(oracle_expand(rho).coeffs, expand(rho).coeffs)
+        assert np.array_equal(oracle_expand(rho), expand(rho))
 
     def test_agrees_with_fast_route_high_k(self, high_k_corpus):
         for rho in high_k_corpus:
-            assert np.array_equal(oracle_expand(rho).coeffs, expand(rho).coeffs), rho
+            assert np.array_equal(oracle_expand(rho), expand(rho)), rho
 
     def test_agrees_with_fast_route_small_sweep(self):
         checked = 0
         for k in (1, 2, 3):
             for rho in coprime_tuples(k, 300):
-                assert np.array_equal(oracle_expand(rho).coeffs, expand(rho).coeffs), rho
+                assert np.array_equal(oracle_expand(rho), expand(rho)), rho
                 checked += 1
         assert checked > 100
 
@@ -169,7 +169,7 @@ class TestOracleExpand:
         checked = 0
         for k in (4, 5):
             for rho in coprime_tuples(k, 10**4):
-                assert np.array_equal(oracle_expand(rho).coeffs, expand(rho).coeffs), rho
+                assert np.array_equal(oracle_expand(rho), expand(rho)), rho
                 checked += 1
         assert checked == 1257
 
@@ -178,14 +178,14 @@ class TestOracleExpand:
         # The route allocates its product once and runs every step inside it.
         rho = validate_tuple(qs)
         length = oracle._product_length(rho)
-        expected = expand(rho).coeffs
+        expected = expand(rho)
         tracemalloc.start()
         try:
             p = oracle_expand(rho)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(p.coeffs, expected)
+        assert np.array_equal(p, expected)
         assert peak < 1.25 * 8 * length
 
     def test_restarts_in_python_integers(self, monkeypatch):
@@ -194,8 +194,8 @@ class TestOracleExpand:
         rho = validate_tuple([3, 5, 7])
         monkeypatch.setattr(oracle, "_fits", lambda c: False)
         p = oracle_expand(rho)
-        assert p.coeffs.dtype == object
-        assert p.coeffs.tolist() == expand(rho).coeffs.tolist()
+        assert p.dtype == object
+        assert p.tolist() == expand(rho).tolist()
 
     @pytest.mark.parametrize("multipliers, divisors", [
         ([1] * 70, []),  # (1 - x)^70 reaches C(70, 35) > 2^62 while multiplying
