@@ -3,14 +3,17 @@
 The scale against which coefficient heights are measured is the normalizer
 M = prod_{j=1}^{k-2} q_j^(2^(k-j-1) - 1) (empty product 1 for k <= 2); the
 reported statistic is the normalized ratio (A / M)^(2^-k) where A is the
-height.  Ratios are always evaluated through logarithms of exact integers,
-at MANTISSA_BITS bits of working precision: M alone overflows
-double-precision range at moderate k.  A large exact integer enters mpmath
-as its odd part shifted by its power of two (``_log_int``): mpmath strips
-trailing zero bits a byte at a time, shifting the whole integer each time,
-so r^(2^(k-1)) would otherwise cost quadratic time before the logarithm
-starts.  mpmath is imported by the functions that compute with it, so
-``import iepoly`` and the commands that report no real never load it.
+height.  M alone overflows double-precision range at moderate k, so the
+ratio is never formed in floating point: ``normalized_ratio`` brackets
+A / M in integers, takes k integer square roots and returns the correctly
+rounded float.  The predicted ratio and the limiting constant are evaluated
+through logarithms with mpmath, at MANTISSA_BITS bits of working
+precision.  A large exact integer enters mpmath as its odd part shifted by
+its power of two (``_log_int``): mpmath strips trailing zero bits a byte at
+a time, shifting the whole integer each time, so r^(2^(k-1)) would
+otherwise cost quadratic time before the logarithm starts.  mpmath is
+imported by the functions that compute with it, so ``import iepoly`` and
+the commands that report no real beside normalized ratios never load it.
 
 ``limit_constant`` evaluates prod_{j>=1} (4j - 2)^(-2^(-j-1)), the limiting
 value of the constructed families' predicted ratio, together with a proven
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 from .construction import family_parameters
@@ -31,8 +35,9 @@ if TYPE_CHECKING:
     import numpy as np
     from mpmath import mp
 
-# Working precision of every real: far above the 53 bits a reported float
-# keeps, and above the identity check's tolerance.
+# Working precision of every mpmath real, and the bits of normalized_ratio's
+# first bracket: far above the 53 bits a reported float keeps, and above
+# the identity check's tolerance.
 MANTISSA_BITS = 128
 # predicted_ratio's two routes must agree to this relative error.
 IDENTITY_REL_TOL = 1e-9
@@ -55,7 +60,7 @@ class HeightReport:
     height: int
     normalizer: int
     degree: int
-    normalized_ratio: "mp.mpf"
+    normalized_ratio: float
 
 
 @dataclass(frozen=True)
@@ -89,14 +94,51 @@ def _log_int(n: int) -> "mp.mpf":
     return mp.log(mp.ldexp(n >> tz, tz))
 
 
-def normalized_ratio(A: int, M: int, k: int) -> "mp.mpf":
-    """(A / M)^(2^-k), computed as exp(2^-k (ln A - ln M)) on exact integers."""
-    from mpmath import mp
+def _bracket(A: int, M: int, width: int) -> tuple[int, int, int]:
+    # lo * 2^e <= A / M <= hi * 2^e with lo of about ``width`` bits and e
+    # even.  A and M are cut to their top ``width`` bits first, rounded down
+    # and up (exactly when no dropped bit is set), so the cost is linear in
+    # their length.
+    ta = max(0, A.bit_length() - width)
+    tm = max(0, M.bit_length() - width)
+    a, m = A >> ta, M >> tm
+    a_up = a + ((a << ta) != A)
+    m_up = m + ((m << tm) != M)
+    s = width + m.bit_length() - a.bit_length() + 1
+    s += (ta - tm - s) & 1
+    return (a << s) // m_up, -(-(a_up << s) // m), ta - tm - s
 
+
+def _to_float(n: int, e: int) -> float:
+    # Correctly rounded n * 2^e: int true division rounds correctly.
+    return float(n << e) if e >= 0 else n / (1 << -e)
+
+
+def normalized_ratio(A: int, M: int, k: int) -> float:
+    """(A / M)^(2^-k), correctly rounded to a float, in integer arithmetic.
+
+    A bracket lo * 2^e <= A / M <= hi * 2^e of 2 * MANTISSA_BITS bits goes
+    through k square roots, lo rounded down and hi up, each widened back to
+    that many bits with an even exponent first.  Rounding to nearest is
+    monotone, so when both ends round to the same float, so does the exact
+    value; otherwise the bracket doubles its bits and starts again.  A ratio
+    past the float range (A / M >= 2^(1024 * 2^k)) raises OverflowError.
+    """
     if A < 1 or M < 1 or k < 1:
         raise InvalidParameter(f"need A >= 1, M >= 1, k >= 1, got A={A}, M={M}, k={k}")
-    with mp.workprec(MANTISSA_BITS):
-        return mp.exp((mp.log(A) - mp.log(M)) / (1 << k))
+    bits = MANTISSA_BITS
+    while True:
+        lo, hi, e = _bracket(A, M, 2 * bits)
+        for _ in range(k):
+            shift = max(0, 2 * bits - lo.bit_length())
+            shift += (e - shift) & 1
+            lo, hi, e = lo << shift, hi << shift, e - shift
+            root = math.isqrt(hi)
+            lo, hi, e = math.isqrt(lo), root + (root * root != hi), e // 2
+        value = _to_float(lo, e)
+        if value == _to_float(hi, e):
+            return value
+        bits *= 2
 
 
 def height_report(rho: CoprimeTuple, coeffs: np.ndarray) -> HeightReport:
@@ -237,12 +279,13 @@ def search_max_ratio(
 
     Each tuple sweeps only its low half, of at most ``degree_cap`` entries.
     The output is a finite-sample statistic over the enumerated set, nothing
-    more.  Ties in the ratio are broken by lexicographic tuple order, so the
-    ranking is a pure function of the enumerated set.
+    more.  The ranking compares the exact fractions A / M, of which the ratio
+    is an increasing function at fixed k, and breaks ties by lexicographic
+    tuple order, so it is a pure function of the enumerated set.
     """
     reports = []
     for rho in coprime_tuples(k, m_cap):
         if degree_of(rho) <= expand_cap:
             reports.append(height_report(rho, low_half(rho, degree_cap)))
-    reports.sort(key=lambda rep: (-rep.normalized_ratio, rep.rho.qs))
+    reports.sort(key=lambda rep: (-Fraction(rep.height, rep.normalizer), rep.rho.qs))
     return reports

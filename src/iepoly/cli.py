@@ -8,20 +8,24 @@ written), 3 a capacity cap was exceeded.
 
 Exact values never pass through lossy JSON numbers: arbitrary-precision
 integers serialize as decimal strings and rationals as "num/den" strings.
-Reals are reported as 64-bit floats, computed with
-analysis.MANTISSA_BITS bits of working precision.
+Reals are reported as 64-bit floats: normalized ratios correctly rounded
+from exact integers, the other reals computed with analysis.MANTISSA_BITS
+bits of working precision.  --out writes one decimal integer per line; an
+int64 array is formatted in numpy, a block at a time.
 
 Configuration comes from the command line only: --format (text on a
 terminal, json when piped) and --memory-cap.  --memory-cap bounds the
 longest coefficient array a call allocates: the full window when
 coefficients are output, the low half (core.low_half) when only the height
-is, and in oracle-check also the reference route's untruncated product.
+is.  In oracle-check it bounds the window and the reference route's
+untruncated product together, since both are alive at once.
 
 ``run`` is the process entry point (``python -m iepoly.cli`` and the
 ``iepoly`` script); ``main(argv)`` is the pure part that tests and
 in-process callers use; it changes no process-wide setting.  A run pays
 start-up only for what it uses: numpy loads with the first coefficient
-array and mpmath with the first real (see the core and analysis modules).
+array and mpmath with the first real that is not a normalized ratio, in
+construct and constant (see the core and analysis modules).
 ``run`` also sets OPENBLAS_NUM_THREADS=1 for its own process before
 anything can load numpy, because iepoly calls no BLAS routine and starting
 OpenBLAS's thread pool doubles numpy's import time; the value changes no
@@ -49,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 from . import analysis, construction, core, oracle
 from .errors import (
     CapacityError,
+    DegreeCapExceeded,
     IdentityMismatch,
     InvalidParameter,
     NonzeroRemainder,
@@ -116,12 +121,48 @@ def _frac(fr: Fraction) -> str:
 
 
 def _write_coeffs(path: str, coeffs: np.ndarray) -> None:
-    # Converted a chunk at a time so the Python integers of the whole array
-    # never exist at once.
-    with open(path, "w", encoding="ascii") as sink:
+    # Formatted a chunk at a time, so no temporary of the whole array exists.
+    lines = _int64_lines if coeffs.dtype == "int64" else _object_lines
+    with open(path, "wb") as sink:
         for start in range(0, len(coeffs), OUT_CHUNK):
-            values = coeffs[start : start + OUT_CHUNK].tolist()
-            sink.write(("%d\n" * len(values)) % tuple(values))
+            sink.write(lines(coeffs[start : start + OUT_CHUNK]))
+
+
+def _object_lines(block: np.ndarray) -> bytes:
+    values = block.tolist()
+    return (("%d\n" * len(values)) % tuple(values)).encode("ascii")
+
+
+def _int64_lines(block: np.ndarray) -> bytes:
+    # One row of ASCII bytes per value: a sign column, one column per digit
+    # of the block's largest magnitude, and a newline.  The bytes kept are
+    # the sign of a negative value, its digits from the first nonzero one
+    # (the units digit always) and the newline.  Magnitudes are taken in
+    # uint64, where -2^63 does not wrap, then narrowed to the smallest
+    # unsigned type that holds them; the digits come from // 10, which numpy
+    # runs much faster than % 10.
+    import numpy as np
+
+    negative = block < 0
+    magnitude = block.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)
+    top = int(magnitude.max())
+    magnitude = magnitude.astype(np.min_scalar_type(top))
+    width = len(str(top))
+    rows = np.empty((len(block), width + 2), dtype=np.uint8)
+    keep = np.empty(rows.shape, dtype=bool)
+    rows[:, 0] = ord("-")
+    keep[:, 0] = negative
+    for column in range(width, 0, -1):
+        keep[:, column] = magnitude != 0
+        quotient = magnitude // 10
+        rows[:, column] = magnitude - quotient * 10
+        magnitude = quotient
+    rows[:, 1:-1] += ord("0")
+    keep[:, width] = True
+    rows[:, -1] = ord("\n")
+    keep[:, -1] = True
+    return rows[keep].tobytes()
 
 
 def emit(payload: dict[str, Any], fmt: str, out: Any = None) -> None:
@@ -203,7 +244,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "degree": report.degree,
         "height": _big(report.height),
         "normalizer": _big(report.normalizer),
-        "normalized_ratio": float(report.normalized_ratio),
+        "normalized_ratio": report.normalized_ratio,
     }
     if args.coeff is not None:
         i = args.coeff
@@ -254,7 +295,7 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.expand:
         report = analysis.height_report(fam.rho, core.low_half(fam.rho, args.memory_cap))
         payload["height"] = _big(report.height)
-        payload["normalized_ratio"] = float(report.normalized_ratio)
+        payload["normalized_ratio"] = report.normalized_ratio
         if fam.height_bound is not None:
             ok = report.height >= fam.height_bound.floor
             payload["height_ok"] = ok
@@ -332,7 +373,7 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 "degree": rep.degree,
                 "height": _big(rep.height),
                 "normalizer": _big(rep.normalizer),
-                "normalized_ratio": float(rep.normalized_ratio),
+                "normalized_ratio": rep.normalized_ratio,
             }
             for rep in reports
         ],
@@ -341,8 +382,6 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    import numpy as np
-
     if args.k_max < 1:
         raise InvalidParameter(f"--k-max must be >= 1, got {args.k_max}")
     k_values = list(range(1, args.k_max + 1))
@@ -350,10 +389,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     mismatches: list[str] = []
     for k in k_values:
         for rho in analysis.coprime_tuples(k, args.m_cap):
+            # Both arrays are alive at once, so the oracle gets what the
+            # window leaves of the cap, and a refusal names their sum.
             fast = core.expand(rho, args.memory_cap)
-            slow = oracle.oracle_expand(rho, degree_cap=args.memory_cap)
+            try:
+                slow = oracle.oracle_expand(rho, degree_cap=args.memory_cap - len(fast))
+            except DegreeCapExceeded as exc:
+                raise DegreeCapExceeded(len(fast) + exc.coefficients, args.memory_cap) from None
             checked += 1
-            if not np.array_equal(fast, slow):
+            if not _same_coeffs(fast, slow):
                 mismatches.append(str(rho))
     payload = {
         "command": "oracle-check",
@@ -364,6 +408,16 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "mismatched_tuples": mismatches,
     }
     return payload, EXIT_OK if not mismatches else EXIT_VERIFY_FAILED
+
+
+def _same_coeffs(a: np.ndarray, b: np.ndarray) -> bool:
+    # A block at a time: no boolean temporary of the whole window.
+    import numpy as np
+
+    return len(a) == len(b) and all(
+        np.array_equal(a[i : i + core.SWEEP_BLOCK], b[i : i + core.SWEEP_BLOCK])
+        for i in range(0, len(a), core.SWEEP_BLOCK)
+    )
 
 
 # --------------------------------- parser ----------------------------------

@@ -1,11 +1,17 @@
+import math
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from iepoly import analysis
 from iepoly.analysis import (
     EXACT_BITS_CAP,
     ConstantResult,
+    HeightReport,
     _log_int,
     constant_log_tail_bound,
     coprime_tuples,
@@ -66,6 +72,50 @@ class TestNormalizedRatio:
     def test_exact_power(self):
         assert rel_close(normalized_ratio(2**16, 1, 4), 2, 1e-12)
         assert rel_close(normalized_ratio(4, 1, 1), 2, 1e-12)
+
+    @staticmethod
+    def power_bounds(x, squarings, bits):
+        # lo <= x^(2^squarings) <= hi for a positive dyadic x, by repeated
+        # squaring with numerators cut to ``bits`` bits, rounded down for lo
+        # and up for hi; exact while nothing is cut.
+        p, e = x.numerator, -(x.denominator.bit_length() - 1)
+        lo, hi, e_lo, e_hi = p, p, e, e
+        for _ in range(squarings):
+            lo, hi, e_lo, e_hi = lo * lo, hi * hi, 2 * e_lo, 2 * e_hi
+            cut_lo, cut_hi = max(0, lo.bit_length() - bits), max(0, hi.bit_length() - bits)
+            lo, hi = lo >> cut_lo, -(-hi >> cut_hi)
+            e_lo, e_hi = e_lo + cut_lo, e_hi + cut_hi
+        return Fraction(lo) * Fraction(2) ** e_lo, Fraction(hi) * Fraction(2) ** e_hi
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 10**60), st.integers(1, 10**60), st.integers(1, 20))
+    @example((2**53 + 1) ** 2, 1, 1)  # exactly halfway between two floats
+    @example(2**16, 1, 4)
+    @example(1, 10**60, 20)
+    def test_correctly_rounded(self, A, M, k):
+        # A / M lies between the 2^k-th powers of the midpoints from r to its
+        # float neighbours, so (A / M)^(2^-k) rounds to r.
+        r = normalized_ratio(A, M, k)
+        x = Fraction(A, M)
+        below = (Fraction(r) + Fraction(math.nextafter(r, 0))) / 2
+        above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+        for bits in (256, 1024, 8192):
+            low_ok = self.power_bounds(below, k, bits)[1] <= x
+            high_ok = x <= self.power_bounds(above, k, bits)[0]
+            if low_ok and high_ok:
+                break
+        assert low_ok and high_ok, (A, M, k, r)
+
+    def test_matches_mpmath_on_search_tuples(self):
+        # The float of the 256-bit log-domain value, on every k = 3 tuple with
+        # m <= 5000 and every k = 4 tuple with m <= 10^4.
+        for k, m_cap in ((3, 5000), (4, 10**4)):
+            reports = search_max_ratio(m_cap, k)
+            assert len(reports) > 1000
+            with mp.workprec(256):
+                for rep in reports:
+                    log_ratio = (mp.log(rep.height) - mp.log(rep.normalizer)) / (1 << k)
+                    assert rep.normalized_ratio == float(mp.exp(log_ratio)), rep.rho
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameter):
@@ -212,6 +262,18 @@ class TestSearch:
         assert rel_close(top.normalized_ratio, normalized_ratio(2, 3, 3), 1e-15)
         ratios = [rep.normalized_ratio for rep in reports]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+
+    def test_ranks_by_exact_fraction(self, monkeypatch):
+        # (2,5)'s A / M passes (2,3)'s by 2^-200: the two ratios are equal in
+        # floats and at 128 bits, so only the exact fraction puts (2,5) first.
+        heights = {(2, 3): (1, 1), (2, 5): (2**200 + 1, 2**200)}
+        monkeypatch.setattr(analysis, "coprime_tuples",
+                            lambda k, m_cap: [validate_tuple(qs) for qs in heights])
+        monkeypatch.setattr(analysis, "height_report", lambda rho, coeffs: HeightReport(
+            rho, *heights[rho.qs], degree_of(rho), normalized_ratio(*heights[rho.qs], rho.k)))
+        reports = search_max_ratio(10, 2)
+        assert reports[0].normalized_ratio == reports[1].normalized_ratio
+        assert [rep.rho.qs for rep in reports] == [(2, 5), (2, 3)]
 
     def test_smallest_triple(self):
         reports = search_max_ratio(30, 3)

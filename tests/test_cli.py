@@ -321,10 +321,25 @@ class TestOracleCheck:
         assert payload["mismatched_tuples"] == ["{3,5,7}"]
 
     def test_cap(self, capsys):
-        # Every expand window is at most 105, from (105,), whose oracle product has 106 coefficients.
-        assert run(capsys, "oracle-check", "--m-cap", "105", "--memory-cap", "105")[0] == 3
-        assert run(capsys, "oracle-check", "--m-cap", "105", "--k-max", "1", "--memory-cap", "105")[0] == 3
-        assert run(capsys, "oracle-check", "--m-cap", "105", "--k-max", "1", "--memory-cap", "106")[0] == 0
+        # The largest pair of arrays is (105,)'s: a window of 105 and an oracle product of 106.
+        assert run(capsys, "oracle-check", "--m-cap", "105", "--memory-cap", "210")[0] == 3
+        assert run(capsys, "oracle-check", "--m-cap", "105", "--k-max", "1", "--memory-cap", "210")[0] == 3
+        assert run(capsys, "oracle-check", "--m-cap", "105", "--k-max", "1", "--memory-cap", "211")[0] == 0
+
+    def test_cap_bounds_both_arrays_together(self, capsys):
+        # (53,) has a window of 53 and an oracle product of 54: each fits 106, both do not.
+        code, out, err = run(capsys, "oracle-check", "--m-cap", "53", "--k-max", "1", "--memory-cap", "106")
+        assert (code, out) == (3, "")
+        assert err == "error: DegreeCapExceeded: 107 coefficients exceed the cap of 106\n"
+        assert run(capsys, "oracle-check", "--m-cap", "53", "--k-max", "1", "--memory-cap", "107")[0] == 0
+
+    def test_comparison_reads_every_block(self):
+        a = np.arange(core.SWEEP_BLOCK + 5)
+        b = a.copy()
+        b[-1] += 1
+        assert cli._same_coeffs(a, a.astype(object))
+        assert not cli._same_coeffs(a, b)
+        assert not cli._same_coeffs(a, a[:-1])
 
     @pytest.mark.parametrize("k_max", ["0", "-1"])
     def test_k_max_below_one(self, capsys, k_max):
@@ -336,7 +351,8 @@ class TestOracleCheck:
     def test_cap_message(self, capsys):
         code, out, err = run(capsys, "oracle-check", "--m-cap", "105", "--memory-cap", "105")
         assert (code, out) == (3, "")
-        assert err == "error: DegreeCapExceeded: 106 coefficients exceed the cap of 105\n"
+        # (53,) is the first tuple whose window and oracle product pass 105 together.
+        assert err == "error: DegreeCapExceeded: 107 coefficients exceed the cap of 105\n"
 
     def test_default_cap_reaches_past_m_10_4(self, capsys, monkeypatch):
         # Enumerating every tuple up to m = 1.7e6 is slow; one tuple stands in.
@@ -361,9 +377,25 @@ class TestCoefficientWriter:
             values = [rng.randint(-(1 << 63), (1 << 63) - 1) for _ in range(length)]
         else:
             values = [rng.choice((-1, 1)) * rng.randint(1 << 63, 1 << 100) for _ in range(length)]
-        sink = tmp_path / "coeffs.txt"
-        cli._write_coeffs(str(sink), np.array(values, dtype=dtype))
-        assert sink.read_bytes() == ("\n".join(map(str, values)) + "\n").encode("ascii")
+        assert_written(tmp_path, values, dtype)
+
+    def test_int64_edges(self, tmp_path):
+        # A block of non-negative values of mixed widths led by 2^63 - 1, a
+        # block of negative ones of at most 9 digits led by -2^63 (whose
+        # magnitude wraps in int64), then 0, +-1 and +-10^j, +-(10^j - 1).
+        rng = random.Random(0)
+        values = [(1 << 63) - 1] + [rng.randrange(10 ** rng.randint(1, 19)) % (1 << 63)
+                                    for _ in range(cli.OUT_CHUNK - 1)]
+        values += [-(1 << 63)] + [-1 - rng.randrange(10 ** rng.randint(0, 9))
+                                  for _ in range(cli.OUT_CHUNK - 1)]
+        values += [0, 1, -1] + [sign * (10**j - d) for j in range(1, 19) for sign in (1, -1) for d in (0, 1)]
+        assert_written(tmp_path, values, "int64")
+
+
+def assert_written(tmp_path, values, dtype):
+    sink = tmp_path / "coeffs.txt"
+    cli._write_coeffs(str(sink), np.array(values, dtype=dtype))
+    assert sink.read_bytes() == ("\n".join(map(str, values)) + "\n").encode("ascii")
 
 
 class TestOutputContract:
@@ -397,8 +429,9 @@ def run_python(*args):
 
 def test_array_free_commands_do_not_import_numpy():
     # numpy loads with the first coefficient array and mpmath with the first
-    # real, so import and the commands that need neither run without them;
-    # the library leaves the environment alone.
+    # real that is not a normalized ratio (those take integers only), so
+    # import and the commands that need neither run without them; the
+    # library leaves the environment alone.
     script = """
 import json, os, sys
 environ = dict(os.environ)
@@ -413,10 +446,13 @@ print(json.dumps(loaded))
     verify = ["verify", "--q", "13,37,61", "--r", "6"]
     oracle_check = ["oracle-check", "--m-cap", "30", "--k-max", "2"]
     compute = ["compute", "--q", "3,5,7"]
+    search = ["search", "--k", "3", "--m-cap", "105"]
     for commands, loaded in [
         ([["constant", "--terms", "5"], verify, ["construct", "--N", "1", "--k", "5"], compute],
          [[], ["mpmath"], ["mpmath"], ["mpmath"], ["numpy", "mpmath"]]),
-        ([verify, oracle_check, compute], [[], [], ["numpy"], ["numpy", "mpmath"]]),
+        ([verify, oracle_check, compute, search, verify + ["--expand"]],
+         [[], [], ["numpy"], ["numpy"], ["numpy"], ["numpy"]]),
+        ([["construct", "--N", "1", "--k", "3", "--expand"]], [[], ["numpy", "mpmath"]]),
     ]:
         proc = run_python("-c", script, json.dumps(commands))
         assert proc.returncode == 0, proc.stderr
