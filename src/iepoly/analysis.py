@@ -4,47 +4,42 @@ The scale against which coefficient heights are measured is the normalizer
 M = prod_{j=1}^{k-2} q_j^(2^(k-j-1) - 1) (empty product 1 for k <= 2); the
 reported statistic is the normalized ratio (A / M)^(2^-k) where A is the
 height.  M alone overflows double-precision range at moderate k, so the
-ratio is never formed in floating point: ``normalized_ratio`` brackets
-A / M in integers, takes k integer square roots and returns the correctly
-rounded float.  The predicted ratio and the limiting constant are evaluated
-through logarithms with mpmath, at MANTISSA_BITS bits of working
-precision.  A large exact integer enters mpmath as its odd part shifted by
-its power of two (``_log_int``): mpmath strips trailing zero bits a byte at
-a time, shifting the whole integer each time, so r^(2^(k-1)) would
-otherwise cost quadratic time before the logarithm starts.  mpmath is
-imported by the functions that compute with it, so ``import iepoly`` and
-the commands that report no real beside normalized ratios never load it.
+ratio is never formed in floating point.  Every real this module reports
+is a chain of square roots of rationals, evaluated in integer arithmetic
+(``_roots``): a fixed-point bracket, its low end rounded down and its high
+end up, goes through ``math.isqrt`` one root at a time, and the float both
+ends round to is the correctly rounded answer.  ``normalized_ratio`` roots
+A / M k times, ``predicted_ratio`` nests k + 1 roots of r / q_j, and
+``limit_constant`` nests up to terms + 1 roots of 1 / (4j - 2).  No real
+passes through a logarithm except the truncation bound's ln(8T + 4), which
+``decimal`` takes at LOG_DIGITS digits.
 
 ``limit_constant`` evaluates prod_{j>=1} (4j - 2)^(-2^(-j-1)), the limiting
 value of the constructed families' predicted ratio, together with a proven
-truncation bound (derivation in the docstring).
+bound on the distance from the reported float to the limit (derivation in
+the docstrings).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .construction import family_parameters
+from .construction import congruence_family
 from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, degree_of, height, low_half
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 
 if TYPE_CHECKING:
     import numpy as np
-    from mpmath import mp
 
-# Working precision of every mpmath real, and the bits of normalized_ratio's
-# first bracket: far above the 53 bits a reported float keeps, and above
-# the identity check's tolerance.
+# Bits of every root in the first bracket (the bracket itself is twice as
+# wide before each root): far above the 53 bits a reported float keeps.
 MANTISSA_BITS = 128
-# predicted_ratio's two routes must agree to this relative error.
-IDENTITY_REL_TOL = 1e-9
-# Route (a) of predicted_ratio takes the logarithm of r^(2^(k-1)) as an
-# exact integer up to this many bits (k <= 17 for N = 1), and scaled
-# logarithms of r and the q_j beyond.
-EXACT_BITS_CAP = 1 << 22
+# Decimal digits of ln(8T + 4) in constant_log_tail_bound.
+LOG_DIGITS = 50
 DEFAULT_SEARCH_EXPAND_CAP = 10**5
 MAX_ENUM_PRODUCT = 10**7
 
@@ -65,9 +60,9 @@ class HeightReport:
 
 @dataclass(frozen=True)
 class ConstantResult:
-    value: "mp.mpf"
+    value: float
     terms_used: int
-    error_bound: "mp.mpf"
+    error_bound: float
 
 
 def normalizer(rho: CoprimeTuple) -> int:
@@ -86,14 +81,6 @@ def normalizer(rho: CoprimeTuple) -> int:
     return P * P // base
 
 
-def _log_int(n: int) -> "mp.mpf":
-    """mp.log(n) for an integer n >= 1, bit-identical and in linear time."""
-    from mpmath import mp
-
-    tz = (n & -n).bit_length() - 1
-    return mp.log(mp.ldexp(n >> tz, tz))
-
-
 def _bracket(A: int, M: int, width: int) -> tuple[int, int, int]:
     # lo * 2^e <= A / M <= hi * 2^e with lo of about ``width`` bits and e
     # even.  A and M are cut to their top ``width`` bits first, rounded down
@@ -109,9 +96,47 @@ def _bracket(A: int, M: int, width: int) -> tuple[int, int, int]:
     return (a << s) // m_up, -(-(a_up << s) // m), ta - tm - s
 
 
+def _roots(lo: int, hi: int, e: int, steps: Iterable[tuple[int, int]], width: int) -> tuple[int, int, int]:
+    # From lo * 2^e <= y <= hi * 2^e, take y -> sqrt(y * n / d) for each step
+    # (n, d) in turn.  The product is rounded down at lo and up at hi, after a
+    # shift that gives it at least ``width`` bits and an even exponent, so
+    # each root keeps about width / 2 bits.  A plain root (n == d) only shifts.
+    for n, d in steps:
+        shift = max(0, width + d.bit_length() - n.bit_length() - lo.bit_length() + 1)
+        shift += (e - shift) & 1
+        if n == d:
+            lo, hi = lo << shift, hi << shift
+        else:
+            lo, hi = (lo * n << shift) // d, -(-(hi * n << shift) // d)
+        e -= shift
+        root = math.isqrt(hi)
+        lo, hi, e = math.isqrt(lo), root + (root * root != hi), e // 2
+    return lo, hi, e
+
+
 def _to_float(n: int, e: int) -> float:
     # Correctly rounded n * 2^e: int true division rounds correctly.
     return float(n << e) if e >= 0 else n / (1 << -e)
+
+
+def _to_fraction(n: int, e: int) -> Fraction:
+    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
+
+
+def _correctly_rounded(bracket: Callable[[int], tuple[int, int, int]]) -> tuple[float, int, int, int, int]:
+    """The float both ends of ``bracket(width)`` round to, with that width and bracket.
+
+    Rounding to nearest is monotone, so when both ends round to the same
+    float, so does the exact value; otherwise the width doubles and the
+    bracket starts again.  Returns (float, width, lo, hi, e).
+    """
+    width = 2 * MANTISSA_BITS
+    while True:
+        lo, hi, e = bracket(width)
+        value = _to_float(lo, e)
+        if value == _to_float(hi, e):
+            return value, width, lo, hi, e
+        width *= 2
 
 
 def normalized_ratio(A: int, M: int, k: int) -> float:
@@ -119,26 +144,13 @@ def normalized_ratio(A: int, M: int, k: int) -> float:
 
     A bracket lo * 2^e <= A / M <= hi * 2^e of 2 * MANTISSA_BITS bits goes
     through k square roots, lo rounded down and hi up, each widened back to
-    that many bits with an even exponent first.  Rounding to nearest is
-    monotone, so when both ends round to the same float, so does the exact
-    value; otherwise the bracket doubles its bits and starts again.  A ratio
+    that many bits with an even exponent first.  When both ends round to
+    different floats the bracket doubles its bits and starts again.  A ratio
     past the float range (A / M >= 2^(1024 * 2^k)) raises OverflowError.
     """
     if A < 1 or M < 1 or k < 1:
         raise InvalidParameter(f"need A >= 1, M >= 1, k >= 1, got A={A}, M={M}, k={k}")
-    bits = MANTISSA_BITS
-    while True:
-        lo, hi, e = _bracket(A, M, 2 * bits)
-        for _ in range(k):
-            shift = max(0, 2 * bits - lo.bit_length())
-            shift += (e - shift) & 1
-            lo, hi, e = lo << shift, hi << shift, e - shift
-            root = math.isqrt(hi)
-            lo, hi, e = math.isqrt(lo), root + (root * root != hi), e // 2
-        value = _to_float(lo, e)
-        if value == _to_float(hi, e):
-            return value
-        bits *= 2
+    return _correctly_rounded(lambda width: _roots(*_bracket(A, M, width), [(1, 1)] * k, width))[0]
 
 
 def height_report(rho: CoprimeTuple, coeffs: np.ndarray) -> HeightReport:
@@ -152,49 +164,31 @@ def height_report(rho: CoprimeTuple, coeffs: np.ndarray) -> HeightReport:
     return HeightReport(rho, A, M, degree_of(rho), normalized_ratio(A, M, rho.k))
 
 
-def predicted_ratio(N: int, k: int) -> "mp.mpf":
-    """Predicted normalized ratio of the (N, k) family, checked two ways.
+def predicted_ratio(N: int, k: int) -> float:
+    """Predicted normalized ratio of the (N, k) family, correctly rounded, checked two ways.
 
-    Route (a) takes logarithms of the exact integers r^(2^(k-1)), m, and M;
-    route (b) evaluates the per-member product (r/q_k) * prod (r/q_j)^(2^(k-j-1))
-    in the log domain.  The two arrangements are algebraically identical, so
-    disagreement beyond IDENTITY_REL_TOL relative error raises
-    IdentityMismatch.  When the exact integers would exceed EXACT_BITS_CAP
-    bits, route (a) falls back to scaled logarithms of r and the q_j.
+    The ratio is (r^(2^(k-1)) / (m M))^(2^-k).  Route (b) writes it per
+    member: with a_j = r / q_j it is a_k^(2^-k) prod_{j<k} a_j^(2^-(j+1)) =
+    sqrt(sqrt(a_1 sqrt(a_2 ... sqrt(a_{k-1} sqrt(a_k^2))))), k + 1 roots of
+    small rationals.  Route (a) is normalized_ratio of the family's exact
+    height bound r^(2^(k-1)) / m over M; it runs where congruence_family
+    built that bound (below BOUND_BITS_CAP bits) and reuses it.  Both routes
+    return the correctly rounded float of the same real, so any difference
+    raises IdentityMismatch.
     """
-    from mpmath import mp
-
-    r, qs = family_parameters(N, k)
-    with mp.workprec(MANTISSA_BITS):
-        log_r = mp.log(r)
-        logs_q = [mp.log(q) for q in qs]
-        chain = log_r - logs_q[-1]
-        for j in range(1, k):
-            chain += (1 << (k - j - 1)) * (log_r - logs_q[j - 1])
-        value_b = mp.exp(chain / (1 << k))
-
-        m = 1
-        for q in qs:
-            m *= q
-        if (1 << (k - 1)) * r.bit_length() <= EXACT_BITS_CAP:
-            numerator = r ** (1 << (k - 1))
-            M = normalizer(CoprimeTuple(tuple(qs), m))
-            grouped = _log_int(numerator) - mp.log(m) - mp.log(M)
-        else:
-            log_M = mp.mpf(0)
-            for j in range(1, k - 1):
-                log_M += ((1 << (k - j - 1)) - 1) * logs_q[j - 1]
-            grouped = (1 << (k - 1)) * log_r - mp.log(m) - log_M
-        value_a = mp.exp(grouped / (1 << k))
-
-        if abs(value_a - value_b) > mp.mpf(IDENTITY_REL_TOL) * abs(value_b):
-            raise IdentityMismatch(
-                f"ratio routes disagree for N={N}, k={k}: {value_a} vs {value_b}"
-            )
-    return value_a
+    fam = congruence_family(N, k)
+    r, qs = fam.r, fam.rho.qs
+    steps = [(r * r, qs[-1] * qs[-1])] + [(r, q) for q in reversed(qs[:-1])] + [(1, 1)]
+    value = _correctly_rounded(lambda width: _roots(1, 1, 0, steps, width))[0]
+    if fam.height_bound is not None:
+        bound = fam.height_bound.bound
+        exact = normalized_ratio(bound.numerator, bound.denominator * normalizer(fam.rho), k)
+        if exact != value:
+            raise IdentityMismatch(f"ratio routes disagree for N={N}, k={k}: {exact!r} vs {value!r}")
+    return value
 
 
-def constant_log_tail_bound(terms: int) -> "mp.mpf":
+def constant_log_tail_bound(terms: int) -> Fraction:
     """Majorant for the dropped log-sum tail sum_{j>T} 2^(-j-1) ln(4j-2).
 
     Write j = T + 1 + i with i >= 0.  Then 4j - 2 = (4T + 2) + 4i, and for
@@ -204,35 +198,63 @@ def constant_log_tail_bound(terms: int) -> "mp.mpf":
         sum_{j>T} 2^(-j-1) ln(4j-2)
           <= 2^(-T-2) [ ln(4T+2) sum_i 2^(-i) + ln 2 sum_i i 2^(-i) ]
           =  2^(-T-2) [ 2 ln(4T+2) + 2 ln 2 ]
-          =  2^(-T-1) (ln(4T+2) + ln 2).
+          =  2^(-T-1) ln(8T+4).
 
-    Checked against direct summation out to 200 terms in the test suite.
+    Returned as an exact rational: ``decimal`` rounds ln(8T + 4) to nearest
+    at LOG_DIGITS digits, and the next decimal up bounds it.  Checked
+    against direct summation out to 200 terms in the test suite.
     """
-    from mpmath import mp
-
     if terms < 1:
         raise InvalidParameter(f"terms must be >= 1, got {terms}")
-    return mp.ldexp(mp.log(4 * terms + 2) + mp.log(2), -(terms + 1))
+    context = decimal.Context(prec=LOG_DIGITS)
+    log = context.next_plus(decimal.Decimal(8 * terms + 4).ln(context))
+    return Fraction(log) / (1 << (terms + 1))
+
+
+def _constant_steps(terms: int) -> Iterator[tuple[int, int]]:
+    # P_T = prod_{j<=T} (4j - 2)^(-2^(-j-1)) = sqrt(sqrt(1/2 sqrt(1/6 ... sqrt(1/(4T - 2))))).
+    for j in range(terms, 0, -1):
+        yield 1, 4 * j - 2
+    yield 1, 1
+
+
+def _constant_bracket(terms: float, width: int) -> tuple[int, int, int]:
+    # Bracket of P_T from min(T, W) + 1 nested roots, W = width.  The factors
+    # past the W-th scale P_W by exp(-s) with 0 <= s <= t_W, so for T > W
+    # (math.inf for the limit) the bracket is [P_W (1 - t_W), P_W].
+    n = min(terms, width)
+    lo, hi, e = _roots(1, 1, 0, _constant_steps(n), width)
+    if terms > n:
+        tail = constant_log_tail_bound(n)
+        lo -= -(-lo * tail.numerator // tail.denominator)
+    return lo, hi, e
 
 
 def limit_constant(terms: int) -> ConstantResult:
     """Partial product prod_{j=1}^{terms} (4j - 2)^(-2^(-j-1)) with a rigorous error bar.
 
-    The value is exp(-S) for the partial log sum S; the true limit lies in
-    [value * exp(-tail), value] for the proven tail bound, so
-    value * tail dominates the truncation error.  Rounding error at
-    MANTISSA_BITS is orders of magnitude below the reported bound.
+    ``value`` is the correctly rounded float of the partial product P_T.
+    ``error_bound`` bounds |value - L| for the limit L, the rounding of
+    ``value`` included.  P_T exp(-t_T) <= L <= P_T for the tail majorant
+    t_T of constant_log_tail_bound, so P_T t_T bounds the truncation; that
+    product, rounded to nearest, is reported wherever it bounds |value - L|
+    (every T <= 56).  Elsewhere the report is the larger distance from
+    ``value`` to the two ends of a bracket of L, rounded up.  The bracket,
+    [P_W (1 - t_W), P_W] for the working width W in bits, is also the
+    bracket of P_T itself for T > W, so no count costs more than about 2W
+    roots.
     """
-    from mpmath import mp
-
     if terms < 1:
         raise InvalidParameter(f"terms must be >= 1, got {terms}")
-    with mp.workprec(MANTISSA_BITS):
-        log_sum = mp.mpf(0)
-        for j in range(1, terms + 1):
-            log_sum += mp.ldexp(mp.log(4 * j - 2), -(j + 1))
-        value = mp.exp(-log_sum)
-        error_bound = value * constant_log_tail_bound(terms)
+    value, width, lo, hi, e = _correctly_rounded(lambda width: _constant_bracket(terms, width))
+    error_bound = float(_to_fraction(lo, e) * constant_log_tail_bound(terms))
+    if terms <= width:
+        lo, hi, e = _constant_bracket(math.inf, width)
+    distance = max(Fraction(value) - _to_fraction(lo, e), _to_fraction(hi, e) - Fraction(value))
+    if error_bound < distance:
+        error_bound = float(distance)
+        if error_bound < distance:
+            error_bound = math.nextafter(error_bound, math.inf)
     return ConstantResult(value, terms, error_bound)
 
 

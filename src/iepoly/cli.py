@@ -8,10 +8,11 @@ written), 3 a capacity cap was exceeded.
 
 Exact values never pass through lossy JSON numbers: arbitrary-precision
 integers serialize as decimal strings and rationals as "num/den" strings.
-Reals are reported as 64-bit floats: normalized ratios correctly rounded
-from exact integers, the other reals computed with analysis.MANTISSA_BITS
-bits of working precision.  --out writes one decimal integer per line; an
-int64 array is formatted in numpy, a block at a time.
+Reals are reported as 64-bit floats, each the correctly rounded value of
+a chain of integer square roots (see the analysis module); constant's
+error_bound bounds the distance from its reported value to the limit.
+--out writes one decimal integer per line; an int64 array is formatted in
+numpy, a block at a time.
 
 Configuration comes from the command line only: --format (text on a
 terminal, json when piped) and --memory-cap.  --memory-cap bounds the
@@ -24,16 +25,16 @@ untruncated product together, since both are alive at once.
 ``iepoly`` script); ``main(argv)`` is the pure part that tests and
 in-process callers use; it changes no process-wide setting.  A run pays
 start-up only for what it uses: numpy loads with the first coefficient
-array and mpmath with the first real that is not a normalized ratio, in
-construct and constant (see the core and analysis modules).
+array (see the core module), so constant, construct and verify without
+--expand never load it.
 ``run`` also sets OPENBLAS_NUM_THREADS=1 for its own process before
 anything can load numpy, because iepoly calls no BLAS routine and starting
 OpenBLAS's thread pool doubles numpy's import time; the value changes no
 result.  It lifts the interpreter's int-to-str digit limit, so --q and --r
 accept integers of any length, and it freezes the garbage collector's
-objects before exit, so shutdown does not walk every object of numpy,
-mpmath and argparse.  Neither ``import iepoly`` nor any library call
-touches the environment.
+objects before exit, so shutdown does not walk every object of numpy and
+argparse.  Neither ``import iepoly`` nor any library call touches the
+environment.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "branch": "plus",
         "lemma_bound": _frac(fam.height_bound.bound) if fam.height_bound else None,
         "height_floor": _big(fam.height_bound.floor) if fam.height_bound else None,
-        "predicted_ratio": float(ratio),
+        "predicted_ratio": ratio,
     }
     code = EXIT_OK
     if args.expand:
@@ -306,14 +307,11 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def cmd_constant(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     result = analysis.limit_constant(args.terms)
-    # Below the smallest normal float the bound would round to 0.0 and
-    # claim an exact value; the smallest normal float still bounds it.
-    bound = result.error_bound
     payload = {
         "command": "constant",
         "terms": result.terms_used,
-        "value": float(result.value),
-        "error_bound": float(bound) if bound >= sys.float_info.min else sys.float_info.min,
+        "value": result.value,
+        "error_bound": result.error_bound,
     }
     return payload, EXIT_OK
 
@@ -507,7 +505,7 @@ def run() -> None:
         sys.set_int_max_str_digits(0)
     code = main()
     # Frozen objects are skipped by the collection at interpreter shutdown,
-    # which would otherwise walk every object numpy, mpmath and argparse made.
+    # which would otherwise walk every object numpy and argparse made.
     gc.freeze()
     sys.exit(code)
 

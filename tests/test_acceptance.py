@@ -122,7 +122,7 @@ def test_criterion_6_ratio_chain_identity():
     with Budget("6 ratio chain identity and exact normalizer identity", 5):
         for N in (1, 10, 10**3, 10**6):
             for k in range(1, 13):
-                predicted_ratio(N, k)  # raises IdentityMismatch on disagreement > 1e-9
+                predicted_ratio(N, k)  # raises IdentityMismatch when the two routes differ
         corpus = [validate_tuple(qs) for qs in SMALL_TUPLES]
         corpus += make_random_tuples(50, max_degree=10**6, seed=0x1DE9)
         for rho in corpus:

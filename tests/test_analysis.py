@@ -9,10 +9,8 @@ from mpmath import mp
 
 from iepoly import analysis
 from iepoly.analysis import (
-    EXACT_BITS_CAP,
     ConstantResult,
     HeightReport,
-    _log_int,
     constant_log_tail_bound,
     coprime_tuples,
     height_report,
@@ -22,9 +20,9 @@ from iepoly.analysis import (
     predicted_ratio,
     search_max_ratio,
 )
-from iepoly.construction import family_parameters
+from iepoly.construction import congruence_family, family_parameters
 from iepoly.core import degree_of, expand, low_half, validate_tuple
-from iepoly.errors import CapExceeded, DegreeCapExceeded, InvalidParameter
+from iepoly.errors import CapExceeded, DegreeCapExceeded, IdentityMismatch, InvalidParameter
 
 
 def rel_close(a, b, tol):
@@ -126,26 +124,15 @@ class TestNormalizedRatio:
             normalized_ratio(1, 1, 0)
 
 
-class TestLogInt:
-    @staticmethod
-    def assert_same(n):
-        with mp.workprec(128):
-            assert _log_int(n)._mpf_ == mp.log(n)._mpf_, n
-
-    def test_small_and_odd(self):
-        for n in (1, 3, 5, 7, 2**61 - 1, 3**200, 10**50 + 1):
-            self.assert_same(n)
-
-    def test_powers_of_two(self):
-        for e in (1, 2, 7, 8, 9, 64, 1000, 4096):
-            self.assert_same(1 << e)
-
-    def test_family_numerators(self):
-        # r^(2^(k-1)) carries a long run of trailing zero bits.
-        for N in (1, 2, 5):
-            for k in range(2, 13):
-                r, _ = family_parameters(N, k)
-                self.assert_same(r ** (1 << (k - 1)))
+def predicted_reference(N, k):
+    # ratio^(2^k) = r^(2^(k-1)) / (m M) = r^(2^(k-1)) / (q_k prod_{j<k} q_j^(2^(k-j-1))),
+    # rounded to the nearest float from 600 bits.
+    r, qs = family_parameters(N, k)
+    with mp.workprec(600):
+        log_ratio = (1 << (k - 1)) * mp.log(r) - mp.log(qs[-1])
+        for j in range(1, k):
+            log_ratio -= (1 << (k - j - 1)) * mp.log(qs[j - 1])
+        return float(mp.exp(log_ratio / (1 << k)))
 
 
 class TestPredictedRatio:
@@ -162,20 +149,24 @@ class TestPredictedRatio:
             for k in range(1, 9):
                 predicted_ratio(N, k)  # IdentityMismatch would raise
 
+    def test_correctly_rounded(self):
+        for N in range(1, 9):
+            for k in range(1, 26):
+                assert predicted_ratio(N, k) == predicted_reference(N, k), (N, k)
+
+    def test_routes_one_ulp_apart_raise(self, monkeypatch):
+        exact = analysis.normalized_ratio
+        monkeypatch.setattr(analysis, "normalized_ratio",
+                            lambda A, M, k: math.nextafter(exact(A, M, k), 0))
+        with pytest.raises(IdentityMismatch, match="N=2, k=4"):
+            predicted_ratio(2, 4)
+
     def test_fallback_route_for_huge_families(self):
-        # r^(2^17) has 53 * 2^17 = 6.9 M bits, past EXACT_BITS_CAP, so route
-        # (a) takes scaled logarithms.  The reference is ratio^(2^k) =
-        # r^(2^(k-1)) / (m M) = r^(2^(k-1)) / (q_k prod_{j<k} q_j^(2^(k-j-1))).
+        # r^(2^17) has 53 * 2^17 = 6.9 M bits, past BOUND_BITS_CAP, so the
+        # family carries no exact bound and route (b) runs alone.
         N, k = 1, 18
-        r, qs = family_parameters(N, k)
-        assert (1 << (k - 1)) * r.bit_length() > EXACT_BITS_CAP
-        with mp.workprec(256):
-            log_ratio = (1 << (k - 1)) * mp.log(r) - mp.log(qs[-1])
-            for j in range(1, k):
-                log_ratio -= (1 << (k - j - 1)) * mp.log(qs[j - 1])
-            ref = mp.exp(log_ratio / (1 << k))
-        # 128 working bits leave about 1e-38 relative error here.
-        assert rel_close(predicted_ratio(N, k), ref, 1e-30)
+        assert congruence_family(N, k).height_bound is None
+        assert predicted_ratio(N, k) == predicted_reference(N, k)
 
     def test_converges_toward_limit_constant(self):
         limit = limit_constant(30).value
@@ -206,12 +197,34 @@ class TestLimitConstant:
             result = limit_constant(t)
             assert abs(result.value - deep) <= result.error_bound
 
+    def test_against_600_bit_reference(self):
+        # The value is the nearest float to the partial product, and the bound
+        # holds against the limit for every count, the float's rounding
+        # included.  The limit's terms past j = 640 weigh less than 2^-630.
+        with mp.workprec(600):
+            terms = [mp.log(4 * j - 2) / mp.mpf(2) ** (j + 1) for j in range(1, 641)]
+            limit = mp.exp(-mp.fsum(terms))
+            partial_sum = mp.mpf(0)
+            for t in range(1, 2001):
+                if t <= len(terms):
+                    partial_sum += terms[t - 1]
+                    partial = mp.exp(-partial_sum)
+                result = limit_constant(t)
+                assert result.value == float(partial), t
+                assert abs(mp.mpf(result.value) - limit) <= result.error_bound, t
+                if t <= 56:
+                    # The truncation figure P_T 2^(-T-1) ln(8T + 4) alone still
+                    # covers the rounding here, and is kept.
+                    figure = partial * mp.ldexp(mp.log(8 * t + 4), -(t + 1))
+                    assert result.error_bound == float(figure), t
+
     def test_tail_majorant_dominates_direct_summation(self):
         with mp.workprec(256):
             tail_terms = [mp.log(4 * j - 2) / (1 << (j + 1)) for j in range(1, 201)]
             for T in range(1, 60):
                 direct_tail = sum(tail_terms[T:])
-                assert constant_log_tail_bound(T) >= direct_tail
+                bound = constant_log_tail_bound(T)
+                assert mp.mpf(bound.numerator) / bound.denominator >= direct_tail
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameter):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import pathlib
 import random
@@ -191,6 +192,16 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--N", "1", "--k", "25", "--expand")
         assert code == 3
 
+    def test_ratio_routes_one_ulp_apart_exit_1(self, capsys, monkeypatch):
+        # Both routes are correctly rounded, so one ulp apart is a mismatch.
+        exact = analysis.normalized_ratio
+        monkeypatch.setattr(analysis, "normalized_ratio",
+                            lambda A, M, k: math.nextafter(exact(A, M, k), math.inf))
+        code, out, err = run(capsys, "construct", "--N", "1", "--k", "5")
+        assert code == 1
+        assert out == ""
+        assert "ratio routes disagree for N=1, k=5" in err
+
 
 @pytest.fixture(scope="module")
 def unlimited_str_digits():
@@ -244,7 +255,8 @@ class TestConstant:
     def test_tiny_bound_stays_positive(self, capsys):
         code, payload, _ = run_json(capsys, "constant", "--terms", "4000")
         assert code == 0
-        assert payload["error_bound"] > 0
+        # The float's own rounding error, not the 2^-4001 truncation error.
+        assert 1e-17 < payload["error_bound"] < math.ulp(payload["value"])
 
 
 class TestVerify:
@@ -428,10 +440,10 @@ def run_python(*args):
 
 
 def test_array_free_commands_do_not_import_numpy():
-    # numpy loads with the first coefficient array and mpmath with the first
-    # real that is not a normalized ratio (those take integers only), so
-    # import and the commands that need neither run without them; the
-    # library leaves the environment alone.
+    # numpy loads with the first coefficient array, so import and the
+    # commands that build none run without it; every real is taken in
+    # integers, so no command loads mpmath; the library leaves the
+    # environment alone.
     script = """
 import json, os, sys
 environ = dict(os.environ)
@@ -449,10 +461,10 @@ print(json.dumps(loaded))
     search = ["search", "--k", "3", "--m-cap", "105"]
     for commands, loaded in [
         ([["constant", "--terms", "5"], verify, ["construct", "--N", "1", "--k", "5"], compute],
-         [[], ["mpmath"], ["mpmath"], ["mpmath"], ["numpy", "mpmath"]]),
+         [[], [], [], [], ["numpy"]]),
         ([verify, oracle_check, compute, search, verify + ["--expand"]],
          [[], [], ["numpy"], ["numpy"], ["numpy"], ["numpy"]]),
-        ([["construct", "--N", "1", "--k", "3", "--expand"]], [[], ["numpy", "mpmath"]]),
+        ([["construct", "--N", "1", "--k", "3", "--expand"]], [[], ["numpy"]]),
     ]:
         proc = run_python("-c", script, json.dumps(commands))
         assert proc.returncode == 0, proc.stderr
