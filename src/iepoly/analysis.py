@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .construction import congruence_family
+from .construction import CongruenceFamily
 from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, degree_of, height, low_half
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 
@@ -164,7 +164,7 @@ def height_report(rho: CoprimeTuple, coeffs: np.ndarray) -> HeightReport:
     return HeightReport(rho, A, M, degree_of(rho), normalized_ratio(A, M, rho.k))
 
 
-def predicted_ratio(N: int, k: int) -> float:
+def predicted_ratio(fam: CongruenceFamily) -> float:
     """Predicted normalized ratio of the (N, k) family, correctly rounded, checked two ways.
 
     The ratio is (r^(2^(k-1)) / (m M))^(2^-k).  Route (b) writes it per
@@ -176,15 +176,14 @@ def predicted_ratio(N: int, k: int) -> float:
     return the correctly rounded float of the same real, so any difference
     raises IdentityMismatch.
     """
-    fam = congruence_family(N, k)
-    r, qs = fam.r, fam.rho.qs
+    r, qs, k = fam.r, fam.rho.qs, fam.k
     steps = [(r * r, qs[-1] * qs[-1])] + [(r, q) for q in reversed(qs[:-1])] + [(1, 1)]
     value = _correctly_rounded(lambda width: _roots(1, 1, 0, steps, width))[0]
     if fam.height_bound is not None:
         bound = fam.height_bound.bound
         exact = normalized_ratio(bound.numerator, bound.denominator * normalizer(fam.rho), k)
         if exact != value:
-            raise IdentityMismatch(f"ratio routes disagree for N={N}, k={k}: {exact!r} vs {value!r}")
+            raise IdentityMismatch(f"ratio routes disagree for N={fam.N}, k={k}: {exact!r} vs {value!r}")
     return value
 
 

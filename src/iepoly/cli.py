@@ -276,7 +276,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     fam = construction.congruence_family(args.N, args.k)
-    ratio = analysis.predicted_ratio(args.N, args.k)
+    ratio = analysis.predicted_ratio(fam)
     degree = core.degree_of(fam.rho)
     payload: dict[str, Any] = {
         "command": "construct",

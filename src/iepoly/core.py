@@ -19,8 +19,10 @@ Multiplication by (1 - x^d) is a high-to-low subtraction sweep, division by
 geometric series).  A factor whose d exceeds the window is the identity on
 the truncation and is skipped; in particular the d = m factor never
 materializes.  The coefficients live in one numpy array and one sweep loop
-serves both of its dtypes: int64 first, with a sound check after every sweep
-(see INT64_SAFE_LIMIT); if that check fires, the whole expansion runs again
+serves both of its dtypes: int64 first, carrying a proven bound on the
+largest magnitude that each sweep multiplies by its growth factor, and
+scanning the array only when that bound passes INT64_SAFE_LIMIT (see there);
+if the scanned height is past the limit too, the whole expansion runs again
 from 1 in an object array of Python integers.  A wrapped array is never
 carried on.  The multiplication sweep runs top-down in blocks (SWEEP_BLOCK),
 so it needs no copy of the window.  That array is the one polynomial type:
@@ -56,6 +58,15 @@ if TYPE_CHECKING:
 # a multiplication step computes |a - b| <= 2L < 2^63 from pre-sweep values,
 # and the first division step able to wrap would need an already-final
 # operand of magnitude > L, which the same post-sweep check rejects.
+# The int64 lane proves most of those checks instead of scanning: with B a
+# bound on max |c| before a sweep, multiplying by (1 - x^d) leaves at most
+# 2B, since |a - b| <= 2 max, and a truncated division over n entries at
+# most ceil(n/d) B, since each output and each partial sum on the way is a
+# sum of at most ceil(n/d) entries.  While the carried bound stays within L
+# the check provably passes; once it passes L the sweep measures the height,
+# restarts if that is past L and otherwise carries on from the measured
+# value.  So the lane and restart decisions are those of a scan after
+# every sweep, at the same step.
 INT64_SAFE_LIMIT = (1 << 62) - 1
 
 # Longest slice one multiplication step subtracts at a time.  A block longer
@@ -182,21 +193,27 @@ def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
 def _sweep(window: int, factors: Sequence[Factor], dtype: str | type) -> Optional[np.ndarray]:
     # The same slices run on int64 and on object arrays.  Only int64 can
     # wrap; None reports a sweep after which a coefficient left
-    # INT64_SAFE_LIMIT, so the array can no longer be trusted.
+    # INT64_SAFE_LIMIT, so the array can no longer be trusted.  ``bound``
+    # is a proven bound on max |c| (see INT64_SAFE_LIMIT).
     import numpy as np
 
     c = np.zeros(window, dtype=dtype)
     c[0] = 1
     checked = c.dtype == "int64"
+    bound = 1
     for d, sign in factors:
         if d >= window:
             continue
         if sign > 0:
             _shifted_difference(c, d)
+            bound *= 2
         else:
             _strided_prefix_sum(c, d)
-        if checked and (int(c.max()) > INT64_SAFE_LIMIT or -int(c.min()) > INT64_SAFE_LIMIT):
-            return None
+            bound *= -(-window // d)
+        if checked and bound > INT64_SAFE_LIMIT:
+            bound = height(c)
+            if bound > INT64_SAFE_LIMIT:
+                return None
     return c
 
 

@@ -16,10 +16,12 @@ descending cumulative sum with stride d, in place on a reversed view, after
 which the quotient is the view past the d remainder entries.  The route
 keeps its own loops and calls none of ``core``'s sweep functions.
 
-It runs in int64 first and checks after every step that each value lies
-within ``core.INT64_SAFE_LIMIT``, which proves that no step wrapped (the
-argument of ``core``); if the check fires, the route starts again from 1 in
-Python integers (dtype=object).
+It runs in int64 first and carries a proven bound on the largest magnitude:
+times 2 per multiplication, times ceil(n/d) per division of n entries.
+Only when that bound passes ``core.INT64_SAFE_LIMIT`` does it measure the
+array; a measured peak within the limit proves that no step wrapped (the
+argument of ``core``) and becomes the new bound, and one past it starts the
+route again from 1 in Python integers (dtype=object).
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ def _divide(c: np.ndarray, d: int) -> np.ndarray:
     return c[d:]
 
 
-def _fits(c: np.ndarray) -> bool:
-    return -INT64_SAFE_LIMIT <= int(c.min()) and int(c.max()) <= INT64_SAFE_LIMIT
+def _peak(c: np.ndarray) -> int:
+    return max(int(c.max()), -int(c.min()))
 
 
 def _route(
@@ -85,24 +87,34 @@ def _route(
     # None reports an int64 step after which a value left INT64_SAFE_LIMIT.
     # From operands within the limit a difference cannot wrap, and a
     # cumulative sum can first wrap only after a quotient entry beyond it.
-    # The remainder may be read before that check: int64 sums are exact
-    # modulo 2^64, so a zero remainder reads zero, and a nonzero one reads
-    # zero only after a wrap, which the check on the quotient then reports.
+    # ``bound`` proves most of those checks: a difference at most doubles
+    # max |c|, and each entry or partial sum of a division of n entries sums
+    # at most ceil(n/d) of them.  Only a bound past the limit is measured,
+    # so every step the check could fail at is measured.  The remainder may
+    # be read first: int64 sums are exact modulo 2^64, so a zero remainder
+    # reads zero, and a nonzero one reads zero only after a wrap, which
+    # measuring the quotient then reports.
     import numpy as np
 
     c = np.zeros(length, dtype=dtype)
     c[0] = 1
     checked = c.dtype == "int64"
-    n = 1
+    bound = n = 1
     for d in multipliers:
         n += d
         _multiply(c[:n], d)
-        if checked and not _fits(c[:n]):
-            return None
+        bound *= 2
+        if checked and bound > INT64_SAFE_LIMIT:
+            bound = _peak(c[:n])
+            if bound > INT64_SAFE_LIMIT:
+                return None
     for d in divisors:
+        bound *= -(-c.shape[0] // d)
         c = _divide(c, d)
-        if checked and not _fits(c):
-            return None
+        if checked and bound > INT64_SAFE_LIMIT:
+            bound = _peak(c)
+            if bound > INT64_SAFE_LIMIT:
+                return None
     return c
 
 

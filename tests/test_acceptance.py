@@ -15,7 +15,7 @@ from mpmath import mp
 from conftest import SMALL_TUPLES, make_random_tuples
 from golden_cases import GOLDEN_CASES
 from iepoly.analysis import coprime_tuples, limit_constant, normalizer, predicted_ratio
-from iepoly.construction import check_congruence, height_lower_bound
+from iepoly.construction import check_congruence, congruence_family, height_lower_bound
 from iepoly.core import (
     apply_factors,
     degree_of,
@@ -122,7 +122,7 @@ def test_criterion_6_ratio_chain_identity():
     with Budget("6 ratio chain identity and exact normalizer identity", 5):
         for N in (1, 10, 10**3, 10**6):
             for k in range(1, 13):
-                predicted_ratio(N, k)  # raises IdentityMismatch when the two routes differ
+                predicted_ratio(congruence_family(N, k))  # raises IdentityMismatch when the two routes differ
         corpus = [validate_tuple(qs) for qs in SMALL_TUPLES]
         corpus += make_random_tuples(50, max_degree=10**6, seed=0x1DE9)
         for rho in corpus:
@@ -135,7 +135,7 @@ def test_criterion_6_ratio_chain_identity():
 def test_criterion_7_convergence_consistency():
     with Budget("7 convergence consistency", 5):
         limit = limit_constant(30).value
-        assert abs(predicted_ratio(10**6, 10) - limit) < 0.02
+        assert abs(predicted_ratio(congruence_family(10**6, 10)) - limit) < 0.02
         values = [limit_constant(t).value for t in range(1, 31)]
         assert all(a > b for a, b in zip(values, values[1:]))
 

@@ -137,40 +137,40 @@ def predicted_reference(N, k):
 
 class TestPredictedRatio:
     def test_single_member(self):
-        assert rel_close(predicted_ratio(1, 1), mp.sqrt(mp.mpf(1) / 3), 1e-12)
+        assert rel_close(predicted_ratio(congruence_family(1, 1)), mp.sqrt(mp.mpf(1) / 3), 1e-12)
 
     def test_two_members(self):
         with mp.workprec(256):
             ref = (mp.mpf(4) / 65) ** (mp.mpf(1) / 4)
-        assert rel_close(predicted_ratio(1, 2), ref, 1e-12)
+        assert rel_close(predicted_ratio(congruence_family(1, 2)), ref, 1e-12)
 
     def test_identity_check_spans_grid(self):
         for N in (1, 10):
             for k in range(1, 9):
-                predicted_ratio(N, k)  # IdentityMismatch would raise
+                predicted_ratio(congruence_family(N, k))  # IdentityMismatch would raise
 
     def test_correctly_rounded(self):
         for N in range(1, 9):
             for k in range(1, 26):
-                assert predicted_ratio(N, k) == predicted_reference(N, k), (N, k)
+                assert predicted_ratio(congruence_family(N, k)) == predicted_reference(N, k), (N, k)
 
     def test_routes_one_ulp_apart_raise(self, monkeypatch):
         exact = analysis.normalized_ratio
         monkeypatch.setattr(analysis, "normalized_ratio",
                             lambda A, M, k: math.nextafter(exact(A, M, k), 0))
         with pytest.raises(IdentityMismatch, match="N=2, k=4"):
-            predicted_ratio(2, 4)
+            predicted_ratio(congruence_family(2, 4))
 
     def test_fallback_route_for_huge_families(self):
         # r^(2^17) has 53 * 2^17 = 6.9 M bits, past BOUND_BITS_CAP, so the
         # family carries no exact bound and route (b) runs alone.
         N, k = 1, 18
         assert congruence_family(N, k).height_bound is None
-        assert predicted_ratio(N, k) == predicted_reference(N, k)
+        assert predicted_ratio(congruence_family(N, k)) == predicted_reference(N, k)
 
     def test_converges_toward_limit_constant(self):
         limit = limit_constant(30).value
-        assert abs(predicted_ratio(10**6, 10) - limit) < 0.02
+        assert abs(predicted_ratio(congruence_family(10**6, 10)) - limit) < 0.02
 
 
 class TestLimitConstant:

@@ -3,18 +3,22 @@ import math
 import random
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import iepoly
+from iepoly import core
 from iepoly.analysis import coprime_tuples
 from iepoly.core import (
+    INT64_SAFE_LIMIT,
     SUBSET_CAP,
     SWEEP_BLOCK,
     _shifted_difference,
+    _strided_prefix_sum,
     _sweep,
     apply_factors,
     degree_of,
@@ -241,6 +245,102 @@ class TestPromotion:
             promoted += forced.dtype == object
             assert np.array_equal(forced, expand(rho)), qs
         assert promoted > 0
+
+
+def short_factor_lists(window):
+    return st.lists(st.tuples(st.integers(1, window), st.sampled_from((1, -1))), max_size=12)
+
+
+class TestMagnitudeBound:
+    """The int64 lane scans only where its carried magnitude bound passes the limit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), window=st.integers(1, 300))
+    def test_bound_never_underestimates(self, data, window):
+        # After every prefix of the sweep, max |c| is at most the product of
+        # 2 per multiplication and ceil(window / d) per truncated division.
+        factors = data.draw(short_factor_lists(window))
+        bound = 1
+        for end, (d, sign) in enumerate(factors, 1):
+            bound *= 2 if sign > 0 else -(-window // d)
+            c = _sweep(window, factors[:end], object)
+            assert max(abs(v) for v in c.tolist()) <= bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.integers(1, 40), factors=short_factor_lists(40), limit=st.integers(1, 100))
+    @example(window=3, factors=[(1, -1), (2, -1)], limit=1)  # [1, 1, 1], then [1, 1, 2]: ceil(3/2) = 2
+    def test_same_lane_as_every_step_check_below_a_lowered_limit(self, window, factors, limit):
+        # With the limit lowered, short random sequences cross it often, and
+        # the int64 sweep must give up exactly where a prefix does.
+        expected, fits = object_sweep_within_limit(window, factors, stop=False, limit=limit)
+        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit):
+            c = _sweep(window, factors, "int64")
+        assert (c is not None) == fits
+        if fits:
+            assert np.array_equal(c, expected)
+
+    def test_same_lane_as_every_step_check(self, high_k_corpus, monkeypatch):
+        # Under either order, apply_factors stays in int64 exactly when every
+        # prefix of the object sweep stays within INT64_SAFE_LIMIT, returns
+        # the object sweep's values, and scans less often than a check after
+        # every applied factor.  The polynomial does not depend on the order,
+        # so the second order's sweep may stop at its first prefix past the
+        # limit.
+        scans = count_height_calls(monkeypatch)
+        for rho in high_k_corpus:
+            window = degree_of(rho) + 1
+            values = None
+            for factors in (ordered_factors(factor_system(rho)), divisions_first(rho)):
+                c, fits = object_sweep_within_limit(window, factors, stop=values is not None)
+                values = c if values is None else values
+                scans.clear()
+                result = apply_factors(window, factors)
+                assert result.dtype == (np.int64 if fits else object), rho.qs
+                assert np.array_equal(result, values), rho.qs
+                assert len(scans) < sum(d < window for d, _ in factors), rho.qs
+
+    def test_scans_are_few(self, monkeypatch):
+        scans = count_height_calls(monkeypatch)
+        rho = validate_tuple([49, 51, 149])
+        assert apply_factors(degree_of(rho) + 1, ordered_factors(factor_system(rho))).dtype == np.int64
+        assert len(scans) == 0
+        rho = validate_tuple([2, 3, 5, 7, 11, 13, 17])
+        window = degree_of(rho) + 1
+        factors = ordered_factors(factor_system(rho))
+        assert sum(d < window for d, _ in factors) == 124
+        assert apply_factors(window, factors).dtype == np.int64
+        assert 1 <= len(scans) <= 10
+
+
+def object_sweep_within_limit(window, factors, stop, limit=INT64_SAFE_LIMIT):
+    """The object sweep, and whether every prefix stayed within ``limit``.
+
+    With ``stop``, the sweep ends (returning None) at the first prefix past it.
+    """
+    c = np.zeros(window, dtype=object)
+    c[0] = 1
+    fits = True
+    for d, sign in factors:
+        if d >= window:
+            continue
+        (_shifted_difference if sign > 0 else _strided_prefix_sum)(c, d)
+        if fits and max(c.max(), -c.min()) > limit:
+            fits = False
+            if stop:
+                return None, fits
+    return c, fits
+
+
+def count_height_calls(monkeypatch):
+    """Record every call of core.height from here on; the list of heights it returned."""
+    measured = []
+
+    def counting(c):
+        measured.append(height(c))
+        return measured[-1]
+
+    monkeypatch.setattr(core, "height", counting)
+    return measured
 
 
 class TestShiftedDifference:

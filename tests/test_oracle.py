@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestDenseMul:
         assert mul(c, 1, object).tolist() == reference_mul(c, 1)
         product = mul([L, -L, 5], 1)
         assert product.tolist() == reference_mul([L, -L, 5], 1)
-        assert not oracle._fits(product)
+        assert oracle._peak(product) > L
 
 
 class TestExactDiv:
@@ -110,7 +111,7 @@ class TestExactDiv:
         # quotient's middle reaches 3L: in int64 it fails the route's check,
         # in Python integers it is exact.
         num = [sign * v for v in [L] * (3 * d) + [-L] * (3 * d)]
-        assert not oracle._fits(div(num, d))
+        assert oracle._peak(div(num, d)) > L
         q = div(num, d, object)
         assert q.tolist() == reference_div(num, d)
         assert max(abs(v) for v in q.tolist()) == 3 * L
@@ -125,6 +126,63 @@ def test_mul_div_round_trip(a, d):
     product = mul(a, d)
     assert product.tolist() == reference_mul(a, d)
     assert div(product, d).tolist() == a
+
+
+@st.composite
+def exact_routes(draw):
+    # Multipliers, and as divisors, in any order, a divisor e of each of
+    # some of them: 1 - x^e divides 1 - x^d, so every division is exact.
+    multipliers = draw(st.lists(st.integers(1, 37), min_size=1, max_size=8))
+    shuffled = draw(st.permutations(multipliers))
+    chosen = shuffled[: draw(st.integers(0, len(shuffled)))]
+    return multipliers, [draw(st.sampled_from([e for e in range(1, d + 1) if d % e == 0])) for d in chosen]
+
+
+def route_peaks(multipliers, divisors):
+    """The route's steps in Python integers: each step's peak, and the result."""
+    c = ints([1] + [0] * sum(multipliers), object)
+    peaks = []
+    n = 1
+    for d in multipliers:
+        n += d
+        oracle._multiply(c[:n], d)
+        peaks.append(max(abs(v) for v in c.tolist()))
+    for d in divisors:
+        c = oracle._divide(c, d)
+        peaks.append(max(abs(v) for v in c.tolist()))
+    return peaks, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(route=exact_routes())
+def test_route_bound_never_underestimates(route):
+    # After every step of the route, max |c| is at most the product of 2 per
+    # multiplier and ceil(n / d) per divisor of an n-entry array.
+    multipliers, divisors = route
+    peaks, _ = route_peaks(multipliers, divisors)
+    bounds, bound, n = [], 1, 1 + sum(multipliers)
+    for d in multipliers:
+        bound *= 2
+        bounds.append(bound)
+    for d in divisors:
+        bound *= -(-n // d)
+        bounds.append(bound)
+        n -= d
+    assert all(peak <= bound for peak, bound in zip(peaks, bounds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(route=exact_routes(), limit=st.integers(1, 100))
+def test_route_same_lane_as_every_step_check_below_a_lowered_limit(route, limit):
+    # With the limit lowered, the int64 route must give up exactly where a
+    # step's peak passes it.
+    multipliers, divisors = route
+    peaks, expected = route_peaks(multipliers, divisors)
+    with mock.patch.object(oracle, "INT64_SAFE_LIMIT", limit):
+        c = oracle._route(1 + sum(multipliers), multipliers, divisors, "int64")
+    assert (c is not None) == (max(peaks) <= limit)
+    if c is not None:
+        assert c.tolist() == expected.tolist()
 
 
 class TestOracleExpand:
@@ -189,10 +247,10 @@ class TestOracleExpand:
         assert peak < 1.25 * 8 * length
 
     def test_restarts_in_python_integers(self, monkeypatch):
-        # A check that fires on the first int64 step sends the whole route
-        # back to 1 in Python integers, with the same result.
+        # A limit of 0 fails the first int64 step's measurement, which sends
+        # the whole route back to 1 in Python integers, with the same result.
         rho = validate_tuple([3, 5, 7])
-        monkeypatch.setattr(oracle, "_fits", lambda c: False)
+        monkeypatch.setattr(oracle, "INT64_SAFE_LIMIT", 0)
         p = oracle_expand(rho)
         assert p.dtype == object
         assert p.tolist() == expand(rho).tolist()
