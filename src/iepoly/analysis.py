@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .construction import CongruenceFamily
 from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, degree_of, height, low_half
@@ -49,8 +48,7 @@ RATIO_BRACKET_LOW = 0.487
 RATIO_BRACKET_HIGH = 0.9541
 
 
-@dataclass(frozen=True)
-class HeightReport:
+class HeightReport(NamedTuple):
     rho: CoprimeTuple
     height: int
     normalizer: int
@@ -58,8 +56,7 @@ class HeightReport:
     normalized_ratio: float
 
 
-@dataclass(frozen=True)
-class ConstantResult:
+class ConstantResult(NamedTuple):
     value: float
     terms_used: int
     error_bound: float

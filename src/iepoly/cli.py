@@ -26,7 +26,9 @@ untruncated product together, since both are alive at once.
 in-process callers use; it changes no process-wide setting.  A run pays
 start-up only for what it uses: numpy loads with the first coefficient
 array (see the core module), so constant, construct and verify without
---expand never load it.
+--expand never load it.  The records are NamedTuples, so no command loads
+dataclasses (nor its inspect, ast, dis, tokenize), csv loads for --format
+csv only, and r^(2^(k-1)) / m prints from a power of r taken in decimal.
 ``run`` also sets OPENBLAS_NUM_THREADS=1 for its own process before
 anything can load numpy, because iepoly calls no BLAS routine and starting
 OpenBLAS's thread pool doubles numpy's import time; the value changes no
@@ -40,7 +42,6 @@ environment.
 from __future__ import annotations
 
 import argparse
-import csv
 import decimal
 import functools
 import gc
@@ -48,7 +49,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import analysis, construction, core, oracle
@@ -117,8 +117,17 @@ def _big(x: int) -> str:
     return "-" + digits if x < 0 else digits
 
 
-def _frac(fr: Fraction) -> str:
-    return f"{_big(fr.numerator)}/{_big(fr.denominator)}"
+def _bound_strings(r: int, rho: core.CoprimeTuple, bound: construction.HeightBound) -> tuple[str, str]:
+    """lemma_bound and height_floor: r^(2^(k-1)) / m and its ceiling, raised in decimal.
+
+    The fraction is in lowest terms, since each q_j = +-1 (mod r), and
+    raising r in decimal spares converting its binary numerator and floor.
+    """
+    assert bound.bound.denominator == rho.m
+    with decimal.localcontext(_EXACT):
+        num = decimal.Decimal(r) ** (1 << (rho.k - 1))
+        floor = (num + (rho.m - 1)) // rho.m
+    return f"{num}/{_big(rho.m)}", str(floor)
 
 
 def _write_coeffs(path: str, coeffs: np.ndarray) -> None:
@@ -191,6 +200,8 @@ def _flat(value: Any) -> str:
 
 
 def _to_csv(payload: dict[str, Any]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     tables = {k: v for k, v in payload.items() if isinstance(v, list) and v and isinstance(v[0], dict)}
@@ -278,6 +289,7 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     fam = construction.congruence_family(args.N, args.k)
     ratio = analysis.predicted_ratio(fam)
     degree = core.degree_of(fam.rho)
+    lemma, floor = _bound_strings(fam.r, fam.rho, fam.height_bound) if fam.height_bound else (None, None)
     payload: dict[str, Any] = {
         "command": "construct",
         "N": args.N,
@@ -288,8 +300,8 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "degree": _big(degree),
         "congruence_ok": True,
         "branch": "plus",
-        "lemma_bound": _frac(fam.height_bound.bound) if fam.height_bound else None,
-        "height_floor": _big(fam.height_bound.floor) if fam.height_bound else None,
+        "lemma_bound": lemma,
+        "height_floor": floor,
         "predicted_ratio": ratio,
     }
     code = EXIT_OK
@@ -337,8 +349,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     code = EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     if report.ok:
         bound = construction.height_lower_bound(rho, args.r)
-        payload["lemma_bound"] = _frac(bound.bound)
-        payload["height_floor"] = _big(bound.floor)
+        payload["lemma_bound"], payload["height_floor"] = _bound_strings(args.r, rho, bound)
         if args.expand:
             report = analysis.height_report(rho, core.low_half(rho, args.memory_cap))
             payload["degree"] = report.degree

@@ -10,14 +10,16 @@ expanded polynomial is at least r^(2^(k-1)) / m.
 The exact rational height bound has r^(2^(k-1)) in the numerator and is
 materialized only while its estimated size fits BOUND_BITS_CAP bits; beyond
 that the family still constructs (r, q_j stay cheap) and its bound is None.
+It is in lowest terms: each q_j = +-1 (mod r), so gcd(r, m) = 1, and the
+command line prints it from a decimal power of r instead of converting it.
+Results are NamedTuples: immutable, and they unpack and compare as tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import CoprimeTuple, validate_tuple
 from .errors import CongruenceNotSatisfied, InvalidParameter
@@ -29,8 +31,7 @@ from .errors import CongruenceNotSatisfied, InvalidParameter
 BOUND_BITS_CAP = 1 << 19
 
 
-@dataclass(frozen=True)
-class ElementResidue:
+class ElementResidue(NamedTuple):
     """Residue check of a single element against 2r - 1 / 2r + 1 mod 4r."""
 
     q: int
@@ -39,24 +40,21 @@ class ElementResidue:
     branch: Optional[str]  # "plus", "minus", or None when the check fails
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     r: int
     modulus: int
     elements: tuple[ElementResidue, ...]
     ok: bool
 
 
-@dataclass(frozen=True)
-class HeightBound:
+class HeightBound(NamedTuple):
     """Exact rational lower bound r^(2^(k-1)) / m and its integer ceiling."""
 
     bound: Fraction
     floor: int
 
 
-@dataclass(frozen=True)
-class CongruenceFamily:
+class CongruenceFamily(NamedTuple):
     N: int
     k: int
     r: int
@@ -64,8 +62,7 @@ class CongruenceFamily:
     height_bound: Optional[HeightBound]  # None when larger than BOUND_BITS_CAP bits
 
 
-@dataclass(frozen=True)
-class CoprimalityTrace:
+class CoprimalityTrace(NamedTuple):
     """One Euclid reduction step gcd(q_i, q_j) -> gcd(4(i-j)r, q_j), both verified."""
 
     r: int

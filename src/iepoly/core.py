@@ -16,9 +16,10 @@ first floor(degree/2)+1, all a height needs.  ``degree_cap`` bounds that
 window, and SUBSET_CAP bounds k, since the factors are all 2^k subsets.
 Multiplication by (1 - x^d) is a high-to-low subtraction sweep, division by
 (1 - x^d) a low-to-high prefix-sum sweep with stride d (the truncated
-geometric series).  A factor whose d exceeds the window is the identity on
-the truncation and is skipped; in particular the d = m factor never
-materializes.  The coefficients live in one numpy array and one sweep loop
+geometric series), a row of d entries at a time from ROW_SWEEP_MIN on.
+A factor whose d exceeds the window is the identity on the truncation and
+is skipped; in particular the d = m factor never materializes.  The
+coefficients live in one numpy array and one sweep loop
 serves both of its dtypes: int64 first, carrying a proven bound on the
 largest magnitude that each sweep multiplies by its growth factor, and
 scanning the array only when that bound passes INT64_SAFE_LIMIT (see there);
@@ -28,7 +29,8 @@ carried on.  The multiplication sweep runs top-down in blocks (SWEEP_BLOCK),
 so it needs no copy of the window.  That array is the one polynomial type:
 ``expand`` and ``low_half`` return it, index i holding the x^i coefficient,
 and ``height``, ``is_palindromic`` and ``eval_at_one`` take it, in either
-dtype.
+dtype.  A tuple is a CoprimeTuple, a NamedTuple like every result record
+of the package.
 
 numpy is imported only by the functions that allocate an array, so
 ``import iepoly`` stays cheap and numpy loads on the first expansion.
@@ -37,9 +39,8 @@ numpy is imported only by the functions that allocate an array, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegreeCapExceeded,
@@ -74,6 +75,12 @@ INT64_SAFE_LIMIT = (1 << 62) - 1
 # a block bounds that copy to SWEEP_BLOCK entries instead of the window.
 SWEEP_BLOCK = 1 << 16
 
+# Smallest d whose division sweep adds whole rows one after another.  A
+# (rows, d) cumsum walks its view column by column, with a stride of 8d
+# bytes; from about this d on, adding row i - 1 onto row i is faster, and
+# below it the Python loop over n / d rows costs more than it saves.
+ROW_SWEEP_MIN = 512
+
 DEFAULT_DEGREE_CAP = 1 << 28
 SUBSET_CAP = 20
 
@@ -81,8 +88,7 @@ SUBSET_CAP = 20
 Factor = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CoprimeTuple:
+class CoprimeTuple(NamedTuple):
     """Strictly increasing pairwise coprime integers and their product m."""
 
     qs: tuple[int, ...]
@@ -229,9 +235,15 @@ def _shifted_difference(c: np.ndarray, d: int) -> None:
 
 def _strided_prefix_sum(c: np.ndarray, d: int) -> None:
     # c[i] += c[i-d] for i ascending: cumulative sums along each residue
-    # class mod d.  Full rows vectorize as a 2-d cumsum; the ragged tail
-    # needs one extra shifted add since its predecessors are then final.
+    # class mod d.  From ROW_SWEEP_MIN on, a row at a time, the ragged tail
+    # included.  Below it, full rows vectorize as a 2-d cumsum; the ragged
+    # tail needs one extra shifted add since its predecessors are then final.
     n = c.shape[0]
+    if d >= ROW_SWEEP_MIN:
+        for start in range(d, n, d):
+            end = min(start + d, n)
+            c[start:end] += c[start - d : end - d]
+        return
     rows = n // d
     if rows >= 2:
         head = c[: rows * d].reshape(rows, d)

@@ -12,8 +12,8 @@ untruncated product, 1 + (prod (q+1) + prod (q-1)) / 2 coefficients;
 ``core.expand``, and no step allocates more than ``core.SWEEP_BLOCK``
 entries beside it.  Multiplying by (1 - x^d) is a shifted subtraction in
 blocks from the top of the growing product; dividing by it is one
-descending cumulative sum with stride d, in place on a reversed view, after
-which the quotient is the view past the d remainder entries.  The route
+descending cumulative sum with stride d, in place (by rows for large d),
+after which the quotient is the view past the d remainder entries.  The route
 keeps its own loops and calls none of ``core``'s sweep functions.
 
 It runs in int64 first and carries a proven bound on the largest magnitude:
@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .core import (
     DEFAULT_DEGREE_CAP,
     INT64_SAFE_LIMIT,
+    ROW_SWEEP_MIN,
     SWEEP_BLOCK,
     CoprimeTuple,
     factor_system,
@@ -55,23 +56,30 @@ def _multiply(c: np.ndarray, d: int) -> None:
 def _divide(c: np.ndarray, d: int) -> np.ndarray:
     # c(x) / (1 - x^d) in place, from the top: q_j = q_{j+d} - c_{j+d}.  The
     # entries become s_i = -(c_i + c_{i+d} + c_{i+2d} + ...), a prefix sum
-    # down each residue class mod d of the reversed array: full rows as one
-    # 2-d cumsum, then the ragged tail, whose predecessors are final by
-    # then.  s[d:] is the quotient; the recurrence continued below x^d gives
-    # s[:d], the remainder, which must vanish.
+    # down each residue class mod d of the reversed array: from
+    # core.ROW_SWEEP_MIN on, d entries at a time from the top, in c's own
+    # direction (numpy adds negative strides more slowly); below it, full
+    # rows as one 2-d cumsum, then the ragged tail, whose predecessors are
+    # final by then.  s[d:] is the quotient; the recurrence continued below
+    # x^d gives s[:d], the remainder, which must vanish.
     import numpy as np
 
     n = c.shape[0]
     if n <= d:
         raise ValueError(f"{n} coefficients cannot be divided by 1 - x^{d}")
     np.negative(c, out=c)
-    r = c[::-1]
-    rows = n // d
-    if rows >= 2:
-        head = r[: rows * d].reshape(rows, d)
-        head.cumsum(axis=0, out=head)
-    if rows * d < n:
-        r[rows * d :] += r[(rows - 1) * d : n - d]
+    if d >= ROW_SWEEP_MIN:
+        for top in range(n - d, 0, -d):
+            bottom = max(top - d, 0)
+            c[bottom:top] += c[bottom + d : top + d]
+    else:
+        r = c[::-1]
+        rows = n // d
+        if rows >= 2:
+            head = r[: rows * d].reshape(rows, d)
+            head.cumsum(axis=0, out=head)
+        if rows * d < n:
+            r[rows * d :] += r[(rows - 1) * d : n - d]
     if c[:d].any():
         raise NonzeroRemainder(f"1 - x^{d} leaves a nonzero remainder")
     return c[d:]

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,8 +222,29 @@ class TestBigRendering:
     def test_edges(self, unlimited_str_digits):
         for x in self.EDGE:
             assert cli._big(x) == str(x)
-        fr = Fraction(10**30000 + 1, 3**20000)
-        assert cli._frac(fr) == f"{fr.numerator}/{fr.denominator}"
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_family_bounds_match_binary(self, capsys, unlimited_str_digits, N):
+        # lemma_bound and height_floor are raised in decimal; they must read
+        # as the binary bound's str(), up to 90k digits at k = 14.
+        for k in range(1, 15):
+            bound = congruence_family(N, k).height_bound
+            _, payload, _ = run_json(capsys, "construct", "--N", str(N), "--k", str(k))
+            assert payload["lemma_bound"] == f"{bound.bound.numerator}/{bound.bound.denominator}", (N, k)
+            assert payload["height_floor"] == str(bound.floor), (N, k)
+
+    @pytest.mark.parametrize("q, r", [
+        ("181,251,253,323", 18),  # plus, minus, plus, minus
+        ("11,35,59,83", 6),  # minus branch only
+        ("97,289,481,673", 48),  # plus branch only
+        ("37,109,181,253,325,397,469", 18),  # plus branch, k = 7
+    ])
+    def test_verify_bounds_match_binary(self, capsys, unlimited_str_digits, q, r):
+        rho = core.validate_tuple(map(int, q.split(",")))
+        bound = height_lower_bound(rho, r)
+        _, payload, _ = run_json(capsys, "verify", "--q", q, "--r", str(r))
+        assert payload["lemma_bound"] == f"{bound.bound.numerator}/{bound.bound.denominator}"
+        assert payload["height_floor"] == str(bound.floor)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(bits=st.integers(0, 200_000), seed=st.integers(0, 2**32), negative=st.booleans())
@@ -442,16 +462,23 @@ def run_python(*args):
 def test_array_free_commands_do_not_import_numpy():
     # numpy loads with the first coefficient array, so import and the
     # commands that build none run without it; every real is taken in
-    # integers, so no command loads mpmath; the library leaves the
+    # integers, so no command loads mpmath; until numpy loads, nothing
+    # loads dataclasses, inspect or csv either; the library leaves the
     # environment alone.
     script = """
 import json, os, sys
 environ = dict(os.environ)
+
+def modules(*names):
+    return [m for m in names if m in sys.modules]
+
 from iepoly.cli import main
-loaded = [[m for m in ("numpy", "mpmath") if m in sys.modules]]
+loaded = [modules("numpy", "mpmath")]
+assert modules("dataclasses", "inspect", "csv") == [], "import"
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded.append([m for m in ("numpy", "mpmath") if m in sys.modules])
+    loaded.append(modules("numpy", "mpmath"))
+    assert "numpy" in loaded[-1] or modules("dataclasses", "inspect", "csv") == [], argv
 assert dict(os.environ) == environ, "the library changed the environment"
 print(json.dumps(loaded))
 """

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from iepoly.analysis import height_report, limit_constant
 from iepoly.construction import (
     check_congruence,
     congruence_family,
@@ -10,7 +11,7 @@ from iepoly.construction import (
     family_parameters,
     height_lower_bound,
 )
-from iepoly.core import expand, height, validate_tuple
+from iepoly.core import expand, height, low_half, validate_tuple
 from iepoly.errors import CongruenceNotSatisfied, InvalidParameter
 
 
@@ -145,3 +146,41 @@ class TestCoprimalityTrace:
             coprimality_trace(1, 3, 1, 1)
         with pytest.raises(InvalidParameter):
             coprimality_trace(1, 3, 4, 1)
+
+
+class TestRecords:
+    """The result records: immutable named tuples with their fields in order."""
+
+    def records(self):
+        rho = validate_tuple([3, 5, 7])
+        fam = congruence_family(1, 3)
+        report = check_congruence(fam.rho, fam.r)
+        return {
+            ("qs", "m"): rho,
+            ("rho", "height", "normalizer", "degree", "normalized_ratio"): height_report(rho, low_half(rho)),
+            ("value", "terms_used", "error_bound"): limit_constant(3),
+            ("q", "residue", "ok", "branch"): report.elements[0],
+            ("r", "modulus", "elements", "ok"): report,
+            ("bound", "floor"): fam.height_bound,
+            ("N", "k", "r", "rho", "height_bound"): fam,
+            ("r", "qi", "qj", "reduced", "gcd_direct", "gcd_reduced"): coprimality_trace(1, 3, 2, 1),
+        }
+
+    def test_fields_in_order_and_frozen(self):
+        records = self.records()
+        assert len({type(record) for record in records.values()}) == 8
+        for fields, record in records.items():
+            assert record._fields == fields
+            assert tuple(record) == tuple(getattr(record, f) for f in fields)
+            with pytest.raises(AttributeError):
+                setattr(record, fields[0], None)
+            with pytest.raises(AttributeError):
+                record.extra = None
+
+    def test_tuple_text_and_properties(self):
+        rho = validate_tuple([3, 5, 7])
+        assert repr(rho) == "CoprimeTuple(qs=(3, 5, 7), m=105)"
+        assert str(rho) == "{3,5,7}"
+        assert rho.k == 3
+        assert coprimality_trace(1, 3, 2, 1).ok
+        assert not coprimality_trace(1, 3, 2, 1)._replace(gcd_direct=3).ok

@@ -15,6 +15,7 @@ from iepoly import core
 from iepoly.analysis import coprime_tuples
 from iepoly.core import (
     INT64_SAFE_LIMIT,
+    ROW_SWEEP_MIN,
     SUBSET_CAP,
     SWEEP_BLOCK,
     _shifted_difference,
@@ -375,6 +376,27 @@ class TestShiftedDifference:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # the window itself is 8 MB
+
+
+class TestStridedPrefixSum:
+    """The division step equals c[i] += c[i-d] for i ascending, on both of its paths."""
+
+    @pytest.mark.parametrize("d", [1, 7, ROW_SWEEP_MIN - 1, ROW_SWEEP_MIN, ROW_SWEEP_MIN + 1, 3 * ROW_SWEEP_MIN + 5])
+    @pytest.mark.parametrize("dtype", ["int64", "object"])
+    def test_matches_loop(self, d, dtype):
+        rng = np.random.default_rng(d)
+        # n < 2d, whole rows only, and ragged tails of one entry and of most of a row.
+        for n in (d + 1, 2 * d - 1, 2 * d, 2 * d + 1, 5 * d, 5 * d + d // 2 + 1):
+            values = rng.integers(-(1 << 40), 1 << 40, size=n)
+            if dtype == "object":
+                values = values.astype(object) * (1 << 70)
+            expected = values.tolist()
+            for i in range(d, n):
+                expected[i] += expected[i - d]
+            c = values.copy()
+            _strided_prefix_sum(c, d)
+            assert c.dtype == values.dtype
+            assert c.tolist() == expected, (d, n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from iepoly import oracle
 from iepoly.analysis import coprime_tuples
-from iepoly.core import INT64_SAFE_LIMIT, SWEEP_BLOCK, expand, height, validate_tuple
+from iepoly.core import INT64_SAFE_LIMIT, ROW_SWEEP_MIN, SWEEP_BLOCK, expand, height, validate_tuple
 from iepoly.errors import DegreeCapExceeded, NonzeroRemainder
 from iepoly.oracle import oracle_expand
 
@@ -103,6 +103,22 @@ class TestExactDiv:
         q = oracle._divide(c, 2)
         assert q.tolist() == [1, 2, 3]
         assert np.shares_memory(q, c)
+
+    @pytest.mark.parametrize("d", [1, 7, ROW_SWEEP_MIN - 1, ROW_SWEEP_MIN, ROW_SWEEP_MIN + 1, 3 * ROW_SWEEP_MIN + 5])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_matches_long_division(self, d, dtype):
+        # Both paths of the step: quotients shorter than d (the numerator
+        # has n < 2d entries), whole rows, and ragged bottom rows.
+        rng = np.random.default_rng(d)
+        for length in (1, d - 1, d, d + 1, 4 * d, 4 * d + d // 2 + 1):
+            if length < 1:
+                continue
+            quotient = rng.integers(-(1 << 40), 1 << 40, size=length).tolist()
+            num = reference_mul(quotient, d)
+            assert div(num, d, dtype).tolist() == reference_div(num, d) == quotient, (d, length)
+            num[d // 2] += 1
+            with pytest.raises(NonzeroRemainder):
+                div(num, d, dtype)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("d", [1, 2])
