@@ -18,17 +18,30 @@ Multiplication by (1 - x^d) is a high-to-low subtraction sweep, division by
 (1 - x^d) a low-to-high prefix-sum sweep with stride d (the truncated
 geometric series), a row of d entries at a time from ROW_SWEEP_MIN on.
 A factor whose d exceeds the window is the identity on the truncation and
-is skipped; in particular the d = m factor never materializes.  The
-coefficients live in one numpy array and one sweep loop
-serves both of its dtypes: int64 first, carrying a proven bound on the
-largest magnitude that each sweep multiplies by its growth factor, and
-scanning the array only when that bound passes INT64_SAFE_LIMIT (see there);
-if the scanned height is past the limit too, the whole expansion runs again
-from 1 in an object array of Python integers.  A wrapped array is never
-carried on.  The multiplication sweep runs top-down in blocks (SWEEP_BLOCK),
-so it needs no copy of the window.  That array is the one polynomial type:
-``expand`` and ``low_half`` return it, index i holding the x^i coefficient,
-and ``height``, ``is_palindromic`` and ``eval_at_one`` take it, in either
+is skipped; in particular the d = m factor never materializes.
+
+The unit of work is a run: tuples that share q_1 ... q_(k-1) and differ in
+q_k, as a lexicographic enumeration yields them.  The 2^(k-1) subsets that
+hold q_k give factors whose d does not depend on q_k; their product is the
+series 1 / Q_(q_1 ... q_(k-1)) (Q_(rho + q)(x) = Q_rho(x^q) / Q_rho(x)).
+``low_halves`` sweeps that half once, over the run's longest window, and
+each tuple continues from a copy of its first entries with its own 2^(k-1)
+factors, those whose d is a multiple of q_k; the last tuple continues in
+the shared array itself.  ``expand`` and ``low_half`` are the run of one
+tuple, in place, and ``ordered_factors`` is that order.
+
+The coefficients live in one numpy array and one sweep loop serves both of
+its dtypes: int64 first, carrying a proven bound on the largest magnitude
+that each sweep multiplies by its growth factor, and scanning the array
+only when that bound passes INT64_SAFE_LIMIT (see there).  A continuation
+starts from the shared array's bound, which bounds every prefix of that
+array.  If the scanned height is past the limit too, the tuple runs again
+from 1 in an object array of Python integers; if the shared sweep is past
+it, each tuple of the run runs alone.  A wrapped array is never carried on.
+The multiplication sweep runs top-down in blocks (SWEEP_BLOCK), so it needs
+no copy of the window.  That array is the one polynomial type: ``expand``
+and ``low_half`` return it, index i holding the x^i coefficient, and
+``height``, ``is_palindromic`` and ``eval_at_one`` take it, in either
 dtype.  A tuple is a CoprimeTuple, a NamedTuple like every result record
 of the package.
 
@@ -40,12 +53,13 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegreeCapExceeded,
     EmptyTuple,
     EntryBelowTwo,
+    InvalidParameter,
     NotCoprime,
     NotIncreasing,
     TupleTooLarge,
@@ -140,31 +154,56 @@ def check_subset_cap(k: int) -> None:
 def factor_system(rho: CoprimeTuple) -> tuple[Factor, ...]:
     """Enumerate all 2^k subsets as signed factors (d = m / prod q_i, sign = parity)."""
     check_subset_cap(rho.k)
+    return tuple(_subset_factors(rho.qs, rho.m))
+
+
+def _subset_factors(qs: Sequence[int], m: int) -> list[Factor]:
     factors: list[Factor] = []
-    for size in range(rho.k + 1):
+    for size in range(len(qs) + 1):
         sign = 1 if size % 2 == 0 else -1
-        for subset in combinations(rho.qs, size):
-            d = rho.m
+        for subset in combinations(qs, size):
+            d = m
             for q in subset:
                 d //= q
             factors.append((d, sign))
-    return tuple(factors)
+    return factors
 
 
-def ordered_factors(factors: Sequence[Factor]) -> list[Factor]:
-    """Default application order: multiplications ascending by d, then divisions.
+def ordered_factors(rho: CoprimeTuple) -> list[Factor]:
+    """Default application order: the 2^(k-1) factors whose d is not a multiple
+    of q_k, then the 2^(k-1) whose d is; in each half multiplications ascending
+    by d, then divisions.
 
-    Multiplying first keeps intermediate coefficients small, so the int64
-    sweep rarely needs to restart in Python integers.
+    The first half is the subsets that hold q_k.  Their d = m' / prod S' does
+    not depend on q_k (m' = q_1 ... q_(k-1)), and their product is the series
+    1 / Q_(q_1 ... q_(k-1)), so tuples that differ only in q_k share that half
+    and ``low_halves`` sweeps it once per run.  Multiplying first within each
+    half keeps intermediate coefficients small, so the int64 sweep rarely
+    needs to restart in Python integers.
     """
-    multiplications = sorted(f for f in factors if f[1] > 0)
-    divisions = sorted(f for f in factors if f[1] < 0)
-    return multiplications + divisions
+    shared = _shared_factors(rho)
+    return shared + _flipped(shared, rho.qs[-1])
+
+
+def _shared_factors(rho: CoprimeTuple) -> list[Factor]:
+    # The subsets that hold q_k, S' + {q_k} for S' of the prefix, give the
+    # prefix's factors with the sign flipped: 1 / Q_prefix.  The subsets S'
+    # alone, the other half, flip them back and scale d by q_k.
+    check_subset_cap(rho.k)
+    prefix = _subset_factors(rho.qs[:-1], rho.m // rho.qs[-1])
+    prefix.sort()
+    return _flipped(prefix, 1)
+
+
+def _flipped(factors: Sequence[Factor], q: int) -> list[Factor]:
+    # (q d, -sign) for each factor, multiplications first: from factors in
+    # ascending d, each sign's group stays ascending.
+    return [(q * d, 1) for d, sign in factors if sign < 0] + [(q * d, -1) for d, sign in factors if sign > 0]
 
 
 def expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndarray:
     """Coefficients 0 .. degree of Q, exactly; index i holds the x^i coefficient."""
-    return _truncated(rho, degree_of(rho) + 1, degree_cap)
+    return next(_truncated([rho], [degree_of(rho) + 1], degree_cap))
 
 
 def low_half(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndarray:
@@ -174,13 +213,51 @@ def low_half(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndar
     -x^d (1 - x^-d), with 2^(k-1) factors on each side of the quotient, so
     x^degree Q(1/x) = Q(x): coefficient degree - i equals coefficient i.
     """
-    return _truncated(rho, degree_of(rho) // 2 + 1, degree_cap)
+    return next(low_halves([rho], degree_cap))
 
 
-def _truncated(rho: CoprimeTuple, window: int, degree_cap: int) -> np.ndarray:
-    if window > degree_cap:
-        raise DegreeCapExceeded(window, degree_cap)
-    return apply_factors(window, ordered_factors(factor_system(rho)))
+def low_halves(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP) -> Iterator[np.ndarray]:
+    """``low_half`` of each tuple of ``run``, in turn: tuples that share
+    q_1 .. q_(k-1), ascending in q_k.
+
+    The shared half of ``ordered_factors`` is swept once, over the last
+    (longest) window; each tuple continues from a copy of its first entries,
+    and the last in that array itself.  So the run holds the shared array and
+    at most one shorter copy, if the consumer drops each array before the
+    next.  DegreeCapExceeded names the first window past ``degree_cap``.
+    """
+    return _truncated(run, [degree_of(rho) // 2 + 1 for rho in run], degree_cap)
+
+
+def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int], degree_cap: int) -> Iterator[np.ndarray]:
+    for a, b in zip(run, run[1:]):
+        if a.qs[:-1] != b.qs[:-1] or a.qs[-1] >= b.qs[-1]:
+            raise InvalidParameter(f"a run shares q_1 .. q_(k-1) and ascends in q_k: {a} then {b}")
+    for window in windows:
+        if window > degree_cap:
+            raise DegreeCapExceeded(window, degree_cap)
+    if not run:
+        return
+    # The shared array's bound, or its scanned height, bounds every prefix
+    # of it, so each continuation starts from it.  If the shared sweep could
+    # have wrapped, each tuple runs alone, straight in Python integers at
+    # the widest window, where int64 would wrap at the same step; a tuple
+    # whose continuation could have wrapped starts again from 1 in them.
+    widest = windows[-1]
+    shared = _unit(widest, "int64")
+    factors = _shared_factors(run[0])
+    bound = _sweep(shared, factors, 1)
+    last = len(run) - 1
+    for i, (rho, window) in enumerate(zip(run, windows)):
+        own = _flipped(factors, rho.qs[-1])
+        if bound is None:
+            yield _restart(window, factors + own) if window == widest else apply_factors(window, factors + own)
+            continue
+        c = shared if i == last else shared[:window].copy()
+        if _sweep(c, own, bound) is None:
+            c = _restart(window, factors + own)
+        yield c
+        del c  # so the consumer's array is gone before the next copy
 
 
 def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
@@ -190,23 +267,35 @@ def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
     or an object array of Python integers when an int64 sweep could have
     wrapped, in which case every factor is applied again from 1.
     """
-    c = _sweep(window, factors, "int64")
-    if c is None:
-        c = _sweep(window, factors, object)
+    c = _unit(window, "int64")
+    if _sweep(c, factors, 1) is None:
+        c = _restart(window, factors)
     return c
 
 
-def _sweep(window: int, factors: Sequence[Factor], dtype: str | type) -> Optional[np.ndarray]:
-    # The same slices run on int64 and on object arrays.  Only int64 can
-    # wrap; None reports a sweep after which a coefficient left
-    # INT64_SAFE_LIMIT, so the array can no longer be trusted.  ``bound``
-    # is a proven bound on max |c| (see INT64_SAFE_LIMIT).
+def _unit(window: int, dtype: str | type) -> np.ndarray:
+    # The constant polynomial 1, truncated to ``window`` coefficients.
     import numpy as np
 
     c = np.zeros(window, dtype=dtype)
     c[0] = 1
+    return c
+
+
+def _restart(window: int, factors: Sequence[Factor]) -> np.ndarray:
+    c = _unit(window, object)
+    _sweep(c, factors, 1)
+    return c
+
+
+def _sweep(c: np.ndarray, factors: Sequence[Factor], bound: int) -> Optional[int]:
+    # Apply ``factors`` to c in place, truncated to its length.  The same
+    # slices run on int64 and on object arrays.  Only int64 can wrap; None
+    # reports a sweep after which a coefficient left INT64_SAFE_LIMIT, so the
+    # array can no longer be trusted.  ``bound`` is a proven bound on max |c|
+    # (see INT64_SAFE_LIMIT), on entry and on return.
+    window = c.shape[0]
     checked = c.dtype == "int64"
-    bound = 1
     for d, sign in factors:
         if d >= window:
             continue
@@ -220,7 +309,7 @@ def _sweep(window: int, factors: Sequence[Factor], dtype: str | type) -> Optiona
             bound = height(c)
             if bound > INT64_SAFE_LIMIT:
                 return None
-    return c
+    return bound
 
 
 def _shifted_difference(c: np.ndarray, d: int) -> None:

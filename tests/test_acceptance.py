@@ -21,7 +21,6 @@ from iepoly.core import (
     degree_of,
     eval_at_one,
     expand,
-    factor_system,
     height,
     is_palindromic,
     ordered_factors,
@@ -111,7 +110,7 @@ def test_criterion_5_property_suite():
             assert p[-1] == 1
             assert is_palindromic(p)
             assert eval_at_one(p) == (rho.qs[0] if rho.k == 1 else 1)
-            factors = ordered_factors(factor_system(rho))
+            factors = ordered_factors(rho)
             for _ in range(3):
                 shuffled = factors[:]
                 rng.shuffle(shuffled)

@@ -2,6 +2,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,8 @@ from mpmath import mp
 
 from iepoly import analysis
 from iepoly.analysis import (
+    DEFAULT_SEARCH_EXPAND_CAP,
     ConstantResult,
-    HeightReport,
     constant_log_tail_bound,
     coprime_tuples,
     height_report,
@@ -21,7 +22,7 @@ from iepoly.analysis import (
     search_max_ratio,
 )
 from iepoly.construction import congruence_family, family_parameters
-from iepoly.core import degree_of, expand, low_half, validate_tuple
+from iepoly.core import DEFAULT_DEGREE_CAP, degree_of, expand, low_half, validate_tuple
 from iepoly.errors import CapExceeded, DegreeCapExceeded, IdentityMismatch, InvalidParameter
 
 
@@ -277,16 +278,18 @@ class TestSearch:
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
     def test_ranks_by_exact_fraction(self, monkeypatch):
-        # (2,5)'s A / M passes (2,3)'s by 2^-200: the two ratios are equal in
-        # floats and at 128 bits, so only the exact fraction puts (2,5) first.
-        heights = {(2, 3): (1, 1), (2, 5): (2**200 + 1, 2**200)}
+        # (3,4)'s A / M passes (2,3)'s by 2^-200: the two ratios are equal in
+        # floats and at 128 bits, so only the exact fraction puts (3,4) first.
+        heights = {(2, 3): (1, 1), (3, 4): (2**200 + 1, 2**200)}
         monkeypatch.setattr(analysis, "coprime_tuples",
                             lambda k, m_cap: [validate_tuple(qs) for qs in heights])
-        monkeypatch.setattr(analysis, "height_report", lambda rho, coeffs: HeightReport(
-            rho, *heights[rho.qs], degree_of(rho), normalized_ratio(*heights[rho.qs], rho.k)))
-        reports = search_max_ratio(10, 2)
+        monkeypatch.setattr(analysis, "low_halves", lambda run, degree_cap: (
+            np.array([heights[rho.qs][0]], dtype=object) for rho in run))
+        monkeypatch.setattr(analysis, "normalizer", lambda rho: heights[rho.qs][1])
+        reports = search_max_ratio(20, 2)
         assert reports[0].normalized_ratio == reports[1].normalized_ratio
-        assert [rep.rho.qs for rep in reports] == [(2, 5), (2, 3)]
+        assert [rep.rho.qs for rep in reports] == [(3, 4), (2, 3)]
+        assert [(rep.height, rep.normalizer) for rep in reports] == [heights[3, 4], heights[2, 3]]
 
     def test_smallest_triple(self):
         reports = search_max_ratio(30, 3)
@@ -310,6 +313,47 @@ class TestSearch:
         with pytest.raises(DegreeCapExceeded):
             search_max_ratio(105, 3, degree_cap=24)
         assert search_max_ratio(105, 3, degree_cap=25) == search_max_ratio(105, 3)
+
+
+def reference_search(m_cap, k, expand_cap=DEFAULT_SEARCH_EXPAND_CAP, degree_cap=DEFAULT_DEGREE_CAP):
+    """The per-tuple search: a low half and a height report for each tuple, then a sort on -A / M."""
+    reports = [height_report(rho, low_half(rho, degree_cap))
+               for rho in coprime_tuples(k, m_cap) if degree_of(rho) <= expand_cap]
+    reports.sort(key=lambda rep: (-Fraction(rep.height, rep.normalizer), rep.rho.qs))
+    return reports
+
+
+def outcome(search, *args, **kwargs):
+    """The reports of a search, or the coefficients and cap of the DegreeCapExceeded it raised."""
+    try:
+        return search(*args, **kwargs)
+    except DegreeCapExceeded as exc:
+        return "DegreeCapExceeded", exc.coefficients, exc.cap
+
+
+class TestSearchMatchesPerTupleSearch:
+    """Runs, the ratio memo and the rank sort change nothing that search_max_ratio returns."""
+
+    @pytest.mark.parametrize("k, m_caps", [
+        (2, (30, 300, 1500)),
+        (3, (105, 700, 2500)),
+        (4, (1155, 4000, 7000)),
+        (5, (15015, 40000)),
+    ])
+    @pytest.mark.parametrize("expand_cap", [30, 1000, DEFAULT_SEARCH_EXPAND_CAP])
+    def test_equal_reports(self, k, m_caps, expand_cap):
+        for m_cap in m_caps:
+            reports = search_max_ratio(m_cap, k, expand_cap)
+            assert reports == reference_search(m_cap, k, expand_cap), (k, m_cap)
+
+    @pytest.mark.parametrize("degree_cap", [1, 5, 6, 12, 13, 16, 17, 24, 25, 100])
+    def test_degree_cap_inside_a_run(self, degree_cap):
+        # At m <= 105 the run (2,3,q) has windows 5, 7, 11, 13, 17: a cap of
+        # 12 or 16 falls inside it, and the first window past the cap is named.
+        assert (outcome(search_max_ratio, 105, 3, degree_cap=degree_cap)
+                == outcome(reference_search, 105, 3, degree_cap=degree_cap))
+        if degree_cap == 12:
+            assert outcome(search_max_ratio, 105, 3, degree_cap=12) == ("DegreeCapExceeded", 13, 12)
 
 
 def test_height_report_fields():

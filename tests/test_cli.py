@@ -563,17 +563,20 @@ class TestHeightOnlyWindow:
         (["compute", "--q", "3,5,7"], [49]),  # outputs coefficients: the full window
         (["construct", "--N", "1", "--k", "3", "--expand"], [12961]),  # 13,37,61: degree 25920
         (["verify", "--q", "13,37,61", "--r", "6", "--expand"], [12961]),
-        (["search", "--k", "3", "--m-cap", "105"], [core.degree_of(rho) // 2 + 1 for rho in coprime_tuples(3, 105)]),
+        # One array per run of tuples sharing q_1, q_2: the run's last, longest low half.
+        (["search", "--k", "3", "--m-cap", "105"],
+         [core.degree_of(rho) // 2 + 1 for rho in {rho.qs[:-1]: rho for rho in coprime_tuples(3, 105)}.values()]),
     ])
     def test_windows(self, capsys, monkeypatch, argv, windows):
+        # Every swept array starts as core._unit; a run's copies are shorter.
         swept = []
-        real = core.apply_factors
+        real = core._unit
 
-        def spy(window, factors):
+        def spy(window, dtype):
             swept.append(window)
-            return real(window, factors)
+            return real(window, dtype)
 
-        monkeypatch.setattr(core, "apply_factors", spy)
+        monkeypatch.setattr(core, "_unit", spy)
         assert run(capsys, *argv)[0] == 0
         assert swept == windows
 

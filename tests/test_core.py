@@ -2,7 +2,7 @@ import inspect
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, groupby
 from unittest import mock
 
 import numpy as np
@@ -21,6 +21,7 @@ from iepoly.core import (
     _shifted_difference,
     _strided_prefix_sum,
     _sweep,
+    _unit,
     apply_factors,
     degree_of,
     eval_at_one,
@@ -29,6 +30,7 @@ from iepoly.core import (
     height,
     is_palindromic,
     low_half,
+    low_halves,
     ordered_factors,
     validate_tuple,
 )
@@ -36,6 +38,7 @@ from iepoly.errors import (
     DegreeCapExceeded,
     EmptyTuple,
     EntryBelowTwo,
+    InvalidParameter,
     NotCoprime,
     NotIncreasing,
     TupleTooLarge,
@@ -174,7 +177,7 @@ class TestExpandProperties:
     def test_order_independence(self, small_corpus):
         rng = random.Random(20250808)
         for rho in small_corpus:
-            factors = ordered_factors(factor_system(rho))
+            factors = ordered_factors(rho)
             window = degree_of(rho) + 1
             reference = apply_factors(window, factors)
             for _ in range(3):
@@ -223,10 +226,10 @@ class TestPromotion:
 
     def test_object_sweep_matches_int64_sweep(self, small_corpus, random_corpus):
         for rho in small_corpus + random_corpus[:10]:
-            factors = ordered_factors(factor_system(rho))
+            factors = ordered_factors(rho)
             window = degree_of(rho) + 1
-            as_int64 = _sweep(window, factors, np.int64)
-            as_object = _sweep(window, factors, object)
+            as_int64 = sweep_from_one(window, factors, np.int64)
+            as_object = sweep_from_one(window, factors, object)
             assert as_int64.dtype == np.int64 and as_object.dtype == object
             assert np.array_equal(as_int64, as_object), rho
 
@@ -248,6 +251,12 @@ class TestPromotion:
         assert promoted > 0
 
 
+def sweep_from_one(window, factors, dtype):
+    """core._sweep from the constant 1: the array, or None where an int64 step could have wrapped."""
+    c = _unit(window, dtype)
+    return None if _sweep(c, factors, 1) is None else c
+
+
 def short_factor_lists(window):
     return st.lists(st.tuples(st.integers(1, window), st.sampled_from((1, -1))), max_size=12)
 
@@ -264,7 +273,7 @@ class TestMagnitudeBound:
         bound = 1
         for end, (d, sign) in enumerate(factors, 1):
             bound *= 2 if sign > 0 else -(-window // d)
-            c = _sweep(window, factors[:end], object)
+            c = sweep_from_one(window, factors[:end], object)
             assert max(abs(v) for v in c.tolist()) <= bound
 
     @settings(max_examples=300, deadline=None)
@@ -275,7 +284,7 @@ class TestMagnitudeBound:
         # the int64 sweep must give up exactly where a prefix does.
         expected, fits = object_sweep_within_limit(window, factors, stop=False, limit=limit)
         with mock.patch.object(core, "INT64_SAFE_LIMIT", limit):
-            c = _sweep(window, factors, "int64")
+            c = sweep_from_one(window, factors, "int64")
         assert (c is not None) == fits
         if fits:
             assert np.array_equal(c, expected)
@@ -291,7 +300,7 @@ class TestMagnitudeBound:
         for rho in high_k_corpus:
             window = degree_of(rho) + 1
             values = None
-            for factors in (ordered_factors(factor_system(rho)), divisions_first(rho)):
+            for factors in (ordered_factors(rho), divisions_first(rho)):
                 c, fits = object_sweep_within_limit(window, factors, stop=values is not None)
                 values = c if values is None else values
                 scans.clear()
@@ -303,14 +312,163 @@ class TestMagnitudeBound:
     def test_scans_are_few(self, monkeypatch):
         scans = count_height_calls(monkeypatch)
         rho = validate_tuple([49, 51, 149])
-        assert apply_factors(degree_of(rho) + 1, ordered_factors(factor_system(rho))).dtype == np.int64
+        assert apply_factors(degree_of(rho) + 1, ordered_factors(rho)).dtype == np.int64
         assert len(scans) == 0
         rho = validate_tuple([2, 3, 5, 7, 11, 13, 17])
         window = degree_of(rho) + 1
-        factors = ordered_factors(factor_system(rho))
+        factors = ordered_factors(rho)
         assert sum(d < window for d, _ in factors) == 124
         assert apply_factors(window, factors).dtype == np.int64
         assert 1 <= len(scans) <= 10
+
+
+def runs_of(tuples):
+    """Consecutive tuples that share q_1 .. q_(k-1), as lists: the runs of an enumeration."""
+    return [list(group) for _, group in groupby(tuples, key=lambda rho: rho.qs[:-1])]
+
+
+@st.composite
+def random_runs(draw, max_window):
+    """A random coprime prefix and several larger last entries coprime to it."""
+    prefix = []
+    for q in draw(st.lists(st.integers(2, 13), max_size=3)):
+        if all(math.gcd(q, p) == 1 for p in prefix):
+            prefix.append(q)
+    prefix.sort()
+    start = prefix[-1] + 1 if prefix else 2
+    lasts = draw(st.lists(st.integers(start, start + 40), min_size=1, max_size=6, unique=True))
+    run = [validate_tuple(prefix + [q]) for q in sorted(lasts) if all(math.gcd(q, p) == 1 for p in prefix)]
+    run = [rho for rho in run if degree_of(rho) // 2 + 1 <= max_window]
+    assume(run)
+    return run
+
+
+class TestRuns:
+    """low_halves sweeps the factors a run shares once and continues each tuple from them."""
+
+    @pytest.mark.parametrize("k, m_cap", [(1, 150), (2, 600), (3, 1200), (4, 4000), (5, 20000)])
+    def test_every_small_tuple_matches_the_oracle(self, k, m_cap):
+        runs = runs_of(coprime_tuples(k, m_cap))
+        assert any(len(run) > 1 for run in runs)
+        for run in runs:
+            for rho, half in zip(run, low_halves(run)):
+                reference = oracle_expand(rho)[: degree_of(rho) // 2 + 1]
+                assert half.dtype == reference.dtype, rho.qs
+                assert np.array_equal(half, reference), rho.qs
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=random_runs(max_window=3000))
+    def test_random_runs_match_the_object_sweep(self, run):
+        halves = list(low_halves(run))
+        assert len(halves) == len(run)
+        for rho, half in zip(run, halves):
+            window = degree_of(rho) // 2 + 1
+            assert half.dtype == np.int64 and len(half) == window, rho.qs
+            assert np.array_equal(half, sweep_from_one(window, ordered_factors(rho), object)), rho.qs
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=random_runs(max_window=200), limit=st.integers(1, 100))
+    def test_restarts_are_those_of_each_tuple_alone_below_a_lowered_limit(self, run, limit):
+        # The shared sweep runs over the longest window, and its bound starts
+        # every continuation; a tuple must still restart exactly where its
+        # own sweep does, with the object sweep's values.
+        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit):
+            halves = list(low_halves(run))
+            alone = [low_half(rho) for rho in run]
+        for rho, half, single in zip(run, halves, alone):
+            window = degree_of(rho) // 2 + 1
+            expected, fits = object_sweep_within_limit(window, ordered_factors(rho), stop=False, limit=limit)
+            assert half.dtype == single.dtype == (np.int64 if fits else object), rho.qs
+            assert np.array_equal(half, expected), rho.qs
+
+    def test_one_shared_array_per_run(self, monkeypatch):
+        swept = []
+        real = core._unit
+        monkeypatch.setattr(core, "_unit", lambda window, dtype: swept.append((window, dtype)) or real(window, dtype))
+        run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
+        assert [height(c) for c in low_halves(run)] == [height(low_half(rho)) for rho in run]
+        assert swept[0] == (degree_of(run[-1]) // 2 + 1, "int64")
+        assert len(swept) == 1 + len(run)  # the run's array, then one per low_half alone
+
+    def test_every_sweep_starts_from_a_bound_on_its_array(self, monkeypatch):
+        # A continuation starts from the shared array's bound: it must bound
+        # the copy too, or the int64 lane could miss a wrap.
+        real = core._sweep
+        entries = []
+
+        def recording(c, factors, bound):
+            entries.append((height(c), bound))
+            return real(c, factors, bound)
+
+        monkeypatch.setattr(core, "_sweep", recording)
+        for k, m_cap in ((3, 1500), (4, 5000)):
+            for run in runs_of(coprime_tuples(k, m_cap)):
+                list(low_halves(run))
+        assert any(start > 1 for start, _ in entries)
+        assert all(start <= bound for start, bound in entries)
+
+    def test_a_wrapped_shared_sweep_runs_each_tuple_alone(self, monkeypatch):
+        # A shorter window may stay in int64 where the longest could wrap.
+        run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
+        expected = [low_half(rho) for rho in run]
+        real = core._sweep
+        calls = []
+
+        def first_wraps(c, factors, bound):
+            calls.append(len(c))
+            return None if len(calls) == 1 else real(c, factors, bound)
+
+        monkeypatch.setattr(core, "_sweep", first_wraps)
+        halves = list(low_halves(run))
+        assert calls[0] == len(expected[-1])
+        assert [c.dtype for c in halves] == [np.int64, np.int64, object]
+        assert all(np.array_equal(c, e) for c, e in zip(halves, expected))
+
+    def test_holds_one_copy_beside_the_shared_array(self):
+        # Windows past SWEEP_BLOCK, so a sweep's own temporary is one block:
+        # while a copy is swept, the previous copy must already be gone.
+        run = [validate_tuple([7, 11, q]) for q in (4987, 4993, 4999)]
+        windows = [degree_of(rho) // 2 + 1 for rho in run]
+        assert windows[0] > 2 * SWEEP_BLOCK
+        tracemalloc.start()
+        try:
+            heights = list(map(height, low_halves(run)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert heights == [height(low_half(rho)) for rho in run]
+        assert peak < 8 * (windows[-1] + windows[-2] + SWEEP_BLOCK) + (1 << 16)
+
+    def test_degree_cap_names_the_first_window_too_long(self):
+        run = [validate_tuple(qs) for qs in ((2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 3, 13))]  # windows 5, 7, 11, 13
+        with pytest.raises(DegreeCapExceeded) as err:
+            list(low_halves(run, degree_cap=10))
+        assert (err.value.coefficients, err.value.cap) == (11, 10)
+
+    @pytest.mark.parametrize("qs", [((3, 5, 7), (3, 7, 11)), ((3, 5, 11), (3, 5, 7))])
+    def test_refuses_what_is_not_a_run(self, qs):
+        with pytest.raises(InvalidParameter):
+            list(low_halves([validate_tuple(q) for q in qs]))
+
+
+class TestOrder:
+    """ordered_factors: what a run shares first, each half multiplications first."""
+
+    def test_multiples_of_the_last_entry_come_last(self, small_corpus, random_corpus, high_k_corpus):
+        for rho in small_corpus + random_corpus + high_k_corpus:
+            factors = ordered_factors(rho)
+            assert sorted(factors) == sorted(factor_system(rho)), rho.qs
+            multiple = [d % rho.qs[-1] == 0 for d, _ in factors]
+            assert multiple == sorted(multiple) and sum(multiple) == 1 << (rho.k - 1), rho.qs
+            for half in (factors[: 1 << (rho.k - 1)], factors[1 << (rho.k - 1) :]):
+                assert half == sorted(half, key=lambda f: (-f[1], f[0])), rho.qs
+
+    def test_heavy_tuples_stay_in_int64(self, high_k_corpus):
+        for rho in high_k_corpus + [validate_tuple([49, 51, 149])]:
+            full = expand(rho)
+            half = low_half(rho)
+            assert full.dtype == half.dtype == np.int64, rho.qs
+            assert np.array_equal(half, full[: len(half)]), rho.qs
 
 
 def object_sweep_within_limit(window, factors, stop, limit=INT64_SAFE_LIMIT):
@@ -451,7 +609,7 @@ class TestOneRepresentation:
         rho = validate_tuple([3, 5, 7])
         full = [
             expand(rho),
-            apply_factors(degree_of(rho) + 1, ordered_factors(factor_system(rho))),
+            apply_factors(degree_of(rho) + 1, ordered_factors(rho)),
             oracle_expand(rho),
         ]
         half = low_half(rho)
