@@ -18,6 +18,11 @@ passes through a logarithm except the truncation bound's ln(8T + 4), which
 value of the constructed families' predicted ratio, together with a proven
 bound on the distance from the reported float to the limit (derivation in
 the docstrings).
+
+The tuples of a search come from ``coprime_runs``, one run at a time: the
+tuples that share q_1 .. q_(k-1), which ``core.low_halves`` (and
+``oracle-check``'s ``core.expansions``) sweep as one.  ``coprime_tuples``
+is their concatenation.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from __future__ import annotations
 import decimal
 import math
 from fractions import Fraction
-from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .construction import CongruenceFamily
@@ -255,13 +259,19 @@ def limit_constant(terms: int) -> ConstantResult:
     return ConstantResult(value, terms, error_bound)
 
 
-def coprime_tuples(k: int, m_cap: int) -> Iterator[CoprimeTuple]:
-    """All valid tuples with exactly k entries and product <= m_cap, lexicographic order.
+def coprime_runs(k: int, m_cap: int) -> Iterator[list[CoprimeTuple]]:
+    """All valid tuples with exactly k entries and product <= m_cap, as runs.
 
-    Recursive extension with pruning: entries are chosen ascending, and a
-    branch dies as soon as the cheapest completion q(q+1)...(q+t-1) pushes
-    the product past the cap.  An m_cap above MAX_ENUM_PRODUCT raises
-    CapExceeded.
+    A run is the non-empty list of tuples that share q_1 .. q_(k-1), ascending
+    in q_k; runs come in lexicographic order of that prefix, so their
+    concatenation is ``coprime_tuples``.  Prefixes are extended ascending, and
+    a branch dies as soon as the cheapest completion q(q+1)...(q+t-1) pushes
+    the product past the cap; that product stops growing once it passes the
+    cap, so an absurd k costs a few multiplications.  An entry is coprime to
+    the entries before it exactly when it is coprime to their product, so
+    each candidate costs one gcd, and a run's last entries are read off
+    q_(k-1) + 1 .. m_cap // prefix product.  An m_cap above MAX_ENUM_PRODUCT
+    raises CapExceeded.
     """
     if k < 1:
         raise InvalidParameter(f"k must be >= 1, got {k}")
@@ -270,22 +280,41 @@ def coprime_tuples(k: int, m_cap: int) -> Iterator[CoprimeTuple]:
     if m_cap > MAX_ENUM_PRODUCT:
         raise CapExceeded(f"m_cap = {m_cap} exceeds enumeration cap {MAX_ENUM_PRODUCT}")
 
-    def extend(prefix: tuple[int, ...], product: int, start: int, remaining: int) -> Iterator[CoprimeTuple]:
-        if remaining == 0:
-            yield CoprimeTuple(prefix, product)
+    def fits(product: int, q: int, remaining: int) -> bool:
+        # product * q (q + 1) ... (q + remaining - 1) <= m_cap
+        for t in range(remaining):
+            product *= q + t
+            if product > m_cap:
+                return False
+        return True
+
+    def prefixes(prefix: tuple[int, ...], product: int, start: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        # Each coprime prefix of k - 1 entries that leaves room for q_k.
+        if remaining == 1:
+            yield prefix
             return
         q = start
-        while True:
-            cheapest = 1
-            for t in range(remaining):
-                cheapest *= q + t
-            if product * cheapest > m_cap:
-                return
-            if all(math.gcd(q, p) == 1 for p in prefix):
-                yield from extend(prefix + (q,), product * q, q + 1, remaining - 1)
+        while fits(product, q, remaining):
+            if math.gcd(q, product) == 1:
+                yield from prefixes(prefix + (q,), product * q, q + 1, remaining - 1)
             q += 1
 
-    yield from extend((), 1, 2, k)
+    for prefix in prefixes((), 1, 2, k):
+        product = math.prod(prefix)
+        start = prefix[-1] + 1 if prefix else 2
+        run = [CoprimeTuple(prefix + (q,), product * q)
+               for q in range(start, m_cap // product + 1) if math.gcd(q, product) == 1]
+        if run:
+            yield run
+
+
+def coprime_tuples(k: int, m_cap: int) -> Iterator[CoprimeTuple]:
+    """All valid tuples with exactly k entries and product <= m_cap, lexicographic order.
+
+    The concatenation of ``coprime_runs``, with its errors and caps.
+    """
+    for run in coprime_runs(k, m_cap):
+        yield from run
 
 
 def search_max_ratio(
@@ -297,8 +326,8 @@ def search_max_ratio(
     """Rank every enumerable tuple (given k, m <= m_cap, degree <= expand_cap) by ratio.
 
     Each tuple sweeps only its low half, of at most ``degree_cap`` entries,
-    and the tuples that share q_1 .. q_(k-1), consecutive in the enumeration,
-    go through ``low_halves`` as one run.  The output is a finite-sample
+    and each run of ``coprime_runs``, the tuples that share q_1 .. q_(k-1),
+    goes through ``low_halves`` as one.  The output is a finite-sample
     statistic over the enumerated set, nothing more.  The ranking compares
     the exact fractions A / M, of which the ratio is an increasing function
     at fixed k, and breaks ties by lexicographic tuple order, so it is a pure
@@ -310,9 +339,10 @@ def search_max_ratio(
     """
     reports = []
     ratios: dict[tuple[int, int], float] = {}
-    enumerable = (rho for rho in coprime_tuples(k, m_cap) if degree_of(rho) <= expand_cap)
-    for _, group in groupby(enumerable, key=lambda rho: rho.qs[:-1]):
-        run = list(group)
+    for run in coprime_runs(k, m_cap):
+        run = [rho for rho in run if degree_of(rho) <= expand_cap]
+        if not run:
+            continue
         M = normalizer(run[0])
         for rho, A in zip(run, map(height, low_halves(run, degree_cap))):
             if (A, M) not in ratios:

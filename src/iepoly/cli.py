@@ -19,7 +19,9 @@ terminal, json when piped) and --memory-cap.  --memory-cap bounds the
 longest coefficient array a call allocates: the full window when
 coefficients are output, the low half (core.low_half) when only the height
 is.  In oracle-check it bounds the window and the reference route's
-untruncated product together, since both are alive at once.
+untruncated product together, since both are alive at once; a run of
+tuples sharing q_1 .. q_(k-1) shares one sweep only where its shared
+array, one copy and its largest product fit the cap together.
 
 ``run`` is the process entry point (``python -m iepoly.cli`` and the
 ``iepoly`` script); ``main(argv)`` is the pure part that tests and
@@ -393,21 +395,14 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.k_max < 1:
         raise InvalidParameter(f"--k-max must be >= 1, got {args.k_max}")
+    core.check_subset_cap(args.k_max)
     k_values = list(range(1, args.k_max + 1))
     checked = 0
     mismatches: list[str] = []
     for k in k_values:
-        for rho in analysis.coprime_tuples(k, args.m_cap):
-            # Both arrays are alive at once, so the oracle gets what the
-            # window leaves of the cap, and a refusal names their sum.
-            fast = core.expand(rho, args.memory_cap)
-            try:
-                slow = oracle.oracle_expand(rho, degree_cap=args.memory_cap - len(fast))
-            except DegreeCapExceeded as exc:
-                raise DegreeCapExceeded(len(fast) + exc.coefficients, args.memory_cap) from None
-            checked += 1
-            if not _same_coeffs(fast, slow):
-                mismatches.append(str(rho))
+        for run in analysis.coprime_runs(k, args.m_cap):
+            mismatches += _mismatches(run, args.memory_cap)
+            checked += len(run)
     payload = {
         "command": "oracle-check",
         "m_cap": _big(args.m_cap),
@@ -419,12 +414,39 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK if not mismatches else EXIT_VERIFY_FAILED
 
 
+def _mismatches(run: list[core.CoprimeTuple], cap: int) -> list[str]:
+    """The tuples of ``run`` whose fast and reference expansions differ.
+
+    The run sweeps its shared half once (``core.expansions``) when its
+    shared array, one copy and its largest oracle product fit ``cap``
+    together; otherwise each tuple expands alone, and a refusal comes at
+    the same tuple, with the same message, as for a tuple alone.
+    """
+    if 2 * (core.degree_of(run[-1]) + 1) + max(map(oracle.product_length, run)) <= cap:
+        arrays = core.expansions(run, cap)
+    else:
+        arrays = (core.expand(rho, cap) for rho in run)
+    mismatched = []
+    for rho in run:
+        # Both arrays are alive at once, so the oracle gets what the window
+        # leaves of the cap, and a refusal names their sum.
+        fast = next(arrays)
+        try:
+            slow = oracle.oracle_expand(rho, degree_cap=cap - len(fast))
+        except DegreeCapExceeded as exc:
+            raise DegreeCapExceeded(len(fast) + exc.coefficients, cap) from None
+        if not _same_coeffs(fast, slow):
+            mismatched.append(str(rho))
+        del fast, slow  # neither is kept alive while the next array is built
+    return mismatched
+
+
 def _same_coeffs(a: np.ndarray, b: np.ndarray) -> bool:
     # A block at a time: no boolean temporary of the whole window.
     import numpy as np
 
-    return len(a) == len(b) and all(
-        np.array_equal(a[i : i + core.SWEEP_BLOCK], b[i : i + core.SWEEP_BLOCK])
+    return len(a) == len(b) and not any(
+        np.count_nonzero(a[i : i + core.SWEEP_BLOCK] != b[i : i + core.SWEEP_BLOCK])
         for i in range(0, len(a), core.SWEEP_BLOCK)
     )
 

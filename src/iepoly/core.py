@@ -27,8 +27,9 @@ series 1 / Q_(q_1 ... q_(k-1)) (Q_(rho + q)(x) = Q_rho(x^q) / Q_rho(x)).
 ``low_halves`` sweeps that half once, over the run's longest window, and
 each tuple continues from a copy of its first entries with its own 2^(k-1)
 factors, those whose d is a multiple of q_k; the last tuple continues in
-the shared array itself.  ``expand`` and ``low_half`` are the run of one
-tuple, in place, and ``ordered_factors`` is that order.
+the shared array itself.  ``expansions`` does the same over full windows,
+for oracle-check.  ``expand`` and ``low_half`` are the run of one tuple, in
+place, and ``ordered_factors`` is that order.
 
 The coefficients live in one numpy array and one sweep loop serves both of
 its dtypes: int64 first, carrying a proven bound on the largest magnitude
@@ -37,7 +38,8 @@ only when that bound passes INT64_SAFE_LIMIT (see there).  A continuation
 starts from the shared array's bound, which bounds every prefix of that
 array.  If the scanned height is past the limit too, the tuple runs again
 from 1 in an object array of Python integers; if the shared sweep is past
-it, each tuple of the run runs alone.  A wrapped array is never carried on.
+it, each tuple of the run runs alone.  A wrapped array is never carried on,
+and is dropped before its replacement is built.
 The multiplication sweep runs top-down in blocks (SWEEP_BLOCK), so it needs
 no copy of the window.  That array is the one polynomial type: ``expand``
 and ``low_half`` return it, index i holding the x^i coefficient, and
@@ -203,7 +205,7 @@ def _flipped(factors: Sequence[Factor], q: int) -> list[Factor]:
 
 def expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndarray:
     """Coefficients 0 .. degree of Q, exactly; index i holds the x^i coefficient."""
-    return next(_truncated([rho], [degree_of(rho) + 1], degree_cap))
+    return next(expansions([rho], degree_cap))
 
 
 def low_half(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndarray:
@@ -229,6 +231,14 @@ def low_halves(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP
     return _truncated(run, [degree_of(rho) // 2 + 1 for rho in run], degree_cap)
 
 
+def expansions(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP) -> Iterator[np.ndarray]:
+    """``expand`` of each tuple of ``run``, in turn: ``low_halves`` over full windows.
+
+    The run holds the shared array and at most one shorter copy, as there.
+    """
+    return _truncated(run, [degree_of(rho) + 1 for rho in run], degree_cap)
+
+
 def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int], degree_cap: int) -> Iterator[np.ndarray]:
     for a, b in zip(run, run[1:]):
         if a.qs[:-1] != b.qs[:-1] or a.qs[-1] >= b.qs[-1]:
@@ -247,6 +257,8 @@ def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int], degree_cap: 
     shared = _unit(widest, "int64")
     factors = _shared_factors(run[0])
     bound = _sweep(shared, factors, 1)
+    if bound is None:
+        del shared  # not carried on, so not kept beside each tuple's own array
     last = len(run) - 1
     for i, (rho, window) in enumerate(zip(run, windows)):
         own = _flipped(factors, rho.qs[-1])
@@ -255,6 +267,7 @@ def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int], degree_cap: 
             continue
         c = shared if i == last else shared[:window].copy()
         if _sweep(c, own, bound) is None:
+            del c  # nor is a wrapped copy kept beside its restart
             c = _restart(window, factors + own)
         yield c
         del c  # so the consumer's array is gone before the next copy

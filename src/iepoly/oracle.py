@@ -13,8 +13,12 @@ untruncated product, 1 + (prod (q+1) + prod (q-1)) / 2 coefficients;
 entries beside it.  Multiplying by (1 - x^d) is a shifted subtraction in
 blocks from the top of the growing product; dividing by it is one
 descending cumulative sum with stride d, in place (by rows for large d),
-after which the quotient is the view past the d remainder entries.  The route
-keeps its own loops and calls none of ``core``'s sweep functions.
+after which minus the quotient is the view past the d remainder entries:
+the route never negates before a division, and restores the sign once at
+the end when the number of divisions, 2^(k-1), is odd (k = 1).  The zero
+remainder is checked after every division as before, since a remainder
+vanishes exactly when minus it does.  The route keeps its own loops and
+calls none of ``core``'s sweep functions.
 
 It runs in int64 first and carries a proven bound on the largest magnitude:
 times 2 per multiplication, times ceil(n/d) per division of n entries.
@@ -46,41 +50,46 @@ def _multiply(c: np.ndarray, d: int) -> None:
     # c(x) * (1 - x^d) in place, where the top d entries of c are zero:
     # c[i] -= c[i-d] for i descending, a block of at most max(d, SWEEP_BLOCK)
     # entries at a time, so every source entry is read before it changes.  A
-    # block longer than d overlaps its source, which numpy then copies.
+    # block longer than d overlaps its source, which numpy then copies.  A
+    # product that fits one block is one slice.
+    n = c.shape[0]
     block = max(d, SWEEP_BLOCK)
-    for end in range(c.shape[0], d, -block):
+    if n - d <= block:
+        c[d:] -= c[: n - d]
+        return
+    for end in range(n, d, -block):
         start = max(d, end - block)
         c[start:end] -= c[start - d : end - d]
 
 
 def _divide(c: np.ndarray, d: int) -> np.ndarray:
-    # c(x) / (1 - x^d) in place, from the top: q_j = q_{j+d} - c_{j+d}.  The
-    # entries become s_i = -(c_i + c_{i+d} + c_{i+2d} + ...), a prefix sum
-    # down each residue class mod d of the reversed array: from
-    # core.ROW_SWEEP_MIN on, d entries at a time from the top, in c's own
-    # direction (numpy adds negative strides more slowly); below it, full
-    # rows as one 2-d cumsum, then the ragged tail, whose predecessors are
-    # final by then.  s[d:] is the quotient; the recurrence continued below
-    # x^d gives s[:d], the remainder, which must vanish.
+    # Minus c(x) / (1 - x^d), in place, from the top: the quotient is
+    # q_j = q_{j+d} - c_{j+d}.  The entries become s_i = c_i + c_{i+d} +
+    # c_{i+2d} + ..., a prefix sum down each residue class mod d of the
+    # reversed array: from core.ROW_SWEEP_MIN on, d entries at a time from
+    # the top, in c's own direction (numpy adds negative strides more
+    # slowly); below it, full rows as one 2-d cumsum, then the ragged tail
+    # at the bottom of c, whose predecessors are final by then.  s[d:] is
+    # minus the quotient, which the caller's sign restores; the recurrence
+    # continued below x^d gives s[:d], minus the remainder, which must vanish.
     import numpy as np
 
     n = c.shape[0]
     if n <= d:
         raise ValueError(f"{n} coefficients cannot be divided by 1 - x^{d}")
-    np.negative(c, out=c)
     if d >= ROW_SWEEP_MIN:
         for top in range(n - d, 0, -d):
             bottom = max(top - d, 0)
             c[bottom:top] += c[bottom + d : top + d]
     else:
         r = c[::-1]
-        rows = n // d
+        rows, tail = divmod(n, d)
         if rows >= 2:
             head = r[: rows * d].reshape(rows, d)
-            head.cumsum(axis=0, out=head)
-        if rows * d < n:
-            r[rows * d :] += r[(rows - 1) * d : n - d]
-    if c[:d].any():
+            np.add.accumulate(head, axis=0, out=head)
+        if tail:
+            c[:tail] += c[d : d + tail]
+    if np.count_nonzero(c[:d]):
         raise NonzeroRemainder(f"1 - x^{d} leaves a nonzero remainder")
     return c[d:]
 
@@ -123,13 +132,19 @@ def _route(
             bound = _peak(c)
             if bound > INT64_SAFE_LIMIT:
                 return None
+    # Each division left minus its quotient.
+    if len(divisors) % 2:
+        np.negative(c, out=c)
     return c
 
 
-def _product_length(rho: CoprimeTuple) -> int:
-    # The product's degree is the sum of m / prod_S q over the even-size
-    # subsets S: m times the even part of prod (1 + 1/q), which is
-    # (prod (1 + 1/q) + prod (1 - 1/q)) / 2.
+def product_length(rho: CoprimeTuple) -> int:
+    """Coefficients of the untruncated product, the longest array of ``oracle_expand``.
+
+    The product's degree is the sum of m / prod_S q over the even-size
+    subsets S: m times the even part of prod (1 + 1/q), which is
+    (prod (1 + 1/q) + prod (1 - 1/q)) / 2.
+    """
     plus = minus = 1
     for q in rho.qs:
         plus *= q + 1
@@ -145,7 +160,7 @@ def oracle_expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np
     result is a view into that array.  A NonzeroRemainder here means an
     arithmetic bug: the quotient is a polynomial for every valid tuple.
     """
-    length = _product_length(rho)
+    length = product_length(rho)
     if length > degree_cap:
         raise DegreeCapExceeded(length, degree_cap)
     factors = factor_system(rho)

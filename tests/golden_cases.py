@@ -25,4 +25,6 @@ GOLDEN_CASES = [
     ("search_k3_m105", ["search", "--k", "3", "--m-cap", "105"], 0),
     ("search_empty", ["search", "--k", "2", "--m-cap", "5"], 0),
     ("oracle_check_200", ["oracle-check", "--m-cap", "200"], 0),
+    ("oracle_check_kmax20", ["oracle-check", "--m-cap", "30", "--k-max", "20"], 0),
+    ("oracle_check_kmax21", ["oracle-check", "--m-cap", "30", "--k-max", "21"], 3),
 ]

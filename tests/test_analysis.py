@@ -13,6 +13,7 @@ from iepoly.analysis import (
     DEFAULT_SEARCH_EXPAND_CAP,
     ConstantResult,
     constant_log_tail_bound,
+    coprime_runs,
     coprime_tuples,
     height_report,
     limit_constant,
@@ -262,6 +263,43 @@ class TestEnumeration:
                 brute.append(qs)
         assert [t.qs for t in coprime_tuples(2, 60)] == sorted(brute)
 
+    @pytest.mark.parametrize("k, m_caps", [
+        (1, (1, 2, 3, 30)),
+        (2, (5, 6, 7, 60, 300)),
+        (3, (29, 30, 31, 200, 600)),
+        (4, (209, 210, 211, 1000)),
+    ])
+    def test_runs_match_brute_force(self, k, m_caps):
+        import itertools
+        from math import factorial
+
+        for m_cap in m_caps:
+            # The other k - 1 entries are distinct and at least 2, so no entry passes m_cap // k!.
+            brute = [qs for qs in itertools.combinations(range(2, m_cap // factorial(k) + 1), k)
+                     if math.prod(qs) <= m_cap and all(math.gcd(a, b) == 1 for a, b in itertools.combinations(qs, 2))]
+            expected = [list(group) for _, group in itertools.groupby(brute, key=lambda qs: qs[:-1])]
+            runs = list(coprime_runs(k, m_cap))
+            assert [[rho.qs for rho in run] for run in runs] == expected, (k, m_cap)
+            for run in runs:
+                assert run and all(rho.m == math.prod(rho.qs) for rho in run)
+                assert len({rho.qs[:-1] for rho in run}) == 1
+                assert [rho.qs[-1] for rho in run] == sorted({rho.qs[-1] for rho in run})
+            assert list(coprime_tuples(k, m_cap)) == [rho for run in runs for rho in run]
+        assert expected, "the largest cap enumerates something"
+
+    def test_runs_errors_and_caps(self):
+        for bad in ((0, 10), (2, 0)):
+            with pytest.raises(InvalidParameter):
+                next(coprime_runs(*bad))
+        with pytest.raises(CapExceeded):
+            next(coprime_runs(2, 10**8))
+
+    def test_absurd_k_costs_a_few_multiplications(self):
+        start = time.perf_counter()
+        assert list(coprime_tuples(10**6, 30)) == []
+        assert list(coprime_runs(10**9, 10**7)) == []
+        assert time.perf_counter() - start < 0.1
+
 
 class TestSearch:
     def test_m105(self):
@@ -281,8 +319,8 @@ class TestSearch:
         # (3,4)'s A / M passes (2,3)'s by 2^-200: the two ratios are equal in
         # floats and at 128 bits, so only the exact fraction puts (3,4) first.
         heights = {(2, 3): (1, 1), (3, 4): (2**200 + 1, 2**200)}
-        monkeypatch.setattr(analysis, "coprime_tuples",
-                            lambda k, m_cap: [validate_tuple(qs) for qs in heights])
+        monkeypatch.setattr(analysis, "coprime_runs",
+                            lambda k, m_cap: [[validate_tuple(qs)] for qs in heights])
         monkeypatch.setattr(analysis, "low_halves", lambda run, degree_cap: (
             np.array([heights[rho.qs][0]], dtype=object) for rho in run))
         monkeypatch.setattr(analysis, "normalizer", lambda rho: heights[rho.qs][1])

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -315,6 +316,12 @@ class TestSearch:
         assert {"lower": 0.487, "upper": 0.9541} == payload["reference_bracket"]
         assert "finite-sample" in payload["note"]
 
+    def test_absurd_k_finds_nothing_quickly(self, capsys):
+        start = time.perf_counter()
+        code, payload, _ = run_json(capsys, "search", "--k", "1000000", "--m-cap", "30")
+        assert (code, payload["count"], payload["results"]) == (0, 0, [])
+        assert time.perf_counter() - start < 1
+
     def test_empty(self, capsys):
         code, payload, _ = run_json(capsys, "search", "--k", "2", "--m-cap", "5")
         assert code == 0
@@ -388,8 +395,8 @@ class TestOracleCheck:
 
     def test_default_cap_reaches_past_m_10_4(self, capsys, monkeypatch):
         # Enumerating every tuple up to m = 1.7e6 is slow; one tuple stands in.
-        monkeypatch.setattr(analysis, "coprime_tuples",
-                            lambda k, m_cap: [core.validate_tuple([49, 145, 241])] if k == 3 else [])
+        monkeypatch.setattr(analysis, "coprime_runs",
+                            lambda k, m_cap: [[core.validate_tuple([49, 145, 241])]] if k == 3 else [])
         code, payload, _ = run_json(capsys, "oracle-check", "--m-cap", "1712305")
         assert code == 0
         assert (payload["tuples_checked"], payload["mismatches"]) == (1, 0)
@@ -398,6 +405,73 @@ class TestOracleCheck:
         code, out, err = run(capsys, "oracle-check", "--m-cap", "100000000")
         assert (code, out) == (3, "")
         assert "enumeration cap" in err
+
+    def test_k_max_subset_cap(self, capsys):
+        code, payload, _ = run_json(capsys, "oracle-check", "--m-cap", "30", "--k-max", "20")
+        assert (code, payload["k_values"], payload["mismatches"]) == (0, list(range(1, 21)), 0)
+        for k_max in ("21", "1000000000"):
+            code, out, err = run(capsys, "oracle-check", "--m-cap", "30", "--k-max", k_max)
+            assert (code, out) == (3, "")
+            assert err == f"error: TupleTooLarge: k = {k_max} exceeds subset cap 20\n"
+
+    def test_mismatch_inside_a_k1_run_is_reported(self, capsys, monkeypatch):
+        real = oracle.oracle_expand
+
+        def flipped(rho, degree_cap):
+            c = real(rho, degree_cap)
+            if rho.qs == (7,):
+                c[3] += 1
+            return c
+
+        monkeypatch.setattr(oracle, "oracle_expand", flipped)
+        code, payload, _ = run_json(capsys, "oracle-check", "--m-cap", "30", "--k-max", "1")
+        assert (code, payload["tuples_checked"], payload["mismatched_tuples"]) == (1, 29, ["{7}"])
+
+    def test_every_memory_cap_matches_the_per_tuple_check(self, capsys):
+        # Runs share a sweep only where the whole run fits; every other cap
+        # must refuse at the same tuple, with the same sum, as one tuple at a
+        # time: expand (a window W), then the reference route (a product p)
+        # within what W leaves of the cap.
+        tuples = [rho for k in (1, 2, 3) for rho in coprime_tuples(k, 105)]
+        assert all(np.array_equal(core.expand(rho), oracle.oracle_expand(rho)) for rho in tuples)
+        payload = {"command": "oracle-check", "m_cap": "105", "k_values": [1, 2, 3], "tuples_checked": len(tuples),
+                   "mismatches": 0, "mismatched_tuples": []}
+
+        def per_tuple(cap):
+            for rho in tuples:
+                window, product = core.degree_of(rho) + 1, oracle.product_length(rho)
+                if window > cap:
+                    return 3, "", f"error: DegreeCapExceeded: {window} coefficients exceed the cap of {cap}\n"
+                if window + product > cap:
+                    return 3, "", f"error: DegreeCapExceeded: {window + product} coefficients exceed the cap of {cap}\n"
+            return 0, json.dumps(payload, separators=(",", ":")) + "\n", ""
+
+        outcomes = set()
+        for cap in range(100, 421):
+            expected = per_tuple(cap)
+            assert run(capsys, "oracle-check", "--m-cap", "105", "--memory-cap", str(cap)) == expected, cap
+            outcomes.add(expected[0])
+        assert outcomes == {0, 3}
+
+    def test_holds_one_shared_array_one_copy_and_one_product(self, capsys, monkeypatch):
+        # One run with windows past SWEEP_BLOCK, under a cap it fits exactly:
+        # while a copy is swept, the previous tuple's arrays must be gone.
+        run_ = [core.validate_tuple([7, 11, q]) for q in (2003, 2005, 2007, 2011)]
+        monkeypatch.setattr(analysis, "coprime_runs", lambda k, m_cap: [run_] if k == 3 else [])
+        windows = [core.degree_of(rho) + 1 for rho in run_]
+        products = [oracle.product_length(rho) for rho in run_]
+        assert windows[0] > core.SWEEP_BLOCK
+        cap = 2 * windows[-1] + max(products)
+        run(capsys, "compute", "--q", "3,5,7", "--height-only")  # loads numpy outside the trace
+        tracemalloc.start()
+        try:
+            code = main(["oracle-check", "--m-cap", "200000", "--memory-cap", str(cap)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["tuples_checked"] == len(run_)
+        assert peak < 8 * (cap + core.SWEEP_BLOCK) + (1 << 17)
 
 
 class TestCoefficientWriter:

@@ -439,6 +439,35 @@ class TestRuns:
         assert heights == [height(low_half(rho)) for rho in run]
         assert peak < 8 * (windows[-1] + windows[-2] + SWEEP_BLOCK) + (1 << 16)
 
+    @pytest.mark.parametrize("wraps, arrays", [
+        # The shared sweep: each tuple runs alone, and the shared array is dropped.
+        (lambda c, bound, calls: len(calls) == 1, 1),
+        # Every continuation: each restarts in Python integers beside the
+        # shared array, and the wrapped copy is dropped first.
+        (lambda c, bound, calls: bound > 1 and c.dtype == np.int64, 2),
+    ])
+    def test_a_wrapped_array_is_not_kept(self, monkeypatch, wraps, arrays):
+        run = [validate_tuple([7, 11, q]) for q in (4987, 4993, 4999)]
+        windows = [degree_of(rho) // 2 + 1 for rho in run]
+        expected = [height(low_half(rho)) for rho in run]
+        real = core._sweep
+        calls = []
+
+        def wrapping(c, factors, bound):
+            calls.append(len(c))
+            result = real(c, factors, bound)
+            return None if wraps(c, bound, calls) else result
+
+        monkeypatch.setattr(core, "_sweep", wrapping)
+        tracemalloc.start()
+        try:
+            heights = list(map(height, low_halves(run)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert heights == expected
+        assert peak < 8 * (arrays * windows[-1] + SWEEP_BLOCK) + (1 << 17)
+
     def test_degree_cap_names_the_first_window_too_long(self):
         run = [validate_tuple(qs) for qs in ((2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 3, 13))]  # windows 5, 7, 11, 13
         with pytest.raises(DegreeCapExceeded) as err:
@@ -557,11 +586,18 @@ class TestStridedPrefixSum:
             assert c.tolist() == expected, (d, n)
 
 
+@st.composite
+def coprime_pairs(draw):
+    # a < b <= 60 with gcd 1, drawn directly: nothing is filtered.
+    a = draw(st.integers(2, 59))
+    b = draw(st.sampled_from([b for b in range(a + 1, 61) if math.gcd(a, b) == 1]))
+    return a, b
+
+
 @settings(max_examples=60, deadline=None)
-@given(a=st.integers(2, 60), b=st.integers(2, 60))
-def test_two_element_tuples_have_unit_coefficients(a, b):
-    assume(a < b and math.gcd(a, b) == 1)
-    p = expand(validate_tuple([a, b]))
+@given(pair=coprime_pairs())
+def test_two_element_tuples_have_unit_coefficients(pair):
+    p = expand(validate_tuple(pair))
     assert set(p) <= {-1, 0, 1}
 
 

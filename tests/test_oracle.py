@@ -27,8 +27,8 @@ def mul(values, d, dtype=np.int64):
 
 
 def div(values, d, dtype=np.int64):
-    # The route's division step; it returns the quotient, a view of the array.
-    return oracle._divide(ints(values, dtype), d)
+    # The route's division step leaves minus the quotient; this is the quotient.
+    return -oracle._divide(ints(values, dtype), d)
 
 
 def reference_mul(c, d):
@@ -99,9 +99,10 @@ class TestExactDiv:
             div([1, 0, -1], 3)
 
     def test_quotient_is_a_view(self):
+        # Minus the quotient, in the array itself: no division negates.
         c = ints(mul([1, 2, 3], 2))
         q = oracle._divide(c, 2)
-        assert q.tolist() == [1, 2, 3]
+        assert q.tolist() == [-1, -2, -3]
         assert np.shares_memory(q, c)
 
     @pytest.mark.parametrize("d", [1, 7, ROW_SWEEP_MIN - 1, ROW_SWEEP_MIN, ROW_SWEEP_MIN + 1, 3 * ROW_SWEEP_MIN + 5])
@@ -166,7 +167,7 @@ def route_peaks(multipliers, divisors):
     for d in divisors:
         c = oracle._divide(c, d)
         peaks.append(max(abs(v) for v in c.tolist()))
-    return peaks, c
+    return peaks, -c if len(divisors) % 2 else c
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,6 +208,25 @@ class TestOracleExpand:
 
     def test_singleton(self):
         assert oracle_expand(validate_tuple([7])).tolist() == [1] * 7
+
+    @pytest.mark.parametrize("q", [2, 3, 7, ROW_SWEEP_MIN + 1, SWEEP_BLOCK + 3])
+    @pytest.mark.parametrize("limit", [INT64_SAFE_LIMIT, 0])
+    def test_singletons_restore_the_sign_once(self, monkeypatch, q, limit):
+        # k = 1 is the one route with an odd number of divisions (one), so
+        # the only one whose sign is restored at the end; in both lanes.
+        monkeypatch.setattr(oracle, "INT64_SAFE_LIMIT", limit)
+        p = oracle_expand(validate_tuple([q]))
+        assert p.dtype == (np.int64 if limit else object)
+        assert p.tolist() == [1] * q
+
+    @pytest.mark.parametrize("limit", [INT64_SAFE_LIMIT, 0])
+    def test_planted_remainder_raises_in_both_lanes(self, monkeypatch, limit):
+        # (1 - x^15)(1 - x) / ((1 - x^5)(1 - x^4)) is no polynomial: 3,5's
+        # factors with 1 - x^4 planted in place of 1 - x^3.
+        monkeypatch.setattr(oracle, "factor_system", lambda rho: ((15, 1), (5, -1), (4, -1), (1, 1)))
+        monkeypatch.setattr(oracle, "INT64_SAFE_LIMIT", limit)
+        with pytest.raises(NonzeroRemainder):
+            oracle_expand(validate_tuple([3, 5]))
 
     def test_nonprime_pair(self):
         p = oracle_expand(validate_tuple([4, 9]))
@@ -251,7 +271,7 @@ class TestOracleExpand:
     def test_peak_memory_is_one_product(self, qs):
         # The route allocates its product once and runs every step inside it.
         rho = validate_tuple(qs)
-        length = oracle._product_length(rho)
+        length = oracle.product_length(rho)
         expected = expand(rho)
         tracemalloc.start()
         try:
