@@ -20,9 +20,10 @@ bound on the distance from the reported float to the limit (derivation in
 the docstrings).
 
 The tuples of a search come from ``coprime_runs``, one run at a time: the
-tuples that share q_1 .. q_(k-1), which ``core.low_halves`` (and
-``oracle-check``'s ``core.expansions``) sweep as one.  ``coprime_tuples``
-is their concatenation.
+tuples that share q_1 .. q_(k-1), at most RUN_LENGTH candidates for q_k
+apiece, which ``core.low_halves`` (and ``oracle-check``'s
+``core.expansions``) sweep as one.  ``coprime_tuples`` is their
+concatenation.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ MANTISSA_BITS = 128
 LOG_DIGITS = 50
 DEFAULT_SEARCH_EXPAND_CAP = 10**5
 MAX_ENUM_PRODUCT = 10**7
+# Candidates for q_k per run of coprime_runs: bounds a run's list whatever
+# m_cap is; no run is split below m_cap = 4098.
+RUN_LENGTH = 4096
 
 # Opaque literature bracket for the double-limit supremum of normalized
 # ratios; used purely to annotate search reports.
@@ -259,19 +263,23 @@ def limit_constant(terms: int) -> ConstantResult:
     return ConstantResult(value, terms, error_bound)
 
 
-def coprime_runs(k: int, m_cap: int) -> Iterator[list[CoprimeTuple]]:
+def coprime_runs(k: int, m_cap: int, max_degree: int | None = None) -> Iterator[list[CoprimeTuple]]:
     """All valid tuples with exactly k entries and product <= m_cap, as runs.
 
-    A run is the non-empty list of tuples that share q_1 .. q_(k-1), ascending
-    in q_k; runs come in lexicographic order of that prefix, so their
-    concatenation is ``coprime_tuples``.  Prefixes are extended ascending, and
-    a branch dies as soon as the cheapest completion q(q+1)...(q+t-1) pushes
-    the product past the cap; that product stops growing once it passes the
-    cap, so an absurd k costs a few multiplications.  An entry is coprime to
-    the entries before it exactly when it is coprime to their product, so
-    each candidate costs one gcd, and a run's last entries are read off
-    q_(k-1) + 1 .. m_cap // prefix product.  An m_cap above MAX_ENUM_PRODUCT
-    raises CapExceeded.
+    A run is a non-empty list of tuples that share q_1 .. q_(k-1), ascending
+    in q_k, drawn from at most RUN_LENGTH consecutive candidates for q_k, so
+    no run holds more than RUN_LENGTH tuples however large m_cap is.  Runs
+    come in lexicographic order, so their concatenation is
+    ``coprime_tuples``.  Prefixes are extended ascending, and a branch dies
+    as soon as the cheapest completion q(q+1)...(q+t-1) pushes the product
+    past the cap; that product stops growing once it passes the cap, so an
+    absurd k costs a few multiplications.  An entry is coprime to the
+    entries before it exactly when it is coprime to their product, so each
+    candidate costs one gcd, and the candidates for q_k are q_(k-1) + 1 ..
+    m_cap // prefix product.  With ``max_degree`` they also stop where the
+    degree prod (q_j - 1), which rises with q_k, would pass it: q_k - 1 <=
+    max_degree // prod (q_j - 1) over the prefix.  An m_cap above
+    MAX_ENUM_PRODUCT raises CapExceeded.
     """
     if k < 1:
         raise InvalidParameter(f"k must be >= 1, got {k}")
@@ -288,10 +296,11 @@ def coprime_runs(k: int, m_cap: int) -> Iterator[list[CoprimeTuple]]:
                 return False
         return True
 
-    def prefixes(prefix: tuple[int, ...], product: int, start: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        # Each coprime prefix of k - 1 entries that leaves room for q_k.
+    def prefixes(prefix: tuple[int, ...], product: int, start: int,
+                 remaining: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        # Each coprime prefix of k - 1 entries that leaves room for q_k, with its product.
         if remaining == 1:
-            yield prefix
+            yield prefix, product
             return
         q = start
         while fits(product, q, remaining):
@@ -299,13 +308,15 @@ def coprime_runs(k: int, m_cap: int) -> Iterator[list[CoprimeTuple]]:
                 yield from prefixes(prefix + (q,), product * q, q + 1, remaining - 1)
             q += 1
 
-    for prefix in prefixes((), 1, 2, k):
-        product = math.prod(prefix)
-        start = prefix[-1] + 1 if prefix else 2
-        run = [CoprimeTuple(prefix + (q,), product * q)
-               for q in range(start, m_cap // product + 1) if math.gcd(q, product) == 1]
-        if run:
-            yield run
+    for prefix, product in prefixes((), 1, 2, k):
+        stop = m_cap // product + 1
+        if max_degree is not None:
+            stop = min(stop, max_degree // math.prod(q - 1 for q in prefix) + 2)
+        for low in range(prefix[-1] + 1 if prefix else 2, stop, RUN_LENGTH):
+            run = [CoprimeTuple(prefix + (q,), product * q)
+                   for q in range(low, min(low + RUN_LENGTH, stop)) if math.gcd(q, product) == 1]
+            if run:
+                yield run
 
 
 def coprime_tuples(k: int, m_cap: int) -> Iterator[CoprimeTuple]:
@@ -339,10 +350,7 @@ def search_max_ratio(
     """
     reports = []
     ratios: dict[tuple[int, int], float] = {}
-    for run in coprime_runs(k, m_cap):
-        run = [rho for rho in run if degree_of(rho) <= expand_cap]
-        if not run:
-            continue
+    for run in coprime_runs(k, m_cap, max_degree=expand_cap):
         M = normalizer(run[0])
         for rho, A in zip(run, map(height, low_halves(run, degree_cap))):
             if (A, M) not in ratios:

@@ -50,14 +50,9 @@ def _multiply(c: np.ndarray, d: int) -> None:
     # c(x) * (1 - x^d) in place, where the top d entries of c are zero:
     # c[i] -= c[i-d] for i descending, a block of at most max(d, SWEEP_BLOCK)
     # entries at a time, so every source entry is read before it changes.  A
-    # block longer than d overlaps its source, which numpy then copies.  A
-    # product that fits one block is one slice.
-    n = c.shape[0]
+    # block longer than d overlaps its source, which numpy then copies.
     block = max(d, SWEEP_BLOCK)
-    if n - d <= block:
-        c[d:] -= c[: n - d]
-        return
-    for end in range(n, d, -block):
+    for end in range(c.shape[0], d, -block):
         start = max(d, end - block)
         c[start:end] -= c[start - d : end - d]
 

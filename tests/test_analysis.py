@@ -294,6 +294,25 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             next(coprime_runs(2, 10**8))
 
+    def test_runs_are_cut_at_run_length(self, monkeypatch):
+        whole = {k: list(coprime_tuples(k, 300)) for k in (1, 2, 3)}
+        monkeypatch.setattr(analysis, "RUN_LENGTH", 5)
+        for k, tuples in whole.items():
+            runs = list(coprime_runs(k, 300))
+            assert [rho for run in runs for rho in run] == tuples
+            assert len(runs) > len({rho.qs[:-1] for rho in tuples})
+            for run in runs:
+                assert run and len({rho.qs[:-1] for rho in run}) == 1
+                assert run[-1].qs[-1] - run[0].qs[-1] < 5
+
+    @pytest.mark.parametrize("k, m_cap", [(1, 300), (2, 300), (3, 600), (4, 1000)])
+    def test_max_degree_stops_each_run(self, k, m_cap):
+        for max_degree in (-1, 0, 1, 2, 7, 8, 48, 50, 10**6):
+            runs = list(coprime_runs(k, m_cap, max_degree))
+            assert all(runs)
+            assert [rho for run in runs for rho in run] == [
+                rho for rho in coprime_tuples(k, m_cap) if degree_of(rho) <= max_degree], max_degree
+
     def test_absurd_k_costs_a_few_multiplications(self):
         start = time.perf_counter()
         assert list(coprime_tuples(10**6, 30)) == []
@@ -320,7 +339,7 @@ class TestSearch:
         # floats and at 128 bits, so only the exact fraction puts (3,4) first.
         heights = {(2, 3): (1, 1), (3, 4): (2**200 + 1, 2**200)}
         monkeypatch.setattr(analysis, "coprime_runs",
-                            lambda k, m_cap: [[validate_tuple(qs)] for qs in heights])
+                            lambda k, m_cap, max_degree: [[validate_tuple(qs)] for qs in heights])
         monkeypatch.setattr(analysis, "low_halves", lambda run, degree_cap: (
             np.array([heights[rho.qs][0]], dtype=object) for rho in run))
         monkeypatch.setattr(analysis, "normalizer", lambda rho: heights[rho.qs][1])

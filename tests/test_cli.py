@@ -322,6 +322,23 @@ class TestSearch:
         assert (code, payload["count"], payload["results"]) == (0, 0, [])
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_peak_memory_at_the_enumeration_cap(self, capsys, k):
+        # The run of prefix () or (2,) has millions of candidates for q_k at
+        # m <= 10^7; only those within --expand-cap may be listed.
+        argv = ["search", "--k", k, "--m-cap", "10000000", "--expand-cap", "200"]
+        run(capsys, "compute", "--q", "3,5,7", "--height-only")  # loads numpy outside the trace
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        count = json.loads(capsys.readouterr().out)["count"]
+        assert count == sum(core.degree_of(rho) <= 200 for rho in coprime_tuples(int(k), 4000))
+        assert peak < 2 << 20
+
     def test_empty(self, capsys):
         code, payload, _ = run_json(capsys, "search", "--k", "2", "--m-cap", "5")
         assert code == 0
@@ -392,6 +409,19 @@ class TestOracleCheck:
         assert (code, out) == (3, "")
         # (53,) is the first tuple whose window and oracle product pass 105 together.
         assert err == "error: DegreeCapExceeded: 107 coefficients exceed the cap of 105\n"
+
+    def test_early_refusal_at_the_enumeration_cap(self, capsys):
+        # The k = 1 run up to m = 10^7 is listed RUN_LENGTH candidates at a
+        # time, so a refusal near its start comes before the rest is built.
+        run(capsys, "compute", "--q", "3,5,7", "--height-only")  # loads numpy outside the trace
+        tracemalloc.start()
+        try:
+            code = main(["oracle-check", "--m-cap", "10000000", "--memory-cap", "105"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().err) == (3, "error: DegreeCapExceeded: 107 coefficients exceed the cap of 105\n")
+        assert peak < 2 << 20
 
     def test_default_cap_reaches_past_m_10_4(self, capsys, monkeypatch):
         # Enumerating every tuple up to m = 1.7e6 is slow; one tuple stands in.
