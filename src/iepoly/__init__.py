@@ -3,7 +3,6 @@
 from .analysis import (
     ConstantResult,
     HeightReport,
-    coprime_tuples,
     height_report,
     limit_constant,
     normalized_ratio,
@@ -14,11 +13,9 @@ from .analysis import (
 from .construction import (
     CongruenceFamily,
     CongruenceReport,
-    CoprimalityTrace,
     HeightBound,
     check_congruence,
     congruence_family,
-    coprimality_trace,
     height_lower_bound,
 )
 from .core import (
@@ -38,14 +35,11 @@ __all__ = [
     "ConstantResult",
     "CongruenceFamily",
     "CongruenceReport",
-    "CoprimalityTrace",
     "CoprimeTuple",
     "HeightBound",
     "HeightReport",
     "check_congruence",
     "congruence_family",
-    "coprimality_trace",
-    "coprime_tuples",
     "degree_of",
     "eval_at_one",
     "expand",

@@ -22,8 +22,7 @@ the docstrings).
 The tuples of a search come from ``coprime_runs``, one run at a time: the
 tuples that share q_1 .. q_(k-1), at most RUN_LENGTH candidates for q_k
 apiece, which ``core.low_halves`` (and ``oracle-check``'s
-``core.expansions``) sweep as one.  ``coprime_tuples`` is their
-concatenation.
+``core.expansions``) sweep as one.
 """
 
 from __future__ import annotations
@@ -248,11 +247,22 @@ def limit_constant(terms: int) -> ConstantResult:
     [P_W (1 - t_W), P_W] for the working width W in bits, is also the
     bracket of P_T itself for T > W, so no count costs more than about 2W
     roots.
+
+    From T = W + 2 on, P_T t_T is not formed, nor the 2^(T+1) in t_T, so
+    no count costs more than T = W + 1.  With l <= P_W the bracket's low
+    end before the tail comes off, the bracket is at least l t_W wide and
+    the distance at least l t_W / 2.  The product would be lo t_T for the
+    bracket's low end lo <= l, and t_T falls with T, so t_T <= t_(W+2) <
+    t_W / 3 (t_(W+2) / t_W = ln(8W + 20) / (4 ln(8W + 4))): it would come to
+    less than two thirds of the distance, and the distance would be
+    reported.
     """
     if terms < 1:
         raise InvalidParameter(f"terms must be >= 1, got {terms}")
     value, width, lo, hi, e = _correctly_rounded(lambda width: _constant_bracket(terms, width))
-    error_bound = float(_to_fraction(lo, e) * constant_log_tail_bound(terms))
+    error_bound = 0.0
+    if terms < width + 2:
+        error_bound = float(_to_fraction(lo, e) * constant_log_tail_bound(terms))
     if terms <= width:
         lo, hi, e = _constant_bracket(math.inf, width)
     distance = max(Fraction(value) - _to_fraction(lo, e), _to_fraction(hi, e) - Fraction(value))
@@ -269,8 +279,8 @@ def coprime_runs(k: int, m_cap: int, max_degree: int | None = None) -> Iterator[
     A run is a non-empty list of tuples that share q_1 .. q_(k-1), ascending
     in q_k, drawn from at most RUN_LENGTH consecutive candidates for q_k, so
     no run holds more than RUN_LENGTH tuples however large m_cap is.  Runs
-    come in lexicographic order, so their concatenation is
-    ``coprime_tuples``.  Prefixes are extended ascending, and a branch dies
+    come in lexicographic order, and so do the tuples of their
+    concatenation.  Prefixes are extended ascending, and a branch dies
     as soon as the cheapest completion q(q+1)...(q+t-1) pushes the product
     past the cap; that product stops growing once it passes the cap, so an
     absurd k costs a few multiplications.  An entry is coprime to the
@@ -317,15 +327,6 @@ def coprime_runs(k: int, m_cap: int, max_degree: int | None = None) -> Iterator[
                    for q in range(low, min(low + RUN_LENGTH, stop)) if math.gcd(q, product) == 1]
             if run:
                 yield run
-
-
-def coprime_tuples(k: int, m_cap: int) -> Iterator[CoprimeTuple]:
-    """All valid tuples with exactly k entries and product <= m_cap, lexicographic order.
-
-    The concatenation of ``coprime_runs``, with its errors and caps.
-    """
-    for run in coprime_runs(k, m_cap):
-        yield from run
 
 
 def search_max_ratio(

@@ -49,6 +49,7 @@ import functools
 import gc
 import io
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
@@ -119,13 +120,13 @@ def _big(x: int) -> str:
     return "-" + digits if x < 0 else digits
 
 
-def _bound_strings(r: int, rho: core.CoprimeTuple, bound: construction.HeightBound) -> tuple[str, str]:
+def _bound_strings(r: int, rho: core.CoprimeTuple) -> tuple[str, str]:
     """lemma_bound and height_floor: r^(2^(k-1)) / m and its ceiling, raised in decimal.
 
     The fraction is in lowest terms, since each q_j = +-1 (mod r), and
-    raising r in decimal spares converting its binary numerator and floor.
+    raising r in decimal spares building its binary numerator and floor.
     """
-    assert bound.bound.denominator == rho.m
+    assert math.gcd(r, rho.m) == 1
     with decimal.localcontext(_EXACT):
         num = decimal.Decimal(r) ** (1 << (rho.k - 1))
         floor = (num + (rho.m - 1)) // rho.m
@@ -241,6 +242,9 @@ def _parse_q(raw: str) -> core.CoprimeTuple:
         raise InvalidParameter(f"cannot parse --q value {raw!r} as integers") from exc
     if not values:
         raise InvalidParameter(f"--q value {raw!r} contains no integers")
+    # Counted before validate_tuple's pairwise gcds, which a long list
+    # would spend seconds on; the cap also bounds r^(2^(k-1)) in verify.
+    core.check_subset_cap(len(values))
     return core.validate_tuple(values)
 
 
@@ -291,7 +295,7 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     fam = construction.congruence_family(args.N, args.k)
     ratio = analysis.predicted_ratio(fam)
     degree = core.degree_of(fam.rho)
-    lemma, floor = _bound_strings(fam.r, fam.rho, fam.height_bound) if fam.height_bound else (None, None)
+    lemma, floor = _bound_strings(fam.r, fam.rho) if fam.height_bound else (None, None)
     payload: dict[str, Any] = {
         "command": "construct",
         "N": args.N,
@@ -332,8 +336,6 @@ def cmd_constant(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     rho = _parse_q(args.q)
-    # The subset cap also bounds r^(2^(k-1)) in the height floor.
-    core.check_subset_cap(rho.k)
     if args.r < 1:
         raise InvalidParameter(f"--r must be positive, got {args.r}")
     report = construction.check_congruence(rho, args.r)
@@ -350,13 +352,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     }
     code = EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     if report.ok:
-        bound = construction.height_lower_bound(rho, args.r)
-        payload["lemma_bound"], payload["height_floor"] = _bound_strings(args.r, rho, bound)
+        payload["lemma_bound"], payload["height_floor"] = _bound_strings(args.r, rho)
         if args.expand:
             report = analysis.height_report(rho, core.low_half(rho, args.memory_cap))
             payload["degree"] = report.degree
             payload["height"] = _big(report.height)
-            payload["height_ok"] = report.height >= bound.floor
+            payload["height_ok"] = report.height >= construction.height_lower_bound(rho, args.r).floor
             if not payload["height_ok"]:
                 code = EXIT_VERIFY_FAILED
     return payload, code

@@ -22,13 +22,18 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import CoprimeTuple, validate_tuple
-from .errors import CongruenceNotSatisfied, InvalidParameter
+from .errors import CapExceeded, CongruenceNotSatisfied, InvalidParameter
 
 # Exact bounds are materialized only below this size.  It is part of the
 # output contract, not a speed setting: it decides which (N, k) families
 # report lemma_bound and height_floor (k <= 14 for N < 2 * 10^8), and it
 # caps each of those numbers at about 158k decimal digits.
 BOUND_BITS_CAP = 1 << 19
+# Largest k a family is built for.  construct's cost grows steeply with k
+# (k entries of about k log k bits, multiplied into m and into the degree
+# one at a time): with N = 1, k = 320 takes about a second on a 2-vCPU VM,
+# k = 400 1.6 s and k = 500 3.5 s.
+FAMILY_K_CAP = 320
 
 
 class ElementResidue(NamedTuple):
@@ -60,21 +65,6 @@ class CongruenceFamily(NamedTuple):
     r: int
     rho: CoprimeTuple
     height_bound: Optional[HeightBound]  # None when larger than BOUND_BITS_CAP bits
-
-
-class CoprimalityTrace(NamedTuple):
-    """One Euclid reduction step gcd(q_i, q_j) -> gcd(4(i-j)r, q_j), both verified."""
-
-    r: int
-    qi: int
-    qj: int
-    reduced: int
-    gcd_direct: int
-    gcd_reduced: int
-
-    @property
-    def ok(self) -> bool:
-        return self.gcd_direct == self.gcd_reduced == 1
 
 
 def check_congruence(rho: CoprimeTuple, r: int) -> CongruenceReport:
@@ -113,6 +103,8 @@ def family_parameters(N: int, k: int) -> tuple[int, list[int]]:
         raise InvalidParameter(f"N must be positive, got {N}")
     if k < 1:
         raise InvalidParameter(f"k must be positive, got {k}")
+    if k > FAMILY_K_CAP:
+        raise CapExceeded(f"k = {k} exceeds family cap {FAMILY_K_CAP}")
     r = N * math.factorial(k)
     return r, [(4 * j - 2) * r + 1 for j in range(1, k + 1)]
 
@@ -130,14 +122,3 @@ def congruence_family(N: int, k: int) -> CongruenceFamily:
     if (1 << (k - 1)) * r.bit_length() <= BOUND_BITS_CAP:
         bound = height_lower_bound(rho, r)
     return CongruenceFamily(N, k, r, rho, bound)
-
-
-def coprimality_trace(N: int, k: int, i: int, j: int) -> CoprimalityTrace:
-    """Execute the Euclid reduction for members i > j and verify both gcds directly."""
-    if not (1 <= j < i <= k):
-        raise InvalidParameter(f"need 1 <= j < i <= k, got i = {i}, j = {j}, k = {k}")
-    r, qs = family_parameters(N, k)
-    qi, qj = qs[i - 1], qs[j - 1]
-    reduced = 4 * (i - j) * r
-    # qi - qj = 4(i-j)r, so gcd(qi, qj) = gcd(qi - qj, qj) = gcd(reduced, qj).
-    return CoprimalityTrace(r, qi, qj, reduced, math.gcd(qi, qj), math.gcd(reduced, qj))

@@ -4,7 +4,8 @@ Validation errors carry the offending index or pair so callers (and tests)
 can assert on the exact rule that fired.  Capacity errors are raised instead
 of letting exponential enumeration or dense allocation thrash: TupleTooLarge
 guards the 2^k subset enumeration, DegreeCapExceeded the longest coefficient
-array a call would allocate, CapExceeded the tuple enumeration.
+array a call would allocate, CapExceeded the tuple enumeration and the
+congruence family's k.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class DegreeCapExceeded(CapacityError):
 
 
 class CapExceeded(CapacityError):
-    """The tuple enumeration would pass its product cap."""
+    """The tuple enumeration would pass its product cap, or a family its k cap."""
 
 
 class NonzeroRemainder(IEPolyError, ArithmeticError):

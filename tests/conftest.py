@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from iepoly.analysis import coprime_runs
 from iepoly.core import CoprimeTuple, degree_of, validate_tuple
 
 # Hand-picked tuples that exercise k = 1..4, prime and non-prime entries.
@@ -36,6 +37,11 @@ HIGH_K_TUPLES = [
     (3, 5, 7, 11, 13),
     (3, 4, 5, 7, 11, 13),
 ]
+
+
+def coprime_tuples(k: int, m_cap: int) -> list[CoprimeTuple]:
+    """Every valid tuple with exactly k entries and product <= m_cap: the runs of ``coprime_runs``, joined."""
+    return [rho for run in coprime_runs(k, m_cap) for rho in run]
 
 
 def make_random_tuples(count: int, max_degree: int = 10**5, seed: int = 0x5EED, k_max: int = 5) -> list[CoprimeTuple]:

@@ -2,8 +2,15 @@
 
 Each entry is (name, argv, expected_exit).  ``regen_goldens.py`` rewrites
 tests/golden/<name>.out from the current CLI; the acceptance suite replays
-every case twice and compares bytes against the stored file.
+every case twice and compares bytes against the stored file.  Both run
+the cases in SRC_ENV, so the package comes from this checkout's src/,
+whatever PYTHONPATH the caller set or copy of iepoly is installed.
 """
+
+import os
+import pathlib
+
+SRC_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 GOLDEN_CASES = [
     ("compute_height_only", ["compute", "--q", "3,5,7", "--height-only"], 0),

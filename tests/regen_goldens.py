@@ -10,7 +10,7 @@ import pathlib
 import subprocess
 import sys
 
-from golden_cases import GOLDEN_CASES
+from golden_cases import GOLDEN_CASES, SRC_ENV
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -21,6 +21,7 @@ def main() -> int:
         proc = subprocess.run(
             [sys.executable, "-m", "iepoly.cli", *argv],
             capture_output=True,
+            env=SRC_ENV,
         )
         if proc.returncode != expected_exit:
             print(f"{name}: exit {proc.returncode}, expected {expected_exit}", file=sys.stderr)

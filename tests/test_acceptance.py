@@ -12,9 +12,9 @@ import time
 import numpy as np
 from mpmath import mp
 
-from conftest import SMALL_TUPLES, make_random_tuples
-from golden_cases import GOLDEN_CASES
-from iepoly.analysis import coprime_tuples, limit_constant, normalizer, predicted_ratio
+from conftest import SMALL_TUPLES, coprime_tuples, make_random_tuples
+from golden_cases import GOLDEN_CASES, SRC_ENV
+from iepoly.analysis import limit_constant, normalizer, predicted_ratio
 from iepoly.construction import check_congruence, congruence_family, height_lower_bound
 from iepoly.core import (
     apply_factors,
@@ -148,6 +148,7 @@ def test_criterion_8_cli_contract():
                 subprocess.run(
                     [sys.executable, "-m", "iepoly.cli", *argv],
                     capture_output=True,
+                    env=SRC_ENV,
                 )
                 for _ in range(2)
             ]

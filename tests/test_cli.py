@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iepoly import analysis, cli, core, oracle
-from iepoly.analysis import coprime_tuples
+from conftest import coprime_tuples
+from golden_cases import SRC_ENV
+from iepoly import analysis, cli, construction, core, oracle
 from iepoly.cli import main
 from iepoly.construction import congruence_family, height_lower_bound
 
@@ -192,6 +193,17 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--N", "1", "--k", "25", "--expand")
         assert code == 3
 
+    @pytest.mark.parametrize("k", [construction.FAMILY_K_CAP + 1, 3000, 100_000])
+    def test_k_cap(self, capsys, k):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--N", "1", "--k", str(k))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == f"error: k = {k} exceeds family cap {construction.FAMILY_K_CAP}\n"
+
+    def test_k_cap_itself_constructs(self):
+        assert congruence_family(1, construction.FAMILY_K_CAP).k == construction.FAMILY_K_CAP
+
     def test_ratio_routes_one_ulp_apart_exit_1(self, capsys, monkeypatch):
         # Both routes are correctly rounded, so one ulp apart is a mismatch.
         exact = analysis.normalized_ratio
@@ -279,6 +291,14 @@ class TestConstant:
         # The float's own rounding error, not the 2^-4001 truncation error.
         assert 1e-17 < payload["error_bound"] < math.ulp(payload["value"])
 
+    def test_counts_past_the_width_cost_nothing_more(self, capsys):
+        _, reference, _ = run_json(capsys, "constant", "--terms", "2000")
+        start = time.perf_counter()
+        code, payload, _ = run_json(capsys, "constant", "--terms", str(10**12))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert payload == dict(reference, terms=10**12)
+
 
 class TestVerify:
     def test_passing_instance(self, capsys):
@@ -305,6 +325,34 @@ class TestVerify:
         qs = ",".join(str(p) for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73])
         code, _, _ = run(capsys, "verify", "--q", qs, "--r", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [["compute", "--height-only"], ["verify", "--r", "2"]])
+    def test_entries_are_counted_before_pairs(self, capsys, argv):
+        # 12,000 primes: the pairwise gcds alone took seconds before the count.
+        sieve = bytearray([1]) * 128_190
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(len(sieve)) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+        qs = ",".join(str(p) for p, prime in enumerate(sieve) if prime)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--q", qs)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == "error: TupleTooLarge: k = 12000 exceeds subset cap 20\n"
+
+    def test_binary_bound_only_for_an_expanded_height(self, capsys, monkeypatch):
+        # lemma_bound and height_floor are raised in decimal; the binary
+        # floor is built only to compare a height, once its low half exists.
+        calls = []
+        bound = construction.height_lower_bound
+        monkeypatch.setattr(construction, "height_lower_bound", lambda rho, r: calls.append(rho) or bound(rho, r))
+        argv = ["verify", "--q", "13,37,61", "--r", "6"]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--expand", "--memory-cap", "100")[0] == 3
+        assert calls == []
+        code, payload, _ = run_json(capsys, *argv, "--expand")
+        assert (code, payload["height_ok"], len(calls)) == (0, True, 1)
 
 
 class TestSearch:
@@ -554,9 +602,6 @@ class TestOutputContract:
         code, out, _ = run(capsys, "compute", "--q", "2,3", "--format", "text")
         assert code == 0
         assert "height: 1" in out
-
-
-SRC_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 
 def run_python(*args):

@@ -7,8 +7,6 @@ from iepoly.analysis import height_report, limit_constant
 from iepoly.construction import (
     check_congruence,
     congruence_family,
-    coprimality_trace,
-    family_parameters,
     height_lower_bound,
 )
 from iepoly.core import expand, height, low_half, validate_tuple
@@ -112,42 +110,6 @@ class TestHeightLowerBound:
         assert height(expand(rho)) >= hb.floor
 
 
-class TestCoprimalityTrace:
-    def test_example_n1_k3(self):
-        tr = coprimality_trace(1, 3, 2, 1)
-        assert (tr.qi, tr.qj) == (37, 13)
-        assert tr.reduced == 24
-        assert tr.ok
-
-    def test_example_n1_k2(self):
-        tr = coprimality_trace(1, 2, 2, 1)
-        assert (tr.qi, tr.qj) == (13, 5)
-        assert tr.reduced == 8
-        assert tr.gcd_direct == 1 and tr.gcd_reduced == 1
-
-    def test_example_n3_k3(self):
-        tr = coprimality_trace(3, 3, 3, 2)
-        assert tr.ok
-
-    def test_reduction_is_faithful(self):
-        # The reduced pair must literally be one subtraction step of Euclid.
-        for N in (1, 4, 9):
-            for k in range(2, 6):
-                r, qs = family_parameters(N, k)
-                for i in range(2, k + 1):
-                    for j in range(1, i):
-                        tr = coprimality_trace(N, k, i, j)
-                        assert tr.qi - tr.qj == tr.reduced
-                        assert math.gcd(tr.qi, tr.qj) == math.gcd(tr.reduced, tr.qj)
-                        assert tr.ok
-
-    def test_invalid_indices(self):
-        with pytest.raises(InvalidParameter):
-            coprimality_trace(1, 3, 1, 1)
-        with pytest.raises(InvalidParameter):
-            coprimality_trace(1, 3, 4, 1)
-
-
 class TestRecords:
     """The result records: immutable named tuples with their fields in order."""
 
@@ -163,12 +125,11 @@ class TestRecords:
             ("r", "modulus", "elements", "ok"): report,
             ("bound", "floor"): fam.height_bound,
             ("N", "k", "r", "rho", "height_bound"): fam,
-            ("r", "qi", "qj", "reduced", "gcd_direct", "gcd_reduced"): coprimality_trace(1, 3, 2, 1),
         }
 
     def test_fields_in_order_and_frozen(self):
         records = self.records()
-        assert len({type(record) for record in records.values()}) == 8
+        assert len({type(record) for record in records.values()}) == 7
         for fields, record in records.items():
             assert record._fields == fields
             assert tuple(record) == tuple(getattr(record, f) for f in fields)
@@ -182,5 +143,3 @@ class TestRecords:
         assert repr(rho) == "CoprimeTuple(qs=(3, 5, 7), m=105)"
         assert str(rho) == "{3,5,7}"
         assert rho.k == 3
-        assert coprimality_trace(1, 3, 2, 1).ok
-        assert not coprimality_trace(1, 3, 2, 1)._replace(gcd_direct=3).ok

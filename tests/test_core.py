@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import coprime_tuples
 import iepoly
 from iepoly import core
-from iepoly.analysis import coprime_tuples
 from iepoly.core import (
     INT64_SAFE_LIMIT,
     ROW_SWEEP_MIN,
@@ -202,6 +202,31 @@ class TestExpandProperties:
                     assert np.array_equal(np.convolve(joined, base), stretched), (rho, q)
                     positions.add(sum(p < q for p in rho.qs))
         assert positions == {0, 1, 2, 3}
+
+    def test_periodic_in_the_last_entry(self):
+        """Kaplan's periodicity, across tuples that share no window.
+
+        For a prefix rho' with product m' and q > m' coprime to m', the
+        coefficients of Q_(rho' + q) take the same values for every q in one
+        residue class mod m', and the height is the same for q and for -q mod
+        m' (Kaplan, "Flat cyclotomic polynomials of order three", J. Number
+        Theory 127 (2007); Bachman and Moree, Integers 11 (2011), for
+        inclusion-exclusion polynomials).  So the sweeps of q and q + m',
+        whose windows differ, must agree on the largest and least
+        coefficient.  No command relies on the statement.
+        """
+        by_residue, by_sign = {}, {}
+        for k in (2, 3, 4):
+            for prefix in coprime_tuples(k - 1, 60):
+                m = prefix.m
+                run = [validate_tuple(prefix.qs + (q,)) for q in range(m + 1, 3 * m + 1) if math.gcd(q, m) == 1]
+                for rho, low in zip(run, low_halves(run)):
+                    q = rho.qs[-1]
+                    by_residue.setdefault((prefix.qs, q % m), set()).add((int(low.max()), int(low.min())))
+                    by_sign.setdefault((prefix.qs, min(q % m, -q % m)), set()).add(height(low))
+        assert (len(by_residue), len(by_sign)) == (1771, 886)
+        assert all(len(values) == 1 for values in by_residue.values())
+        assert all(len(values) == 1 for values in by_sign.values())
 
 
 def divisions_first(rho):

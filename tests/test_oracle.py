@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coprime_tuples
 from iepoly import oracle
-from iepoly.analysis import coprime_tuples
 from iepoly.core import INT64_SAFE_LIMIT, ROW_SWEEP_MIN, SWEEP_BLOCK, expand, height, validate_tuple
 from iepoly.errors import DegreeCapExceeded, NonzeroRemainder
 from iepoly.oracle import oracle_expand
