@@ -1,21 +1,24 @@
 """Command-line front end.
 
 Subcommands: compute, construct, constant, verify, search, oracle-check.
-JSON goes to stdout (compact, fixed field order, byte-deterministic),
-diagnostics to stderr.  Exit codes: 0 success, 1 a checked mathematical
-predicate is false, 2 invalid input (or an --out file that cannot be
-written), 3 a capacity cap was exceeded.
+One line of compact JSON goes to stdout (fixed field order,
+byte-deterministic, whatever stdout is attached to), diagnostics to
+stderr.  Exit codes: 0 success, 1 a checked mathematical predicate is
+false, 2 invalid input (or an --out file that cannot be written), 3 a
+capacity cap was exceeded.
 
 Exact values never pass through lossy JSON numbers: arbitrary-precision
 integers serialize as decimal strings and rationals as "num/den" strings.
 Reals are reported as 64-bit floats, each the correctly rounded value of
 a chain of integer square roots (see the analysis module); constant's
 error_bound bounds the distance from its reported value to the limit.
---out writes one decimal integer per line; an int64 array is formatted in
-numpy, a block at a time.
+compute prints up to COEFF_INLINE_LIMIT coefficients inline; a longer
+window is omitted unless --out writes it, one decimal integer per line (an
+int64 array is formatted in numpy, a block at a time).  construct and
+verify print r^(2^(k-1)) / m only where construction.bound_fits, and null
+past it.
 
-Configuration comes from the command line only: --format (text on a
-terminal, json when piped) and --memory-cap.  --memory-cap bounds the
+Configuration comes from the command line only.  --memory-cap bounds the
 longest coefficient array a call allocates: the full window when
 coefficients are output, the low half (core.low_half) when only the height
 is.  In oracle-check it bounds the window and the reference route's
@@ -29,8 +32,8 @@ in-process callers use; it changes no process-wide setting.  A run pays
 start-up only for what it uses: numpy loads with the first coefficient
 array (see the core module), so constant, construct and verify without
 --expand never load it.  The records are NamedTuples, so no command loads
-dataclasses (nor its inspect, ast, dis, tokenize), csv loads for --format
-csv only, and r^(2^(k-1)) / m prints from a power of r taken in decimal.
+dataclasses (nor its inspect, ast, dis, tokenize), and r^(2^(k-1)) / m
+prints from a power of r taken in decimal.
 ``run`` also sets OPENBLAS_NUM_THREADS=1 for its own process before
 anything can load numpy, because iepoly calls no BLAS routine and starting
 OpenBLAS's thread pool doubles numpy's import time; the value changes no
@@ -47,7 +50,6 @@ import argparse
 import decimal
 import functools
 import gc
-import io
 import json
 import math
 import os
@@ -178,59 +180,8 @@ def _int64_lines(block: np.ndarray) -> bytes:
     return rows[keep].tobytes()
 
 
-def emit(payload: dict[str, Any], fmt: str, out: Any = None) -> None:
-    out = out if out is not None else sys.stdout
-    if fmt == "json":
-        out.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    elif fmt == "csv":
-        out.write(_to_csv(payload))
-    else:
-        out.write(_to_text(payload))
-
-
-def _flat(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, list):
-        return ";".join(_flat(v) for v in value)
-    if isinstance(value, dict):
-        return ";".join(f"{k}={_flat(v)}" for k, v in value.items())
-    return str(value)
-
-
-def _to_csv(payload: dict[str, Any]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    tables = {k: v for k, v in payload.items() if isinstance(v, list) and v and isinstance(v[0], dict)}
-    for key, value in payload.items():
-        if key in tables:
-            continue
-        writer.writerow([key, _flat(value)])
-    for key, rows in tables.items():
-        writer.writerow([key])
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_flat(row.get(h)) for h in header])
-    return buf.getvalue()
-
-
-def _to_text(payload: dict[str, Any]) -> str:
-    lines = []
-    for key, value in payload.items():
-        if isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{key}:")
-            for row in value:
-                lines.append("  " + "  ".join(f"{k}={_flat(v)}" for k, v in row.items()))
-        else:
-            lines.append(f"{key}: {_flat(value)}")
-    return "\n".join(lines) + "\n"
+def emit(payload: dict[str, Any]) -> None:
+    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 # -------------------------------- commands ---------------------------------
@@ -280,7 +231,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             except OSError as exc:
                 raise InvalidParameter(f"cannot write --out: {exc}") from exc
             payload["coefficients_file"] = args.out
-        elif len(full) <= COEFF_INLINE_LIMIT or args.force_coeffs:
+        elif len(full) <= COEFF_INLINE_LIMIT:
             as_strings = report.height > JSON_SAFE_INT
             values = full.tolist()
             payload["coefficients"] = [str(c) for c in values] if as_strings else values
@@ -352,14 +303,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     }
     code = EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     if report.ok:
-        payload["lemma_bound"], payload["height_floor"] = _bound_strings(args.r, rho)
+        fits = construction.bound_fits(args.r, rho.k)
+        payload["lemma_bound"], payload["height_floor"] = _bound_strings(args.r, rho) if fits else (None, None)
         if args.expand:
             report = analysis.height_report(rho, core.low_half(rho, args.memory_cap))
             payload["degree"] = report.degree
             payload["height"] = _big(report.height)
-            payload["height_ok"] = report.height >= construction.height_lower_bound(rho, args.r).floor
-            if not payload["height_ok"]:
-                code = EXIT_VERIFY_FAILED
+            if fits:
+                payload["height_ok"] = report.height >= construction.height_lower_bound(rho, args.r).floor
+                if not payload["height_ok"]:
+                    code = EXIT_VERIFY_FAILED
     return payload, code
 
 
@@ -456,8 +409,6 @@ def _same_coeffs(a: np.ndarray, b: np.ndarray) -> bool:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv", "text"], default=None,
-                        help="output format (default: json when piped, text on a terminal)")
     common.add_argument("--memory-cap", type=int, default=core.DEFAULT_DEGREE_CAP, metavar="COEFFS",
                         help="cap on the longest coefficient array a call allocates (default 2^28)")
 
@@ -472,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height-only", action="store_true",
                    help="omit coefficients and structural checks; sweep only the low half")
     p.add_argument("--coeff", type=int, default=None, metavar="INDEX", help="also report one coefficient")
-    p.add_argument("--force-coeffs", action="store_true",
-                   help=f"inline coefficients even above {COEFF_INLINE_LIMIT} entries")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write coefficients to FILE, one decimal integer per line")
     p.set_defaults(handler=cmd_compute)
@@ -525,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (IdentityMismatch, NonzeroRemainder) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    emit(payload, args.format or ("text" if sys.stdout.isatty() else "json"))
+    emit(payload)
     return code
 
 

@@ -8,8 +8,9 @@ q_j = 2r + 1 (mod 4r), which guarantees the coefficient height of the
 expanded polynomial is at least r^(2^(k-1)) / m.
 
 The exact rational height bound has r^(2^(k-1)) in the numerator and is
-materialized only while its estimated size fits BOUND_BITS_CAP bits; beyond
-that the family still constructs (r, q_j stay cheap) and its bound is None.
+materialized only while its estimated size fits BOUND_BITS_CAP bits
+(bound_fits); beyond that the family still constructs (r, q_j stay cheap)
+and its bound is None.
 It is in lowest terms: each q_j = +-1 (mod r), so gcd(r, m) = 1, and the
 command line prints it from a decimal power of r instead of converting it.
 Results are NamedTuples: immutable, and they unpack and compare as tuples.
@@ -24,10 +25,12 @@ from typing import NamedTuple, Optional
 from .core import CoprimeTuple, validate_tuple
 from .errors import CapExceeded, CongruenceNotSatisfied, InvalidParameter
 
-# Exact bounds are materialized only below this size.  It is part of the
-# output contract, not a speed setting: it decides which (N, k) families
-# report lemma_bound and height_floor (k <= 14 for N < 2 * 10^8), and it
-# caps each of those numbers at about 158k decimal digits.
+# Exact bounds are materialized only below this size (bound_fits).  It is
+# part of the output contract, not a speed setting: it decides for which
+# (N, k) construct, and for which (r, k) verify, reports lemma_bound and
+# height_floor (construct: k <= 14 for N < 2 * 10^8); past it both print
+# null and compare no height.  It caps each of those numbers at about 158k
+# decimal digits.
 BOUND_BITS_CAP = 1 << 19
 # Largest k a family is built for.  construct's cost grows steeply with k
 # (k entries of about k log k bits, multiplied into m and into the degree
@@ -97,6 +100,11 @@ def height_lower_bound(rho: CoprimeTuple, r: int) -> HeightBound:
     return HeightBound(bound, floor)
 
 
+def bound_fits(r: int, k: int) -> bool:
+    """Whether r^(2^(k-1)) is small enough to build: 2^(k-1) times r's bit length within BOUND_BITS_CAP."""
+    return (1 << (k - 1)) * r.bit_length() <= BOUND_BITS_CAP
+
+
 def family_parameters(N: int, k: int) -> tuple[int, list[int]]:
     """r = N * k! and the member list q_j = (4j - 2) r + 1."""
     if N < 1:
@@ -119,6 +127,6 @@ def congruence_family(N: int, k: int) -> CongruenceFamily:
     if not report.ok or any(e.branch != "plus" for e in report.elements):
         raise AssertionError("constructed family must sit on the 2r + 1 branch")
     bound: Optional[HeightBound] = None
-    if (1 << (k - 1)) * r.bit_length() <= BOUND_BITS_CAP:
+    if bound_fits(r, k):
         bound = height_lower_bound(rho, r)
     return CongruenceFamily(N, k, r, rho, bound)

@@ -10,6 +10,8 @@ congruence family's k.
 
 from __future__ import annotations
 
+import decimal
+
 
 class IEPolyError(Exception):
     """Base class for all library errors."""
@@ -66,7 +68,11 @@ class DegreeCapExceeded(CapacityError):
     def __init__(self, coefficients: int, cap: int) -> None:
         self.coefficients = coefficients
         self.cap = cap
-        super().__init__(f"DegreeCapExceeded: {coefficients} coefficients exceed the cap of {cap}")
+        # Decimal prints a count of any length, past the interpreter's
+        # int-to-str digit limit too, which a refused window can exceed.
+        super().__init__(
+            f"DegreeCapExceeded: {decimal.Decimal(coefficients)} coefficients exceed the cap of {cap}"
+        )
 
 
 class CapExceeded(CapacityError):

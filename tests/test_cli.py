@@ -1,10 +1,12 @@
 import argparse
+import io
 import json
 import math
 import os
 import pathlib
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -97,11 +99,15 @@ class TestCompute:
             assert run(capsys, *argv)[0] == expected, argv
 
     @pytest.mark.parametrize("flag", [["--mantissa-bits", "8"], ["--half-degree"], ["--oracle-cap", "50"],
-                                      ["--subset-cap", "2"]])
+                                      ["--subset-cap", "2"], ["--format", "json"], ["--force-coeffs"]])
     def test_removed_flags_are_rejected(self, capsys, flag):
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "--q", "13,37,61", "--height-only"] + flag)
-        assert exc.value.code == 2
+        for argv in [["compute", "--q", "13,37,61"], ["construct", "--N", "1", "--k", "2"],
+                     ["constant", "--terms", "3"], ["verify", "--q", "13,37,61", "--r", "6"],
+                     ["search", "--k", "2", "--m-cap", "30"], ["oracle-check", "--m-cap", "30"]]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flag)
+            assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
     def test_reals_keep_full_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("IEPOLY_MANTISSA_BITS", "8")
@@ -129,13 +135,14 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write --out") and err.count("\n") == 1
 
-    def test_large_dumps_require_force(self, capsys):
+    def test_large_dumps_go_to_out(self, capsys, tmp_path):
+        # 10,007 coefficients: past the inline limit, so omitted unless --out writes them.
         code, payload, _ = run_json(capsys, "compute", "--q", "2,10007")
-        assert code == 0
-        assert payload.get("coefficients_omitted") is True
-        code, payload, _ = run_json(capsys, "compute", "--q", "2,10007", "--force-coeffs")
-        assert code == 0
-        assert len(payload["coefficients"]) == 10007
+        assert (code, payload["coefficients_omitted"], "coefficients" in payload) == (0, True, False)
+        sink = tmp_path / "coeffs.txt"
+        code, payload, _ = run_json(capsys, "compute", "--q", "2,10007", "--out", str(sink))
+        assert (code, payload["coefficients_file"], "coefficients_omitted" in payload) == (0, str(sink), False)
+        assert sink.read_text().splitlines() == ["1", "-1"] * 5003 + ["1"]
 
     def test_environment_does_not_configure(self, capsys, monkeypatch):
         # Variables an earlier version read in place of the flags.
@@ -353,6 +360,25 @@ class TestVerify:
         assert calls == []
         code, payload, _ = run_json(capsys, *argv, "--expand")
         assert (code, payload["height_ok"], len(calls)) == (0, True, 1)
+
+    def test_bound_past_the_gate_is_null(self, capsys):
+        # A k = 20 family member with a 199-digit r: r^(2^19) / m and its
+        # ceiling have about 10^8 digits each, 208 MB of stdout.
+        fam = congruence_family(10**180, 20)
+        assert len(str(fam.r)) == 199 and not construction.bound_fits(fam.r, 20)
+        start = time.perf_counter()
+        code, payload, _ = run_json(capsys, "verify", "--q", ",".join(map(str, fam.rho.qs)), "--r", str(fam.r))
+        assert time.perf_counter() - start < 1
+        assert (code, payload["congruence_ok"], payload["lemma_bound"], payload["height_floor"]) == (0, True, None, None)
+
+    def test_construct_and_verify_share_the_gate(self, capsys, monkeypatch):
+        # 13,37,61 with r = 6: r^4 has 12 bits, past a cap of 8.
+        monkeypatch.setattr(construction, "BOUND_BITS_CAP", 8)
+        _, built, _ = run_json(capsys, "construct", "--N", "1", "--k", "3", "--expand")
+        code, payload, _ = run_json(capsys, "verify", "--q", "13,37,61", "--r", "6", "--expand")
+        assert code == 0
+        for out in built, payload:
+            assert (out["lemma_bound"], out["height_floor"], out["height"], "height_ok" in out) == (None, None, "5", False)
 
 
 class TestSearch:
@@ -593,15 +619,19 @@ class TestOutputContract:
         b = run(capsys, "search", "--k", "3", "--m-cap", "105")
         assert a == b
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run(capsys, "constant", "--terms", "5", "--format", "csv")
-        assert code == 0
-        assert out.startswith("command,constant")
+    @pytest.mark.parametrize("argv", [["compute", "--q", "2,3"], ["constant", "--terms", "5"],
+                                      ["search", "--k", "3", "--m-cap", "105"]])
+    def test_stdout_does_not_depend_on_the_terminal(self, capsys, monkeypatch, argv):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
 
-    def test_text_format(self, capsys):
-        code, out, _ = run(capsys, "compute", "--q", "2,3", "--format", "text")
-        assert code == 0
-        assert "height: 1" in out
+        piped = run(capsys, *argv)
+        terminal = Terminal()
+        monkeypatch.setattr(sys, "stdout", terminal)
+        code = main(argv)
+        assert (code, terminal.getvalue()) == piped[:2]
+        assert piped[1].count("\n") == 1
 
 
 def run_python(*args):
@@ -682,6 +712,26 @@ def test_main_leaves_the_str_digit_limit_alone(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("argv", [["compute", "--height-only"], ["verify", "--expand"]])
+def test_refused_count_past_the_str_digit_limit(capsys, argv):
+    # The k = 20 family with N = 10^250 has a low half of more than 4,300 digits.
+    fam = congruence_family(10**250, 20)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        window = str(core.degree_of(fam.rho) // 2 + 1)
+        sys.set_int_max_str_digits(4300)
+        extra = ["--r", str(fam.r)] if argv[0] == "verify" else []
+        code, out, err = run(capsys, argv[0], "--q", ",".join(map(str, fam.rho.qs)), *argv[1:], *extra)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(window) > 4300
+    assert (code, out) == (3, "")
+    assert err == f"error: DegreeCapExceeded: {window} coefficients exceed the cap of {core.DEFAULT_DEGREE_CAP}\n"
+
+
 def test_run_accepts_integers_past_the_str_digit_limit():
     # 5,001-digit --q and --r: q = 2r + 1 with r = 10^5000.
     r = "1" + "0" * 5000
@@ -756,5 +806,18 @@ def test_readme_configuration_table_matches_the_program():
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = [{o for a in p._actions for o in a.option_strings} for p in subparsers.choices.values()]
     common = set.intersection(*options) - {"-h", "--help"}
-    assert common == {"--format", "--memory-cap"}
+    assert common == {"--memory-cap"}
     assert sorted(rows) == sorted(common)
+
+
+def test_readme_command_examples_run(capsys):
+    # Every `iepoly ...` line of the README's "Command line" block exits 0
+    # and prints one line of JSON.
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("iepoly ")]
+    assert len(lines) >= 10
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert (code, err, out.count("\n")) == (0, "", 1), line
+        json.loads(out)
