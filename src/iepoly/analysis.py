@@ -21,7 +21,7 @@ the docstrings).
 
 The tuples of a search come from ``coprime_runs``, one run at a time: the
 tuples that share q_1 .. q_(k-1), at most RUN_LENGTH candidates for q_k
-apiece, which ``core.low_halves`` (and ``oracle-check``'s
+apiece, which ``core.heights`` (and ``oracle-check``'s
 ``core.expansions``) sweep as one.
 """
 
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .construction import CongruenceFamily
-from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, degree_of, height, low_halves
+from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, degree_of, height, heights
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 
 if TYPE_CHECKING:
@@ -339,7 +339,7 @@ def search_max_ratio(
 
     Each tuple sweeps only its low half, of at most ``degree_cap`` entries,
     and each run of ``coprime_runs``, the tuples that share q_1 .. q_(k-1),
-    goes through ``low_halves`` as one.  The output is a finite-sample
+    goes through ``heights`` as one.  The output is a finite-sample
     statistic over the enumerated set, nothing more.  The ranking compares
     the exact fractions A / M, of which the ratio is an increasing function
     at fixed k, and breaks ties by lexicographic tuple order, so it is a pure
@@ -353,7 +353,7 @@ def search_max_ratio(
     ratios: dict[tuple[int, int], float] = {}
     for run in coprime_runs(k, m_cap, max_degree=expand_cap):
         M = normalizer(run[0])
-        for rho, A in zip(run, map(height, low_halves(run, degree_cap))):
+        for rho, A in zip(run, heights(run, degree_cap)):
             if (A, M) not in ratios:
                 ratios[A, M] = normalized_ratio(A, M, k)
             reports.append(HeightReport(rho, A, M, degree_of(rho), ratios[A, M]))

@@ -24,7 +24,7 @@ coefficients are output, the low half (core.low_half) when only the height
 is.  In oracle-check it bounds the window and the reference route's
 untruncated product together, since both are alive at once; a run of
 tuples sharing q_1 .. q_(k-1) shares one sweep only where its shared
-array, one copy and its largest product fit the cap together.
+array, one array as long and its largest product fit the cap together.
 
 ``run`` is the process entry point (``python -m iepoly.cli`` and the
 ``iepoly`` script); ``main(argv)`` is the pure part that tests and
@@ -372,9 +372,10 @@ def _mismatches(run: list[core.CoprimeTuple], cap: int) -> list[str]:
     """The tuples of ``run`` whose fast and reference expansions differ.
 
     The run sweeps its shared half once (``core.expansions``) when its
-    shared array, one copy and its largest oracle product fit ``cap``
-    together; otherwise each tuple expands alone, and a refusal comes at
-    the same tuple, with the same message, as for a tuple alone.
+    shared array, one array as long and its largest oracle product fit
+    ``cap`` together (beside them a block of several tuples holds at most
+    SWEEP_BLOCK entries); otherwise each tuple expands alone, and a refusal
+    comes at the same tuple, with the same message, as for a tuple alone.
     """
     if 2 * (core.degree_of(run[-1]) + 1) + max(map(oracle.product_length, run)) <= cap:
         arrays = core.expansions(run, cap)

@@ -32,10 +32,11 @@ from .errors import CapExceeded, CongruenceNotSatisfied, InvalidParameter
 # null and compare no height.  It caps each of those numbers at about 158k
 # decimal digits.
 BOUND_BITS_CAP = 1 << 19
-# Largest k a family is built for.  construct's cost grows steeply with k
-# (k entries of about k log k bits, multiplied into m and into the degree
-# one at a time): with N = 1, k = 320 takes about a second on a 2-vCPU VM,
-# k = 400 1.6 s and k = 500 3.5 s.
+# Largest k a family is built for.  construct's cost grows steeply with k:
+# k entries of about k log k bits, k (k - 1) / 2 gcds of them and the
+# conversions of the output, with m and the degree each a balanced product
+# tree.  With N = 1, in process on a 2-vCPU VM, k = 320 takes about 0.3 s,
+# k = 400 0.6 s and k = 500 1.2 s.
 FAMILY_K_CAP = 320
 
 

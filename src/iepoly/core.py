@@ -24,22 +24,29 @@ The unit of work is a run: tuples that share q_1 ... q_(k-1) and differ in
 q_k, as a lexicographic enumeration yields them.  The 2^(k-1) subsets that
 hold q_k give factors whose d does not depend on q_k; their product is the
 series 1 / Q_(q_1 ... q_(k-1)) (Q_(rho + q)(x) = Q_rho(x^q) / Q_rho(x)).
-``low_halves`` sweeps that half once, over the run's longest window, and
-each tuple continues from a copy of its first entries with its own 2^(k-1)
-factors, those whose d is a multiple of q_k; the last tuple continues in
-the shared array itself.  ``expansions`` does the same over full windows,
-for oracle-check.  ``expand`` and ``low_half`` are the run of one tuple, in
-place, and ``ordered_factors`` is that order.
+A run sweeps that half once, over its longest window.  Each tuple's own
+2^(k-1) factors have d = q_k d' for the d' of that half, the same for
+every tuple of the run, so the tuples continue side by side: a block lays
+each tuple's first entries out in rows of q_k, the tuples' columns next to
+each other, and one sweep of stride d' times the block's width applies a
+factor to every tuple at once (``_block``).  The tuples before the last
+go in blocks of at most SWEEP_BLOCK entries, a tuple too long for that in
+a block of its own; the last continues in the shared array itself.
+``heights`` takes every height of a block from its column extremes, for
+search, and ``expansions`` each tuple's array, for oracle-check.
+``expand`` and ``low_half`` are the run of one tuple, in place, and
+``ordered_factors`` is that order.
 
 The coefficients live in one numpy array and one sweep loop serves both of
 its dtypes: int64 first, carrying a proven bound on the largest magnitude
 that each sweep multiplies by its growth factor, and scanning the array
-only when that bound passes INT64_SAFE_LIMIT (see there).  A continuation
-starts from the shared array's bound, which bounds every prefix of that
-array.  If the scanned height is past the limit too, the tuple runs again
-from 1 in an object array of Python integers; if the shared sweep is past
-it, each tuple of the run runs alone.  A wrapped array is never carried on,
-and is dropped before its replacement is built.
+only when that bound passes INT64_SAFE_LIMIT (see there).  A block starts
+from the shared array's bound, which bounds every entry it copies.  If
+the scanned height is past the limit too, a tuple alone runs again from 1
+in an object array of Python integers, each tuple of a block continues
+alone, and if the shared sweep is past it, each tuple of the run runs
+alone.  A wrapped array is never carried on, and is dropped before its
+replacement is built.
 The multiplication sweep runs top-down in blocks (SWEEP_BLOCK), so it needs
 no copy of the window.  That array is the one polynomial type: ``expand``
 and ``low_half`` return it, index i holding the x^i coefficient, and
@@ -54,7 +61,7 @@ numpy is imported only by the functions that allocate an array, so
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -133,18 +140,22 @@ def validate_tuple(values: Iterable[int]) -> CoprimeTuple:
         g = math.gcd(qs[i], qs[j])
         if g != 1:
             raise NotCoprime(i, j, qs[i], qs[j], g)
-    m = 1
-    for q in qs:
-        m *= q
-    return CoprimeTuple(qs, m)
+    return CoprimeTuple(qs, _product(qs))
 
 
 def degree_of(rho: CoprimeTuple) -> int:
     """Degree of the expanded polynomial: prod (q_j - 1)."""
-    deg = 1
-    for q in rho.qs:
-        deg *= q - 1
-    return deg
+    return _product([q - 1 for q in rho.qs])
+
+
+def _product(values: Sequence[int]) -> int:
+    # Neighbours multiplied pairwise, round after round: each product is of
+    # two operands of about equal length, where one entry at a time would
+    # multiply the whole product so far by each small entry.
+    values = list(values)
+    while len(values) > 1:
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1 :]
+    return values[0] if values else 1
 
 
 def check_subset_cap(k: int) -> None:
@@ -179,7 +190,7 @@ def ordered_factors(rho: CoprimeTuple) -> list[Factor]:
     The first half is the subsets that hold q_k.  Their d = m' / prod S' does
     not depend on q_k (m' = q_1 ... q_(k-1)), and their product is the series
     1 / Q_(q_1 ... q_(k-1)), so tuples that differ only in q_k share that half
-    and ``low_halves`` sweeps it once per run.  Multiplying first within each
+    and a run sweeps it once.  Multiplying first within each
     half keeps intermediate coefficients small, so the int64 sweep rarely
     needs to restart in Python integers.
     """
@@ -215,31 +226,57 @@ def low_half(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np.ndar
     -x^d (1 - x^-d), with 2^(k-1) factors on each side of the quotient, so
     x^degree Q(1/x) = Q(x): coefficient degree - i equals coefficient i.
     """
-    return next(low_halves([rho], degree_cap))
+    return next(_arrays([rho], [degree_of(rho) // 2 + 1], degree_cap))
 
 
-def low_halves(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP) -> Iterator[np.ndarray]:
-    """``low_half`` of each tuple of ``run``, in turn: tuples that share
-    q_1 .. q_(k-1), ascending in q_k.
+def heights(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP) -> Iterator[int]:
+    """``height(low_half(rho))`` of each tuple of ``run``, in turn: tuples that
+    share q_1 .. q_(k-1), ascending in q_k.
 
-    The shared half of ``ordered_factors`` is swept once, over the last
-    (longest) window; each tuple continues from a copy of its first entries,
-    and the last in that array itself.  So the run holds the shared array and
-    at most one shorter copy, if the consumer drops each array before the
-    next.  DegreeCapExceeded names the first window past ``degree_cap``.
+    A block's column maxima and minima, reduced over each tuple's columns,
+    give every height of the block at once.  A column's cells past its
+    tuple's window hold coefficients of that tuple's Q further up, or 0,
+    which move no height (Q is palindromic and its constant term is 1).
+    The run holds the shared array and one block, if the consumer keeps no
+    array.  DegreeCapExceeded names the first window past ``degree_cap``.
     """
-    return _truncated(run, [degree_of(rho) // 2 + 1 for rho in run], degree_cap)
+    import numpy as np
+
+    for block, widths in _truncated(run, [degree_of(rho) // 2 + 1 for rho in run], degree_cap):
+        offsets = [0, *accumulate(widths[:-1])]
+        top = np.maximum.reduceat(block.max(axis=0), offsets).tolist()
+        bottom = np.minimum.reduceat(block.min(axis=0), offsets).tolist()
+        del block
+        yield from (max(a, -b) for a, b in zip(top, bottom))
 
 
 def expansions(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP) -> Iterator[np.ndarray]:
-    """``expand`` of each tuple of ``run``, in turn: ``low_halves`` over full windows.
+    """``expand`` of each tuple of ``run``, in turn, as ``heights`` sweeps a run.
 
-    The run holds the shared array and at most one shorter copy, as there.
+    A tuple of a block of several comes as a copy of its columns; the run
+    holds the shared array, one block and that copy, if the consumer drops
+    each array before the next.
     """
-    return _truncated(run, [degree_of(rho) + 1 for rho in run], degree_cap)
+    return _arrays(run, [degree_of(rho) + 1 for rho in run], degree_cap)
 
 
-def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int], degree_cap: int) -> Iterator[np.ndarray]:
+def _arrays(run: Sequence[CoprimeTuple], windows: Sequence[int], degree_cap: int) -> Iterator[np.ndarray]:
+    # Coefficient i of the tuple in columns off .. off + w - 1 is at row
+    # i // w, column off + i % w; reshape copies unless it has the block alone.
+    window = iter(windows)
+    for block, widths in _truncated(run, windows, degree_cap):
+        for off, w in zip(accumulate(widths, initial=0), widths):
+            c = block[:, off : off + w].reshape(-1)[: next(window)]
+            yield c
+            del c  # so the consumer's array is gone before the next copy
+        del block  # and the block before the next block
+
+
+def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int],
+               degree_cap: int) -> Iterator[tuple[np.ndarray, list[int]]]:
+    # The arrays of the run's tuples, a block at a time: (block, widths),
+    # the block's columns split into the tuples' in run order.  An array of
+    # one tuple alone comes as a block of one column.
     for a, b in zip(run, run[1:]):
         if a.qs[:-1] != b.qs[:-1] or a.qs[-1] >= b.qs[-1]:
             raise InvalidParameter(f"a run shares q_1 .. q_(k-1) and ascends in q_k: {a} then {b}")
@@ -249,28 +286,96 @@ def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int], degree_cap: 
     if not run:
         return
     # The shared array's bound, or its scanned height, bounds every prefix
-    # of it, so each continuation starts from it.  If the shared sweep could
-    # have wrapped, each tuple runs alone, straight in Python integers at
-    # the widest window, where int64 would wrap at the same step; a tuple
-    # whose continuation could have wrapped starts again from 1 in them.
+    # of it, so each block starts from it.  If the shared sweep could have
+    # wrapped, each tuple runs alone, straight in Python integers at the
+    # widest window, where int64 would wrap at the same step.
     widest = windows[-1]
     shared = _unit(widest, "int64")
     factors = _shared_factors(run[0])
     bound = _sweep(shared, factors, 1)
     if bound is None:
         del shared  # not carried on, so not kept beside each tuple's own array
-    last = len(run) - 1
-    for i, (rho, window) in enumerate(zip(run, windows)):
-        own = _flipped(factors, rho.qs[-1])
-        if bound is None:
-            yield _restart(window, factors + own) if window == widest else apply_factors(window, factors + own)
-            continue
-        c = shared if i == last else shared[:window].copy()
-        if _sweep(c, own, bound) is None:
-            del c  # nor is a wrapped copy kept beside its restart
-            c = _restart(window, factors + own)
-        yield c
-        del c  # so the consumer's array is gone before the next copy
+        for rho, window in zip(run, windows):
+            own = _flipped(factors, rho.qs[-1])
+            c = _restart(window, factors + own) if window == widest else apply_factors(window, factors + own)
+            yield c[:, None], [1]
+            del c
+        return
+    members = [(rho.qs[-1], window) for rho, window in zip(run[:-1], windows)]
+    for group in _groups(members, widest):
+        yield from _continued(shared, bound, factors, group)
+    # The last tuple continues in the shared array itself.
+    own = _flipped(factors, run[-1].qs[-1])
+    if _sweep(shared, own, bound) is None:
+        del shared  # nor is a wrapped array kept beside its restart
+        shared = _restart(widest, factors + own)
+    yield shared[:, None], [1]
+
+
+def _continued(shared: np.ndarray, bound: int, factors: Sequence[Factor],
+               group: Sequence[tuple[int, int]]) -> Iterator[tuple[np.ndarray, list[int]]]:
+    # A block that could have wrapped runs each of its tuples alone, and a
+    # tuple alone that could have starts again from 1 in Python integers.
+    block = _block(shared, bound, factors, group)
+    if block is not None:
+        yield block, [q for q, _ in group]
+    elif len(group) > 1:
+        for member in group:
+            yield from _continued(shared, bound, factors, [member])
+    else:
+        q, window = group[0]
+        yield _restart(window, factors + _flipped(factors, q))[:, None], [1]
+
+
+def _groups(members: Sequence[tuple[int, int]], widest: int) -> Iterator[list[tuple[int, int]]]:
+    # Consecutive (q_k, window) pairs whose block of R rows, R the largest
+    # ceil(window / q_k), by the sum of their q_k columns fits SWEEP_BLOCK
+    # entries, and whose columns the shared array fills: R q_k <= widest.
+    # A tuple that fits no block with another is a group of one.
+    group: list[tuple[int, int]] = []
+    rows = columns = 0
+    for q, window in members:
+        grown = max(rows, -(-window // q))
+        if group and (grown * (columns + q) > SWEEP_BLOCK or grown * q > widest):
+            yield group
+            group, grown, columns = [], -(-window // q), 0
+        group.append((q, window))
+        rows, columns = grown, columns + q
+    if group:
+        yield group
+
+
+def _block(shared: np.ndarray, bound: int, factors: Sequence[Factor],
+           group: Sequence[tuple[int, int]]) -> Optional[np.ndarray]:
+    """The group's tuples continued from ``shared`` side by side, or None if that could have wrapped.
+
+    The tuple of last entry q takes q columns, cell (r, b) its coefficient
+    r q + b, so each of its own factors, of d a multiple of q, moves d / q
+    rows, and a row of C columns makes every tuple's factor one stride of
+    (d / q) C: ``_flipped(factors, C)``, swept once.  The sweep stops after
+    the last cell a window holds; a cell past it, or past ``shared``, is 0.
+    A block of one tuple is the first entries of ``shared`` continued alone.
+    """
+    import numpy as np
+
+    rows = max(-(-window // q) for q, window in group)
+    columns = sum(q for q, _ in group)
+    block = np.zeros((rows, columns), dtype=shared.dtype)
+    end = off = 0
+    for q, window in group:
+        source = shared[: rows * q]
+        full, rest = divmod(len(source), q)
+        block[:full, off : off + q] = source[: full * q].reshape(full, q)
+        if rest:
+            block[full, off : off + rest] = source[full * q :]
+        row = -(-window // q) - 1
+        end = max(end, row * columns + off + window - row * q)
+        off += q
+    flat = block.reshape(-1)
+    if _sweep(flat[:end], _flipped(factors, columns), bound) is None:
+        return None
+    flat[end:] = 0
+    return block
 
 
 def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:

@@ -13,6 +13,13 @@ from __future__ import annotations
 import decimal
 
 
+def _decimal(n: int) -> str:
+    # Decimal prints an integer of any length, past the interpreter's
+    # int-to-str digit limit too, which a tuple's entries and a refused
+    # window can exceed.
+    return str(decimal.Decimal(n))
+
+
 class IEPolyError(Exception):
     """Base class for all library errors."""
 
@@ -30,14 +37,14 @@ class EntryBelowTwo(TupleValidationError):
     def __init__(self, index: int, value: int) -> None:
         self.index = index
         self.value = value
-        super().__init__(f"EntryBelowTwo: q[{index}] = {value} < 2")
+        super().__init__(f"EntryBelowTwo: q[{index}] = {_decimal(value)} < 2")
 
 
 class NotIncreasing(TupleValidationError):
     def __init__(self, index: int, value: int, next_value: int) -> None:
         self.index = index
         super().__init__(
-            f"NotIncreasing: q[{index}] = {value} not below q[{index + 1}] = {next_value}"
+            f"NotIncreasing: q[{index}] = {_decimal(value)} not below q[{index + 1}] = {_decimal(next_value)}"
         )
 
 
@@ -46,7 +53,7 @@ class NotCoprime(TupleValidationError):
         self.i = i
         self.j = j
         self.gcd = g
-        super().__init__(f"NotCoprime({qi},{qj}): gcd = {g} at indices ({i},{j})")
+        super().__init__(f"NotCoprime({_decimal(qi)},{_decimal(qj)}): gcd = {_decimal(g)} at indices ({i},{j})")
 
 
 class InvalidParameter(IEPolyError, ValueError):
@@ -68,10 +75,8 @@ class DegreeCapExceeded(CapacityError):
     def __init__(self, coefficients: int, cap: int) -> None:
         self.coefficients = coefficients
         self.cap = cap
-        # Decimal prints a count of any length, past the interpreter's
-        # int-to-str digit limit too, which a refused window can exceed.
         super().__init__(
-            f"DegreeCapExceeded: {decimal.Decimal(coefficients)} coefficients exceed the cap of {cap}"
+            f"DegreeCapExceeded: {_decimal(coefficients)} coefficients exceed the cap of {cap}"
         )
 
 

@@ -339,8 +339,7 @@ class TestSearch:
         heights = {(2, 3): (1, 1), (3, 4): (2**200 + 1, 2**200)}
         monkeypatch.setattr(analysis, "coprime_runs",
                             lambda k, m_cap, max_degree: [[validate_tuple(qs)] for qs in heights])
-        monkeypatch.setattr(analysis, "low_halves", lambda run, degree_cap: (
-            np.array([heights[rho.qs][0]], dtype=object) for rho in run))
+        monkeypatch.setattr(analysis, "heights", lambda run, degree_cap: (heights[rho.qs][0] for rho in run))
         monkeypatch.setattr(analysis, "normalizer", lambda rho: heights[rho.qs][1])
         reports = search_max_ratio(20, 2)
         assert reports[0].normalized_ratio == reports[1].normalized_ratio

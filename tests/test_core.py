@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import sys
 import tracemalloc
 from itertools import combinations, groupby
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import coprime_tuples
 import iepoly
-from iepoly import core
+from iepoly import construction, core
 from iepoly.core import (
     INT64_SAFE_LIMIT,
     ROW_SWEEP_MIN,
@@ -26,11 +27,12 @@ from iepoly.core import (
     degree_of,
     eval_at_one,
     expand,
+    expansions,
     factor_system,
     height,
+    heights,
     is_palindromic,
     low_half,
-    low_halves,
     ordered_factors,
     validate_tuple,
 )
@@ -78,6 +80,32 @@ class TestValidate:
         with pytest.raises(NotCoprime) as err:
             validate_tuple([5, 7, 9, 21])
         assert (err.value.i, err.value.j) == (1, 3)
+
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("qs, error", [
+        ([10**4400, 2 * 10**4400], NotCoprime),
+        ([2 * 10**4400, 10**4400], NotIncreasing),
+        ([-(10**4400)], EntryBelowTwo),
+    ])
+    def test_errors_print_entries_past_the_str_digit_limit(self, qs, error):
+        # Under the interpreter's default 4,300-digit limit on int-to-str
+        # conversion, the error names the entries in full all the same.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(error) as err:
+                validate_tuple(qs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert "1" + "0" * 4400 in str(err.value)
+
+    def test_products_of_a_long_tuple(self):
+        qs = construction.family_parameters(1, construction.FAMILY_K_CAP)[1]
+        rho = validate_tuple(qs)
+        assert rho.m == math.prod(qs)
+        assert degree_of(rho) == math.prod(q - 1 for q in qs)
+        assert [validate_tuple(qs[:n]).m for n in range(1, 9)] == [math.prod(qs[:n]) for n in range(1, 9)]
 
 
 class TestFactorSystem:
@@ -220,10 +248,10 @@ class TestExpandProperties:
             for prefix in coprime_tuples(k - 1, 60):
                 m = prefix.m
                 run = [validate_tuple(prefix.qs + (q,)) for q in range(m + 1, 3 * m + 1) if math.gcd(q, m) == 1]
-                for rho, low in zip(run, low_halves(run)):
+                for rho, c, A in zip(run, expansions(run), heights(run)):
                     q = rho.qs[-1]
-                    by_residue.setdefault((prefix.qs, q % m), set()).add((int(low.max()), int(low.min())))
-                    by_sign.setdefault((prefix.qs, min(q % m, -q % m)), set()).add(height(low))
+                    by_residue.setdefault((prefix.qs, q % m), set()).add((int(c.max()), int(c.min())))
+                    by_sign.setdefault((prefix.qs, min(q % m, -q % m)), set()).add(A)
         assert (len(by_residue), len(by_sign)) == (1771, 886)
         assert all(len(values) == 1 for values in by_residue.values())
         assert all(len(values) == 1 for values in by_sign.values())
@@ -368,56 +396,162 @@ def random_runs(draw, max_window):
     return run
 
 
+def several_groups():
+    """The run 3,4,q up to m = 5006: its tuples before the last fill more than one SWEEP_BLOCK block."""
+    run = [validate_tuple([3, 4, q]) for q in range(5, 5006 // 12 + 1) if math.gcd(q, 12) == 1]
+    rows = max(-(-(degree_of(rho) // 2 + 1) // rho.qs[-1]) for rho in run)
+    assert rows * sum(rho.qs[-1] for rho in run[:-1]) > SWEEP_BLOCK
+    return run
+
+
+def past_the_shared_window(k, m_cap):
+    """The runs of k entries up to m_cap, and how many of their tuples before the last have a
+    rectangle of ceil(window / q_k) rows of q_k cells reaching past the run's shared window."""
+    runs = runs_of(coprime_tuples(k, m_cap))
+    past = 0
+    for run in runs:
+        widest = degree_of(run[-1]) // 2 + 1
+        for rho in run[:-1]:
+            q = rho.qs[-1]
+            past += -(-(degree_of(rho) // 2 + 1) // q) * q > widest
+    return runs, past
+
+
 class TestRuns:
-    """low_halves sweeps the factors a run shares once and continues each tuple from them."""
+    """A run sweeps the factors it shares once, and continues its tuples side by side in blocks."""
 
     @pytest.mark.parametrize("k, m_cap", [(1, 150), (2, 600), (3, 1200), (4, 4000), (5, 20000)])
     def test_every_small_tuple_matches_the_oracle(self, k, m_cap):
         runs = runs_of(coprime_tuples(k, m_cap))
         assert any(len(run) > 1 for run in runs)
         for run in runs:
-            for rho, half in zip(run, low_halves(run)):
-                reference = oracle_expand(rho)[: degree_of(rho) // 2 + 1]
-                assert half.dtype == reference.dtype, rho.qs
-                assert np.array_equal(half, reference), rho.qs
+            references = [oracle_expand(rho) for rho in run]
+            assert list(heights(run)) == [height(reference) for reference in references]
+            for rho, full, reference in zip(run, expansions(run), references):
+                assert full.dtype == reference.dtype, rho.qs
+                assert np.array_equal(full, reference), rho.qs
+
+    @pytest.mark.parametrize("runs", [
+        pytest.param(lambda: [several_groups()], id="several-groups"),
+        # k = 1 and an even q_1 at k = 2: a tuple's rows of q_k cells reach past the shared
+        # window, whose missing cells are 0 and must reach no height and no array.
+        pytest.param(lambda: past_the_shared_window(1, 150)[0], id="past-k1"),
+        pytest.param(lambda: past_the_shared_window(2, 100)[0], id="past-k2"),
+    ])
+    def test_runs_match_each_tuple_alone(self, runs):
+        for run in runs():
+            assert list(heights(run)) == [height(low_half(rho)) for rho in run]
+            for rho, full in zip(run, expansions(run)):
+                alone = expand(rho)
+                assert full.dtype == alone.dtype and np.array_equal(full, alone), rho.qs
+
+    @pytest.mark.parametrize("runs", [
+        pytest.param(lambda: [several_groups()], id="several-groups"),
+        pytest.param(lambda: past_the_shared_window(1, 150)[0], id="past-k1"),
+        pytest.param(lambda: past_the_shared_window(2, 300)[0], id="past-k2"),
+        pytest.param(lambda: runs_of(coprime_tuples(4, 4000)), id="k4"),
+        pytest.param(lambda: runs_of(coprime_tuples(5, 20000)), id="k5"),
+    ])
+    def test_every_block_cell_is_a_coefficient_or_zero(self, runs):
+        # A block's cells past a window, which ``heights`` reduces too, hold
+        # the tuple's coefficient at that index (0 past its degree) or 0:
+        # never a cell of the shared array left unswept, nor one swept from
+        # a cell missing past the shared window.
+        for run in runs():
+            windows = [degree_of(rho) // 2 + 1 for rho in run]
+            tuples = iter(zip(run, windows))
+            for block, widths in core._truncated(run, windows, core.DEFAULT_DEGREE_CAP):
+                off = 0
+                for w in widths:
+                    rho, window = next(tuples)
+                    cells = block[:, off : off + w].reshape(-1)
+                    off += w
+                    coefficients = np.zeros(max(len(cells), degree_of(rho) + 1), dtype=object)
+                    coefficients[: degree_of(rho) + 1] = expand(rho)
+                    assert np.array_equal(cells[:window], coefficients[:window]), rho.qs
+                    assert all(c in (0, e) for c, e in zip(cells.tolist(), coefficients.tolist())), rho.qs
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8])
+    def test_lanes_of_low_halves_below_a_lowered_limit(self, limit):
+        # A block that could wrap runs each tuple alone, over its window and
+        # no cell past it, so each lane is that of low_half: in runs whose
+        # rows reach past the shared window, and at k = 4, where the cells
+        # of a row past a window grow past the limit first.
+        runs = past_the_shared_window(2, 300)[0] + runs_of(coprime_tuples(4, 6000))
+        for run in runs:
+            with mock.patch.object(core, "INT64_SAFE_LIMIT", limit):
+                arrays = list(core._arrays(run, [degree_of(rho) // 2 + 1 for rho in run], core.DEFAULT_DEGREE_CAP))
+                alone = [low_half(rho) for rho in run]
+            for rho, half, single in zip(run, arrays, alone):
+                assert half.dtype == single.dtype and np.array_equal(half, single), rho.qs
+
+    def test_rectangles_past_the_shared_window_exist(self):
+        assert past_the_shared_window(2, 100)[1] == 15
+        assert past_the_shared_window(1, 150)[1] > 0
 
     @settings(max_examples=60, deadline=None)
     @given(run=random_runs(max_window=3000))
     def test_random_runs_match_the_object_sweep(self, run):
-        halves = list(low_halves(run))
-        assert len(halves) == len(run)
-        for rho, half in zip(run, halves):
-            window = degree_of(rho) // 2 + 1
-            assert half.dtype == np.int64 and len(half) == window, rho.qs
-            assert np.array_equal(half, sweep_from_one(window, ordered_factors(rho), object)), rho.qs
+        arrays = list(expansions(run))
+        assert len(arrays) == len(run)
+        for rho, full, A in zip(run, arrays, heights(run)):
+            window = degree_of(rho) + 1
+            expected = sweep_from_one(window, ordered_factors(rho), object)
+            assert full.dtype == np.int64 and len(full) == window, rho.qs
+            assert np.array_equal(full, expected), rho.qs
+            assert A == height(expected), rho.qs
 
     @settings(max_examples=200, deadline=None)
     @given(run=random_runs(max_window=200), limit=st.integers(1, 100))
     def test_restarts_are_those_of_each_tuple_alone_below_a_lowered_limit(self, run, limit):
         # The shared sweep runs over the longest window, and its bound starts
-        # every continuation; a tuple must still restart exactly where its
-        # own sweep does, with the object sweep's values.
-        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit):
-            halves = list(low_halves(run))
-            alone = [low_half(rho) for rho in run]
-        for rho, half, single in zip(run, halves, alone):
-            window = degree_of(rho) // 2 + 1
+        # every block; a tuple must still restart exactly where its own sweep
+        # does, with the object sweep's values, in expansions and in heights.
+        restarted = []
+        real = core._restart
+
+        def recording(window, factors):
+            restarted.append(window)
+            return real(window, factors)
+
+        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit), mock.patch.object(core, "_restart", recording):
+            arrays = list(expansions(run))
+            alone = [expand(rho) for rho in run]
+            restarted.clear()
+            measured = list(heights(run))
+        lanes = []
+        for rho, full, single, A in zip(run, arrays, alone, measured):
+            window = degree_of(rho) + 1
             expected, fits = object_sweep_within_limit(window, ordered_factors(rho), stop=False, limit=limit)
-            assert half.dtype == single.dtype == (np.int64 if fits else object), rho.qs
-            assert np.array_equal(half, expected), rho.qs
+            assert full.dtype == single.dtype == (np.int64 if fits else object), rho.qs
+            assert np.array_equal(full, expected), rho.qs
+            assert A == height(expected), rho.qs
+            low, fits = object_sweep_within_limit(window // 2 + 1, ordered_factors(rho), stop=False, limit=limit)
+            lanes += [] if fits else [len(low)]
+        assert sorted(restarted) == lanes
 
     def test_one_shared_array_per_run(self, monkeypatch):
-        swept = []
-        real = core._unit
-        monkeypatch.setattr(core, "_unit", lambda window, dtype: swept.append((window, dtype)) or real(window, dtype))
+        swept, continued = [], []
+        real_unit, real_sweep = core._unit, core._sweep
+        monkeypatch.setattr(core, "_unit", lambda window, dtype: swept.append((window, dtype)) or real_unit(window, dtype))
+
+        def recording(c, factors, bound):
+            continued.append(c)
+            return real_sweep(c, factors, bound)
+
         run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
-        assert [height(c) for c in low_halves(run)] == [height(low_half(rho)) for rho in run]
+        monkeypatch.setattr(core, "_sweep", recording)
+        assert list(heights(run)) == [height(low_half(rho)) for rho in run]
+        shared = continued[0]
         assert swept[0] == (degree_of(run[-1]) // 2 + 1, "int64")
         assert len(swept) == 1 + len(run)  # the run's array, then one per low_half alone
+        # The run's array, one block of the two tuples before the last, and the
+        # last tuple in the run's array itself.
+        assert [c.base is None for c in continued[:3]] == [True, False, True] and continued[2] is shared
 
     def test_every_sweep_starts_from_a_bound_on_its_array(self, monkeypatch):
-        # A continuation starts from the shared array's bound: it must bound
-        # the copy too, or the int64 lane could miss a wrap.
+        # A block starts from the shared array's bound: it must bound the
+        # block too, or the int64 lane could miss a wrap.
         real = core._sweep
         entries = []
 
@@ -428,14 +562,16 @@ class TestRuns:
         monkeypatch.setattr(core, "_sweep", recording)
         for k, m_cap in ((3, 1500), (4, 5000)):
             for run in runs_of(coprime_tuples(k, m_cap)):
-                list(low_halves(run))
+                list(heights(run))
+                list(expansions(run))
         assert any(start > 1 for start, _ in entries)
         assert all(start <= bound for start, bound in entries)
 
     def test_a_wrapped_shared_sweep_runs_each_tuple_alone(self, monkeypatch):
         # A shorter window may stay in int64 where the longest could wrap.
         run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
-        expected = [low_half(rho) for rho in run]
+        expected = [expand(rho) for rho in run]
+        expected_heights = [height(c) for c in expected]
         real = core._sweep
         calls = []
 
@@ -444,31 +580,61 @@ class TestRuns:
             return None if len(calls) == 1 else real(c, factors, bound)
 
         monkeypatch.setattr(core, "_sweep", first_wraps)
-        halves = list(low_halves(run))
+        arrays = list(expansions(run))
         assert calls[0] == len(expected[-1])
-        assert [c.dtype for c in halves] == [np.int64, np.int64, object]
-        assert all(np.array_equal(c, e) for c, e in zip(halves, expected))
+        assert [c.dtype for c in arrays] == [np.int64, np.int64, object]
+        assert all(np.array_equal(c, e) for c, e in zip(arrays, expected))
+        calls.clear()
+        assert list(heights(run)) == expected_heights
 
-    def test_holds_one_copy_beside_the_shared_array(self):
-        # Windows past SWEEP_BLOCK, so a sweep's own temporary is one block:
-        # while a copy is swept, the previous copy must already be gone.
-        run = [validate_tuple([7, 11, q]) for q in (4987, 4993, 4999)]
-        windows = [degree_of(rho) // 2 + 1 for rho in run]
-        assert windows[0] > 2 * SWEEP_BLOCK
+    def test_a_wrapped_block_runs_each_tuple_alone(self, monkeypatch):
+        # A planted wrap in the first sweep of a block of several tuples:
+        # each of them continues alone from the shared array, in int64.
+        run = several_groups()
+        expected = [height(low_half(rho)) for rho in run]
+        real_sweep, real_block = core._sweep, core._block
+        groups, planted = [], []
+
+        def block(shared, bound, factors, group):
+            groups.append(len(group))
+            return real_block(shared, bound, factors, group)
+
+        def wrapping(c, factors, bound):
+            result = real_sweep(c, factors, bound)
+            if groups and groups[-1] > 1 and not planted:
+                planted.append(len(groups))
+                return None
+            return result
+
+        monkeypatch.setattr(core, "_block", block)
+        monkeypatch.setattr(core, "_sweep", wrapping)
+        assert list(heights(run)) == expected
+        first = groups[0]
+        assert planted == [1] and first > 1
+        assert groups[1 : 1 + first] == [1] * first
+        assert groups[1 + first] > 1  # the next block is whole again
+
+    def test_holds_one_block_beside_the_shared_array(self):
+        # Small tuples side by side in a block of at most SWEEP_BLOCK entries,
+        # then tuples whose windows pass 2 SWEEP_BLOCK, each alone: while one
+        # is swept, the previous block must already be gone.
+        run = [validate_tuple([7, 11, q]) for q in [*range(12, 200), 4987, 4993, 4999] if math.gcd(q, 77) == 1]
+        widest = degree_of(run[-1]) // 2 + 1
+        assert degree_of(run[-3]) // 2 + 1 > 2 * SWEEP_BLOCK
         tracemalloc.start()
         try:
-            heights = list(map(height, low_halves(run)))
+            measured = list(heights(run))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert heights == [height(low_half(rho)) for rho in run]
-        assert peak < 8 * (windows[-1] + windows[-2] + SWEEP_BLOCK) + (1 << 16)
+        assert measured == [height(low_half(rho)) for rho in run]
+        assert peak < 8 * (2 * widest + SWEEP_BLOCK) + (1 << 16)
 
     @pytest.mark.parametrize("wraps, arrays", [
         # The shared sweep: each tuple runs alone, and the shared array is dropped.
         (lambda c, bound, calls: len(calls) == 1, 1),
         # Every continuation: each restarts in Python integers beside the
-        # shared array, and the wrapped copy is dropped first.
+        # shared array, and the wrapped block is dropped first.
         (lambda c, bound, calls: bound > 1 and c.dtype == np.int64, 2),
     ])
     def test_a_wrapped_array_is_not_kept(self, monkeypatch, wraps, arrays):
@@ -486,23 +652,24 @@ class TestRuns:
         monkeypatch.setattr(core, "_sweep", wrapping)
         tracemalloc.start()
         try:
-            heights = list(map(height, low_halves(run)))
+            measured = list(heights(run))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert heights == expected
+        assert measured == expected
         assert peak < 8 * (arrays * windows[-1] + SWEEP_BLOCK) + (1 << 17)
 
     def test_degree_cap_names_the_first_window_too_long(self):
         run = [validate_tuple(qs) for qs in ((2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 3, 13))]  # windows 5, 7, 11, 13
         with pytest.raises(DegreeCapExceeded) as err:
-            list(low_halves(run, degree_cap=10))
+            list(heights(run, degree_cap=10))
         assert (err.value.coefficients, err.value.cap) == (11, 10)
 
     @pytest.mark.parametrize("qs", [((3, 5, 7), (3, 7, 11)), ((3, 5, 11), (3, 5, 7))])
-    def test_refuses_what_is_not_a_run(self, qs):
+    @pytest.mark.parametrize("route", [heights, expansions])
+    def test_refuses_what_is_not_a_run(self, qs, route):
         with pytest.raises(InvalidParameter):
-            list(low_halves([validate_tuple(q) for q in qs]))
+            list(route([validate_tuple(q) for q in qs]))
 
 
 class TestOrder:
