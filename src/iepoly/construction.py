@@ -36,7 +36,7 @@ BOUND_BITS_CAP = 1 << 19
 # k entries of about k log k bits, k (k - 1) / 2 gcds of them and the
 # conversions of the output, with m and the degree each a balanced product
 # tree.  With N = 1, in process on a 2-vCPU VM, k = 320 takes about 0.3 s,
-# k = 400 0.6 s and k = 500 1.2 s.
+# k = 400 0.6 s and k = 500 1.1 s.
 FAMILY_K_CAP = 320
 
 

@@ -149,13 +149,13 @@ def degree_of(rho: CoprimeTuple) -> int:
 
 
 def _product(values: Sequence[int]) -> int:
-    # Neighbours multiplied pairwise, round after round: each product is of
-    # two operands of about equal length, where one entry at a time would
-    # multiply the whole product so far by each small entry.
-    values = list(values)
-    while len(values) > 1:
-        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1 :]
-    return values[0] if values else 1
+    # Halves multiplied recursively: each product is of two operands of about
+    # equal length, where one entry at a time would multiply the whole
+    # product so far by each small entry.  Three entries multiply as a chain.
+    n = len(values)
+    if n < 4:
+        return math.prod(values)
+    return _product(values[: n // 2]) * _product(values[n // 2 :])
 
 
 def check_subset_cap(k: int) -> None:
@@ -353,8 +353,9 @@ def _block(shared: np.ndarray, bound: int, factors: Sequence[Factor],
     r q + b, so each of its own factors, of d a multiple of q, moves d / q
     rows, and a row of C columns makes every tuple's factor one stride of
     (d / q) C: ``_flipped(factors, C)``, swept once.  The sweep stops after
-    the last cell a window holds; a cell past it, or past ``shared``, is 0.
-    A block of one tuple is the first entries of ``shared`` continued alone.
+    the last cell a window holds, so a block of one tuple, the first entries
+    of ``shared`` continued alone, scans what that tuple alone would; a cell
+    past that end, or past ``shared``, is 0.
     """
     import numpy as np
 

@@ -757,20 +757,20 @@ def test_module_exit_codes_through_run(argv, code):
 class TestHeightOnlyWindow:
     """Callers that output no coefficients sweep only coefficients 0 .. degree // 2."""
 
-    @pytest.mark.parametrize("argv, windows, continued", [
-        (["compute", "--q", "3,5,7", "--height-only"], [25], []),  # degree 48
-        (["compute", "--q", "3,5,7"], [49], []),  # outputs coefficients: the full window
-        (["construct", "--N", "1", "--k", "3", "--expand"], [12961], []),  # 13,37,61: degree 25920
-        (["verify", "--q", "13,37,61", "--r", "6", "--expand"], [12961], []),
-        # One array per run of tuples sharing q_1, q_2: the run's last, longest
-        # low half; the tuples before the last continue from it in blocks, each
-        # over its own low half.
+    @pytest.mark.parametrize("argv, windows", [
+        (["compute", "--q", "3,5,7", "--height-only"], [25]),  # degree 48
+        (["compute", "--q", "3,5,7"], [49]),  # outputs coefficients: the full window
+        (["construct", "--N", "1", "--k", "3", "--expand"], [12961]),  # 13,37,61: degree 25920
+        (["verify", "--q", "13,37,61", "--r", "6", "--expand"], [12961]),
+        # One array per run of tuples sharing q_1, q_2: the run's last, longest low half.
         (["search", "--k", "3", "--m-cap", "105"],
-         [core.degree_of(rho) // 2 + 1 for rho in {rho.qs[:-1]: rho for rho in coprime_tuples(3, 105)}.values()],
-         [core.degree_of(rho) // 2 + 1 for run in analysis.coprime_runs(3, 105) for rho in run[:-1]]),
+         [core.degree_of(rho) // 2 + 1 for rho in {rho.qs[:-1]: rho for rho in coprime_tuples(3, 105)}.values()]),
     ])
-    def test_windows(self, capsys, monkeypatch, argv, windows, continued):
-        # Every array swept from 1 starts as core._unit, and every block as core._block.
+    def test_windows(self, capsys, monkeypatch, argv, windows):
+        # Every array swept from 1 starts as core._unit, and every block as
+        # core._block; search's tuples before each run's last continue in
+        # blocks, each over its own low half.
+        continued = [core.degree_of(rho) // 2 + 1 for run in analysis.coprime_runs(3, 105) for rho in run[:-1]]
         swept, blocked = [], []
         real_unit, real_block = core._unit, core._block
 
@@ -786,7 +786,7 @@ class TestHeightOnlyWindow:
         monkeypatch.setattr(core, "_block", block_spy)
         assert run(capsys, *argv)[0] == 0
         assert swept == windows
-        assert blocked == continued
+        assert blocked == (continued if argv[0] == "search" else [])
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--q", "49,145,241", "--height-only"],

@@ -405,24 +405,29 @@ def several_groups():
 
 
 def past_the_shared_window(k, m_cap):
-    """The runs of k entries up to m_cap, and how many of their tuples before the last have a
-    rectangle of ceil(window / q_k) rows of q_k cells reaching past the run's shared window."""
+    """The runs of k entries up to m_cap, some of whose tuples before the last have a rectangle
+    of ceil(window / q_k) rows of q_k cells reaching past the run's shared window."""
     runs = runs_of(coprime_tuples(k, m_cap))
-    past = 0
-    for run in runs:
-        widest = degree_of(run[-1]) // 2 + 1
-        for rho in run[:-1]:
-            q = rho.qs[-1]
-            past += -(-(degree_of(rho) // 2 + 1) // q) * q > widest
-    return runs, past
+    assert any(
+        -(-(degree_of(rho) // 2 + 1) // rho.qs[-1]) * rho.qs[-1] > degree_of(run[-1]) // 2 + 1
+        for run in runs for rho in run[:-1]
+    )
+    return runs
 
 
 class TestRuns:
     """A run sweeps the factors it shares once, and continues its tuples side by side in blocks."""
 
-    @pytest.mark.parametrize("k, m_cap", [(1, 150), (2, 600), (3, 1200), (4, 4000), (5, 20000)])
-    def test_every_small_tuple_matches_the_oracle(self, k, m_cap):
-        runs = runs_of(coprime_tuples(k, m_cap))
+    @pytest.mark.parametrize("runs", [
+        *(pytest.param(lambda k=k, m_cap=m_cap: runs_of(coprime_tuples(k, m_cap)), id=f"{k}-{m_cap}")
+          for k, m_cap in [(1, 150), (2, 600), (3, 1200), (4, 4000), (5, 20000)]),
+        pytest.param(lambda: [several_groups()], id="several-groups"),
+    ])
+    def test_every_small_tuple_matches_the_oracle(self, runs):
+        # At k = 1 and at k = 2 with an even q_1, some tuples' rows of q_k
+        # cells reach past the shared window (109 at k = 2, m <= 600), and
+        # their missing cells must reach no height and no array.
+        runs = runs()
         assert any(len(run) > 1 for run in runs)
         for run in runs:
             references = [oracle_expand(rho) for rho in run]
@@ -433,22 +438,8 @@ class TestRuns:
 
     @pytest.mark.parametrize("runs", [
         pytest.param(lambda: [several_groups()], id="several-groups"),
-        # k = 1 and an even q_1 at k = 2: a tuple's rows of q_k cells reach past the shared
-        # window, whose missing cells are 0 and must reach no height and no array.
-        pytest.param(lambda: past_the_shared_window(1, 150)[0], id="past-k1"),
-        pytest.param(lambda: past_the_shared_window(2, 100)[0], id="past-k2"),
-    ])
-    def test_runs_match_each_tuple_alone(self, runs):
-        for run in runs():
-            assert list(heights(run)) == [height(low_half(rho)) for rho in run]
-            for rho, full in zip(run, expansions(run)):
-                alone = expand(rho)
-                assert full.dtype == alone.dtype and np.array_equal(full, alone), rho.qs
-
-    @pytest.mark.parametrize("runs", [
-        pytest.param(lambda: [several_groups()], id="several-groups"),
-        pytest.param(lambda: past_the_shared_window(1, 150)[0], id="past-k1"),
-        pytest.param(lambda: past_the_shared_window(2, 300)[0], id="past-k2"),
+        pytest.param(lambda: past_the_shared_window(1, 150), id="past-k1"),
+        pytest.param(lambda: past_the_shared_window(2, 300), id="past-k2"),
         pytest.param(lambda: runs_of(coprime_tuples(4, 4000)), id="k4"),
         pytest.param(lambda: runs_of(coprime_tuples(5, 20000)), id="k5"),
     ])
@@ -477,17 +468,13 @@ class TestRuns:
         # no cell past it, so each lane is that of low_half: in runs whose
         # rows reach past the shared window, and at k = 4, where the cells
         # of a row past a window grow past the limit first.
-        runs = past_the_shared_window(2, 300)[0] + runs_of(coprime_tuples(4, 6000))
+        runs = past_the_shared_window(2, 300) + runs_of(coprime_tuples(4, 6000))
         for run in runs:
             with mock.patch.object(core, "INT64_SAFE_LIMIT", limit):
                 arrays = list(core._arrays(run, [degree_of(rho) // 2 + 1 for rho in run], core.DEFAULT_DEGREE_CAP))
                 alone = [low_half(rho) for rho in run]
             for rho, half, single in zip(run, arrays, alone):
                 assert half.dtype == single.dtype and np.array_equal(half, single), rho.qs
-
-    def test_rectangles_past_the_shared_window_exist(self):
-        assert past_the_shared_window(2, 100)[1] == 15
-        assert past_the_shared_window(1, 150)[1] > 0
 
     @settings(max_examples=60, deadline=None)
     @given(run=random_runs(max_window=3000))
@@ -614,7 +601,7 @@ class TestRuns:
         assert groups[1 : 1 + first] == [1] * first
         assert groups[1 + first] > 1  # the next block is whole again
 
-    def test_holds_one_block_beside_the_shared_array(self):
+    def test_holds_one_copy_beside_the_shared_array(self):
         # Small tuples side by side in a block of at most SWEEP_BLOCK entries,
         # then tuples whose windows pass 2 SWEEP_BLOCK, each alone: while one
         # is swept, the previous block must already be gone.
@@ -666,10 +653,10 @@ class TestRuns:
         assert (err.value.coefficients, err.value.cap) == (11, 10)
 
     @pytest.mark.parametrize("qs", [((3, 5, 7), (3, 7, 11)), ((3, 5, 11), (3, 5, 7))])
-    @pytest.mark.parametrize("route", [heights, expansions])
-    def test_refuses_what_is_not_a_run(self, qs, route):
-        with pytest.raises(InvalidParameter):
-            list(route([validate_tuple(q) for q in qs]))
+    def test_refuses_what_is_not_a_run(self, qs):
+        for route in (heights, expansions):
+            with pytest.raises(InvalidParameter):
+                list(route([validate_tuple(q) for q in qs]))
 
 
 class TestOrder:
