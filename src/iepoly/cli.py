@@ -373,9 +373,10 @@ def _mismatches(run: list[core.CoprimeTuple], cap: int) -> list[str]:
 
     The run sweeps its shared half once (``core.expansions``) when its
     shared array, one array as long and its largest oracle product fit
-    ``cap`` together (beside them a block of several tuples holds at most
-    SWEEP_BLOCK entries); otherwise each tuple expands alone, and a refusal
-    comes at the same tuple, with the same message, as for a tuple alone.
+    ``cap`` together (beside them a block of several tuples and its sweep
+    hold at most SWEEP_BLOCK entries); otherwise each tuple expands alone,
+    and a refusal comes at the same tuple, with the same message, as for a
+    tuple alone.
     """
     if 2 * (core.degree_of(run[-1]) + 1) + max(map(oracle.product_length, run)) <= cap:
         arrays = core.expansions(run, cap)

@@ -30,8 +30,8 @@ every tuple of the run, so the tuples continue side by side: a block lays
 each tuple's first entries out in rows of q_k, the tuples' columns next to
 each other, and one sweep of stride d' times the block's width applies a
 factor to every tuple at once (``_block``).  The tuples before the last
-go in blocks of at most SWEEP_BLOCK entries, a tuple too long for that in
-a block of its own; the last continues in the shared array itself.
+go in blocks of at most SWEEP_BLOCK / 2 entries, a tuple too long for
+that in a block of its own; the last continues in the shared array itself.
 ``heights`` takes every height of a block from its column extremes, for
 search, and ``expansions`` each tuple's array, for oracle-check.
 ``expand`` and ``low_half`` are the run of one tuple, in place, and
@@ -329,14 +329,16 @@ def _continued(shared: np.ndarray, bound: int, factors: Sequence[Factor],
 
 def _groups(members: Sequence[tuple[int, int]], widest: int) -> Iterator[list[tuple[int, int]]]:
     # Consecutive (q_k, window) pairs whose block of R rows, R the largest
-    # ceil(window / q_k), by the sum of their q_k columns fits SWEEP_BLOCK
-    # entries, and whose columns the shared array fills: R q_k <= widest.
-    # A tuple that fits no block with another is a group of one.
+    # ceil(window / q_k), by the sum of their q_k columns fits half of
+    # SWEEP_BLOCK entries, since a multiplication sweep copies its
+    # overlapping source, up to the block again; and whose columns the
+    # shared array fills: R q_k <= widest.  A tuple that fits no block with
+    # another is a group of one.
     group: list[tuple[int, int]] = []
     rows = columns = 0
     for q, window in members:
         grown = max(rows, -(-window // q))
-        if group and (grown * (columns + q) > SWEEP_BLOCK or grown * q > widest):
+        if group and (2 * grown * (columns + q) > SWEEP_BLOCK or grown * q > widest):
             yield group
             group, grown, columns = [], -(-window // q), 0
         group.append((q, window))

@@ -602,20 +602,24 @@ class TestRuns:
         assert groups[1 + first] > 1  # the next block is whole again
 
     def test_holds_one_copy_beside_the_shared_array(self):
-        # Small tuples side by side in a block of at most SWEEP_BLOCK entries,
-        # then tuples whose windows pass 2 SWEEP_BLOCK, each alone: while one
-        # is swept, the previous block must already be gone.
-        run = [validate_tuple([7, 11, q]) for q in [*range(12, 200), 4987, 4993, 4999] if math.gcd(q, 77) == 1]
-        widest = degree_of(run[-1]) // 2 + 1
-        assert degree_of(run[-3]) // 2 + 1 > 2 * SWEEP_BLOCK
-        tracemalloc.start()
-        try:
-            measured = list(heights(run))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert measured == [height(low_half(rho)) for rho in run]
-        assert peak < 8 * (2 * widest + SWEEP_BLOCK) + (1 << 16)
+        # Beside the shared array a run holds one array no longer than it and
+        # one block, which with its sweep's copy of an overlapping source fits
+        # SWEEP_BLOCK entries.  The first run's windows pass 2 SWEEP_BLOCK for
+        # its last tuples, each in a block of its own: while one is swept,
+        # the previous block must already be gone.  The second run's windows
+        # are small, and its tuples fill several blocks.
+        big = [validate_tuple([7, 11, q]) for q in [*range(12, 200), 4987, 4993, 4999] if math.gcd(q, 77) == 1]
+        assert degree_of(big[-3]) // 2 + 1 > 2 * SWEEP_BLOCK
+        for run in (big, several_groups()):
+            widest = degree_of(run[-1]) // 2 + 1
+            tracemalloc.start()
+            try:
+                measured = list(heights(run))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert measured == [height(low_half(rho)) for rho in run]
+            assert peak < 8 * (2 * widest + SWEEP_BLOCK) + (1 << 16)
 
     @pytest.mark.parametrize("wraps, arrays", [
         # The shared sweep: each tuple runs alone, and the shared array is dropped.
