@@ -145,17 +145,21 @@ def validate_tuple(values: Iterable[int]) -> CoprimeTuple:
 
 def degree_of(rho: CoprimeTuple) -> int:
     """Degree of the expanded polynomial: prod (q_j - 1)."""
-    return _product([q - 1 for q in rho.qs])
+    return _product(rho.qs, 1)
 
 
-def _product(values: Sequence[int]) -> int:
-    # Halves multiplied recursively: each product is of two operands of about
-    # equal length, where one entry at a time would multiply the whole
-    # product so far by each small entry.  Three entries multiply as a chain.
+def _product(values: Sequence[int], less: int = 0) -> int:
+    # The product of v - less over values, its halves multiplied
+    # recursively: each product is of two operands of about equal length,
+    # where one entry at a time would multiply the whole product so far by
+    # each small entry.  Three entries multiply as a chain.
     n = len(values)
     if n < 4:
-        return math.prod(values)
-    return _product(values[: n // 2]) * _product(values[n // 2 :])
+        product = 1
+        for v in values:
+            product *= v - less
+        return product
+    return _product(values[: n // 2], less) * _product(values[n // 2 :], less)
 
 
 def check_subset_cap(k: int) -> None:
