@@ -397,7 +397,7 @@ def random_runs(draw, max_window):
 
 
 def several_groups():
-    """The run 3,4,q up to m = 5006: its tuples before the last fill more than one SWEEP_BLOCK block."""
+    """The run 3,4,q up to m = 5006: its tuples before the last fill several blocks."""
     run = [validate_tuple([3, 4, q]) for q in range(5, 5006 // 12 + 1) if math.gcd(q, 12) == 1]
     rows = max(-(-(degree_of(rho) // 2 + 1) // rho.qs[-1]) for rho in run)
     assert rows * sum(rho.qs[-1] for rho in run[:-1]) > SWEEP_BLOCK
