@@ -31,6 +31,7 @@ GOLDEN_CASES = [
     ("verify_fail", ["verify", "--q", "7", "--r", "2"], 1),
     ("search_k3_m105", ["search", "--k", "3", "--m-cap", "105"], 0),
     ("search_k2_m100", ["search", "--k", "2", "--m-cap", "100"], 0),
+    ("search_k1_m100", ["search", "--k", "1", "--m-cap", "100"], 0),
     ("search_k4_m2000", ["search", "--k", "4", "--m-cap", "2000"], 0),
     ("search_empty", ["search", "--k", "2", "--m-cap", "5"], 0),
     ("oracle_check_200", ["oracle-check", "--m-cap", "200"], 0),
