@@ -391,20 +391,10 @@ def _mismatches(run: list[core.CoprimeTuple], cap: int) -> list[str]:
             slow = oracle.oracle_expand(rho, degree_cap=cap - len(fast))
         except DegreeCapExceeded as exc:
             raise DegreeCapExceeded(len(fast) + exc.coefficients, cap) from None
-        if not _same_coeffs(fast, slow):
+        if not core.same_coeffs(fast, slow):
             mismatched.append(str(rho))
         del fast, slow  # neither is kept alive while the next array is built
     return mismatched
-
-
-def _same_coeffs(a: np.ndarray, b: np.ndarray) -> bool:
-    # A block at a time: no boolean temporary of the whole window.
-    import numpy as np
-
-    return len(a) == len(b) and not any(
-        np.count_nonzero(a[i : i + core.SWEEP_BLOCK] != b[i : i + core.SWEEP_BLOCK])
-        for i in range(0, len(a), core.SWEEP_BLOCK)
-    )
 
 
 # --------------------------------- parser ----------------------------------

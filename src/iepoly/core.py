@@ -32,8 +32,10 @@ each other, and one sweep of stride d' times the block's width applies a
 factor to every tuple at once (``_block``).  The tuples before the last
 go in blocks of at most SWEEP_BLOCK / 2 entries, a tuple too long for
 that in a block of its own; the last continues in the shared array itself.
-``heights`` takes every height of a block from its column extremes, for
-search, and ``expansions`` each tuple's array, for oracle-check.
+A block is swept whole, so every cell holds its tuple's coefficient at
+that index, 0 past the degree.  ``heights`` takes every height of a block
+from its column extremes, for search, and ``expansions`` each tuple's
+array, for oracle-check.
 ``expand`` and ``low_half`` are the run of one tuple, in place, and
 ``ordered_factors`` is that order.
 
@@ -42,11 +44,13 @@ its dtypes: int64 first, carrying a proven bound on the largest magnitude
 that each sweep multiplies by its growth factor, and scanning the array
 only when that bound passes INT64_SAFE_LIMIT (see there).  A block starts
 from the shared array's bound, which bounds every entry it copies.  If
-the scanned height is past the limit too, a tuple alone runs again from 1
-in an object array of Python integers, each tuple of a block continues
-alone, and if the shared sweep is past it, each tuple of the run runs
-alone.  A wrapped array is never carried on, and is dropped before its
-replacement is built.
+the scanned height is past the limit too, one rule holds: the int64 array
+is dropped, and each of its tuples runs alone through ``apply_factors``,
+which runs again from 1 in Python integers if int64 could wrap there too.
+A block holds each tuple's window with the same values at every step,
+under a bound at least the tuple's own, so every tuple keeps the lane it
+has alone.  A wrapped array is never carried on, and is dropped before
+its replacement is built.
 The multiplication sweep runs top-down in blocks (SWEEP_BLOCK), so it needs
 no copy of the window.  That array is the one polynomial type: ``expand``
 and ``low_half`` return it, index i holding the x^i coefficient, and
@@ -238,9 +242,9 @@ def heights(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP) -
     share q_1 .. q_(k-1), ascending in q_k.
 
     A block's column maxima and minima, reduced over each tuple's columns,
-    give every height of the block at once.  A column's cells past its
-    tuple's window hold coefficients of that tuple's Q further up, or 0,
-    which move no height (Q is palindromic and its constant term is 1).
+    give every height of the block at once.  Every cell holds its tuple's
+    coefficient at that index, 0 past the degree, and the cells past the
+    window move no height (Q is palindromic and its constant term is 1).
     The run holds the shared array and one block, if the consumer keeps no
     array.  DegreeCapExceeded names the first window past ``degree_cap``.
     """
@@ -290,45 +294,38 @@ def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int],
     if not run:
         return
     # The shared array's bound, or its scanned height, bounds every prefix
-    # of it, so each block starts from it.  If the shared sweep could have
-    # wrapped, each tuple runs alone, straight in Python integers at the
-    # widest window, where int64 would wrap at the same step.
+    # of it, so each block starts from it.
     widest = windows[-1]
     shared = _unit(widest, "int64")
     factors = _shared_factors(run[0])
+    members = [(rho.qs[-1], window) for rho, window in zip(run, windows)]
     bound = _sweep(shared, factors, 1)
     if bound is None:
         del shared  # not carried on, so not kept beside each tuple's own array
-        for rho, window in zip(run, windows):
-            own = _flipped(factors, rho.qs[-1])
-            c = _restart(window, factors + own) if window == widest else apply_factors(window, factors + own)
-            yield c[:, None], [1]
-            del c
+        yield from _alone(factors, members)
         return
-    members = [(rho.qs[-1], window) for rho, window in zip(run[:-1], windows)]
-    for group in _groups(members, widest):
-        yield from _continued(shared, bound, factors, group)
+    for group in _groups(members[:-1], widest):
+        block = _block(shared, bound, factors, group)
+        if block is None:
+            yield from _alone(factors, group)
+        else:
+            yield block, [q for q, _ in group]
+        del block  # so it is gone before the next block is built
     # The last tuple continues in the shared array itself.
-    own = _flipped(factors, run[-1].qs[-1])
-    if _sweep(shared, own, bound) is None:
-        del shared  # nor is a wrapped array kept beside its restart
-        shared = _restart(widest, factors + own)
-    yield shared[:, None], [1]
-
-
-def _continued(shared: np.ndarray, bound: int, factors: Sequence[Factor],
-               group: Sequence[tuple[int, int]]) -> Iterator[tuple[np.ndarray, list[int]]]:
-    # A block that could have wrapped runs each of its tuples alone, and a
-    # tuple alone that could have starts again from 1 in Python integers.
-    block = _block(shared, bound, factors, group)
-    if block is not None:
-        yield block, [q for q, _ in group]
-    elif len(group) > 1:
-        for member in group:
-            yield from _continued(shared, bound, factors, [member])
+    if _sweep(shared, _flipped(factors, members[-1][0]), bound) is None:
+        del shared  # nor is a wrapped array kept beside its tuple alone
+        yield from _alone(factors, members[-1:])
     else:
-        q, window = group[0]
-        yield _restart(window, factors + _flipped(factors, q))[:, None], [1]
+        yield shared[:, None], [1]
+
+
+def _alone(factors: Sequence[Factor],
+           members: Sequence[tuple[int, int]]) -> Iterator[tuple[np.ndarray, list[int]]]:
+    # Each (q_k, window) tuple swept alone from 1, in its own lane.
+    for q, window in members:
+        c = apply_factors(window, factors + _flipped(factors, q))
+        yield c[:, None], [1]
+        del c
 
 
 def _groups(members: Sequence[tuple[int, int]], widest: int) -> Iterator[list[tuple[int, int]]]:
@@ -353,35 +350,29 @@ def _groups(members: Sequence[tuple[int, int]], widest: int) -> Iterator[list[tu
 
 def _block(shared: np.ndarray, bound: int, factors: Sequence[Factor],
            group: Sequence[tuple[int, int]]) -> Optional[np.ndarray]:
-    """The group's tuples continued from ``shared`` side by side, or None if that could have wrapped.
+    """The group's tuples continued from ``shared`` side by side, or None if
+    the shared array does not fill their rows or the sweep could have wrapped.
 
     The tuple of last entry q takes q columns, cell (r, b) its coefficient
     r q + b, so each of its own factors, of d a multiple of q, moves d / q
     rows, and a row of C columns makes every tuple's factor one stride of
-    (d / q) C: ``_flipped(factors, C)``, swept once.  The sweep stops after
-    the last cell a window holds, so a block of one tuple, the first entries
-    of ``shared`` continued alone, scans what that tuple alone would; a cell
-    past that end, or past ``shared``, is 0.
+    (d / q) C: ``_flipped(factors, C)``, swept once over the whole block.
+    Every cell is then its tuple's coefficient at that index, 0 past the
+    degree.  Only a group of one, at k = 1 or at k = 2 with an even q_1,
+    has rows past ``shared``.
     """
     import numpy as np
 
     rows = max(-(-window // q) for q, window in group)
-    columns = sum(q for q, _ in group)
-    block = np.zeros((rows, columns), dtype=shared.dtype)
-    end = off = 0
-    for q, window in group:
-        source = shared[: rows * q]
-        full, rest = divmod(len(source), q)
-        block[:full, off : off + q] = source[: full * q].reshape(full, q)
-        if rest:
-            block[full, off : off + rest] = source[full * q :]
-        row = -(-window // q) - 1
-        end = max(end, row * columns + off + window - row * q)
-        off += q
-    flat = block.reshape(-1)
-    if _sweep(flat[:end], _flipped(factors, columns), bound) is None:
+    if rows * group[-1][0] > len(shared):
         return None
-    flat[end:] = 0
+    block = np.empty((rows, sum(q for q, _ in group)), dtype=shared.dtype)
+    off = 0
+    for q, _ in group:
+        block[:, off : off + q] = shared[: rows * q].reshape(rows, q)
+        off += q
+    if _sweep(block.reshape(-1), _flipped(factors, block.shape[1]), bound) is None:
+        return None
     return block
 
 
@@ -390,11 +381,14 @@ def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
 
     The result is the truncation to ``window`` coefficients: an int64 array,
     or an object array of Python integers when an int64 sweep could have
-    wrapped, in which case every factor is applied again from 1.
+    wrapped, in which case the int64 array is dropped and every factor is
+    applied again from 1.
     """
     c = _unit(window, "int64")
     if _sweep(c, factors, 1) is None:
-        c = _restart(window, factors)
+        del c  # before the object array is built
+        c = _unit(window, object)
+        _sweep(c, factors, 1)
     return c
 
 
@@ -404,12 +398,6 @@ def _unit(window: int, dtype: str | type) -> np.ndarray:
 
     c = np.zeros(window, dtype=dtype)
     c[0] = 1
-    return c
-
-
-def _restart(window: int, factors: Sequence[Factor]) -> np.ndarray:
-    c = _unit(window, object)
-    _sweep(c, factors, 1)
     return c
 
 
@@ -472,7 +460,19 @@ def height(c: np.ndarray) -> int:
 
 
 def is_palindromic(c: np.ndarray) -> bool:
-    return bool((c == c[::-1]).all())
+    """Whether c reads the same reversed: its low half against its reversed top half."""
+    half = c.shape[0] // 2
+    return same_coeffs(c[:half], c[::-1][:half])
+
+
+def same_coeffs(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b, of either dtype, are equal: a block at a time, with no boolean array of the window."""
+    import numpy as np
+
+    return len(a) == len(b) and not any(
+        np.count_nonzero(a[i : i + SWEEP_BLOCK] != b[i : i + SWEEP_BLOCK])
+        for i in range(0, len(a), SWEEP_BLOCK)
+    )
 
 
 def eval_at_one(c: np.ndarray) -> int:

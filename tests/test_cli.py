@@ -467,9 +467,9 @@ class TestOracleCheck:
         a = np.arange(core.SWEEP_BLOCK + 5)
         b = a.copy()
         b[-1] += 1
-        assert cli._same_coeffs(a, a.astype(object))
-        assert not cli._same_coeffs(a, b)
-        assert not cli._same_coeffs(a, a[:-1])
+        assert core.same_coeffs(a, a.astype(object))
+        assert not core.same_coeffs(a, b)
+        assert not core.same_coeffs(a, a[:-1])
 
     @pytest.mark.parametrize("k_max", ["0", "-1"])
     def test_k_max_below_one(self, capsys, k_max):

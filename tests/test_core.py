@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import tracemalloc
+import weakref
 from itertools import combinations, groupby
 from unittest import mock
 
@@ -277,6 +278,26 @@ class TestPromotion:
         assert is_palindromic(forced)
         assert eval_at_one(forced) == 1
 
+    def test_the_wrapped_array_is_dropped_before_the_object_array(self, monkeypatch):
+        # The int64 array that could have wrapped must be gone when the
+        # object array that replaces it is allocated, not kept beside it.
+        rho = validate_tuple([5, 7, 11, 13, 17])
+        real = core._unit
+        int64_arrays, alive = [], []
+
+        def spying(window, dtype):
+            if dtype is object:
+                alive.append([ref() is not None for ref in int64_arrays])
+            c = real(window, dtype)
+            if dtype == "int64":
+                int64_arrays.append(weakref.ref(c))
+            return c
+
+        monkeypatch.setattr(core, "_unit", spying)
+        c = apply_factors(degree_of(rho) + 1, divisions_first(rho))
+        assert c.dtype == object
+        assert alive == [[False]]
+
     def test_object_sweep_matches_int64_sweep(self, small_corpus, random_corpus):
         for rho in small_corpus + random_corpus[:10]:
             factors = ordered_factors(rho)
@@ -426,7 +447,7 @@ class TestRuns:
     def test_every_small_tuple_matches_the_oracle(self, runs):
         # At k = 1 and at k = 2 with an even q_1, some tuples' rows of q_k
         # cells reach past the shared window (109 at k = 2, m <= 600), and
-        # their missing cells must reach no height and no array.
+        # those tuples run alone.
         runs = runs()
         assert any(len(run) > 1 for run in runs)
         for run in runs:
@@ -444,10 +465,10 @@ class TestRuns:
         pytest.param(lambda: runs_of(coprime_tuples(5, 20000)), id="k5"),
     ])
     def test_every_block_cell_is_a_coefficient_or_zero(self, runs):
-        # A block's cells past a window, which ``heights`` reduces too, hold
-        # the tuple's coefficient at that index (0 past its degree) or 0:
-        # never a cell of the shared array left unswept, nor one swept from
-        # a cell missing past the shared window.
+        # Every cell of a block, which ``heights`` reduces whole, holds its
+        # tuple's coefficient at that index, 0 past its degree: past the
+        # window too, never a cell of the shared array left unswept, nor one
+        # swept from a cell missing past the shared window.
         for run in runs():
             windows = [degree_of(rho) // 2 + 1 for rho in run]
             tuples = iter(zip(run, windows))
@@ -459,8 +480,8 @@ class TestRuns:
                     off += w
                     coefficients = np.zeros(max(len(cells), degree_of(rho) + 1), dtype=object)
                     coefficients[: degree_of(rho) + 1] = expand(rho)
-                    assert np.array_equal(cells[:window], coefficients[:window]), rho.qs
-                    assert all(c in (0, e) for c, e in zip(cells.tolist(), coefficients.tolist())), rho.qs
+                    assert len(cells) >= window, rho.qs
+                    assert np.array_equal(cells, coefficients[: len(cells)]), rho.qs
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8])
     def test_lanes_of_low_halves_below_a_lowered_limit(self, limit):
@@ -494,14 +515,16 @@ class TestRuns:
         # The shared sweep runs over the longest window, and its bound starts
         # every block; a tuple must still restart exactly where its own sweep
         # does, with the object sweep's values, in expansions and in heights.
+        # A restart is the one object array apply_factors builds.
         restarted = []
-        real = core._restart
+        real = core._unit
 
-        def recording(window, factors):
-            restarted.append(window)
-            return real(window, factors)
+        def recording(window, dtype):
+            if dtype is object:
+                restarted.append(window)
+            return real(window, dtype)
 
-        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit), mock.patch.object(core, "_restart", recording):
+        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit), mock.patch.object(core, "_unit", recording):
             arrays = list(expansions(run))
             alone = [expand(rho) for rho in run]
             restarted.clear()
@@ -555,51 +578,74 @@ class TestRuns:
         assert all(start <= bound for start, bound in entries)
 
     def test_a_wrapped_shared_sweep_runs_each_tuple_alone(self, monkeypatch):
-        # A shorter window may stay in int64 where the longest could wrap.
+        # A planted wrap of the shared sweep: each tuple runs alone through
+        # apply_factors, from 1 in int64, and is expand's array in its lane.
         run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
         expected = [expand(rho) for rho in run]
         expected_heights = [height(c) for c in expected]
-        real = core._sweep
-        calls = []
+        real_sweep, real_apply = core._sweep, core.apply_factors
+        calls, alone = [], []
 
         def first_wraps(c, factors, bound):
             calls.append(len(c))
-            return None if len(calls) == 1 else real(c, factors, bound)
+            return None if len(calls) == 1 else real_sweep(c, factors, bound)
+
+        def recording(window, factors):
+            alone.append(window)
+            return real_apply(window, factors)
 
         monkeypatch.setattr(core, "_sweep", first_wraps)
+        monkeypatch.setattr(core, "apply_factors", recording)
         arrays = list(expansions(run))
         assert calls[0] == len(expected[-1])
-        assert [c.dtype for c in arrays] == [np.int64, np.int64, object]
+        assert alone == [len(e) for e in expected]
+        assert [c.dtype for c in arrays] == [e.dtype for e in expected]
         assert all(np.array_equal(c, e) for c, e in zip(arrays, expected))
         calls.clear()
+        alone.clear()
         assert list(heights(run)) == expected_heights
+        assert alone == [degree_of(rho) // 2 + 1 for rho in run]
 
     def test_a_wrapped_block_runs_each_tuple_alone(self, monkeypatch):
         # A planted wrap in the first sweep of a block of several tuples:
-        # each of them continues alone from the shared array, in int64.
+        # each of them runs alone through apply_factors, from 1 in int64,
+        # and is expand's array in its lane.
         run = several_groups()
-        expected = [height(low_half(rho)) for rho in run]
-        real_sweep, real_block = core._sweep, core._block
-        groups, planted = [], []
+        expected = [expand(rho) for rho in run]
+        real_sweep, real_block, real_apply = core._sweep, core._block, core.apply_factors
+        groups, planted, alone = [], [], []
 
         def block(shared, bound, factors, group):
-            groups.append(len(group))
+            groups.append([window for _, window in group])
             return real_block(shared, bound, factors, group)
 
         def wrapping(c, factors, bound):
             result = real_sweep(c, factors, bound)
-            if groups and groups[-1] > 1 and not planted:
+            if groups and len(groups[-1]) > 1 and not planted:
                 planted.append(len(groups))
                 return None
             return result
 
+        def recording(window, factors):
+            alone.append(window)
+            return real_apply(window, factors)
+
         monkeypatch.setattr(core, "_block", block)
         monkeypatch.setattr(core, "_sweep", wrapping)
-        assert list(heights(run)) == expected
-        first = groups[0]
-        assert planted == [1] and first > 1
-        assert groups[1 : 1 + first] == [1] * first
-        assert groups[1 + first] > 1  # the next block is whole again
+        monkeypatch.setattr(core, "apply_factors", recording)
+        for route, want in ((expansions, expected), (heights, [height(c) for c in expected])):
+            groups.clear()
+            planted.clear()
+            alone.clear()
+            got = list(route(run))
+            assert planted == [1] and len(groups[0]) > 1
+            assert alone == groups[0]
+            assert len(groups[1]) > 1  # the next block is whole again
+            if route is heights:
+                assert got == want
+            else:
+                assert [c.dtype for c in got] == [e.dtype for e in want]
+                assert all(np.array_equal(c, e) for c, e in zip(got, want))
 
     def test_holds_one_copy_beside_the_shared_array(self):
         # Beside the shared array a run holds one array no longer than it and
@@ -624,8 +670,8 @@ class TestRuns:
     @pytest.mark.parametrize("wraps, arrays", [
         # The shared sweep: each tuple runs alone, and the shared array is dropped.
         (lambda c, bound, calls: len(calls) == 1, 1),
-        # Every continuation: each restarts in Python integers beside the
-        # shared array, and the wrapped block is dropped first.
+        # Every continuation: each tuple runs alone through apply_factors
+        # beside the shared array, and the wrapped block is dropped first.
         (lambda c, bound, calls: bound > 1 and c.dtype == np.int64, 2),
     ])
     def test_a_wrapped_array_is_not_kept(self, monkeypatch, wraps, arrays):
@@ -793,6 +839,19 @@ class TestMeasures:
     def test_palindrome_examples(self):
         assert is_palindromic(np.array([1, -1, 1]))
         assert not is_palindromic(np.array([1, 2]))
+
+    def test_palindrome_needs_no_copy_of_the_window(self):
+        ramp = np.arange(8 * SWEEP_BLOCK + 3, dtype=np.int64)
+        c = np.minimum(ramp, ramp[::-1])
+        broken = c.copy()
+        broken[5 * SWEEP_BLOCK] += 1
+        tracemalloc.start()
+        try:
+            assert is_palindromic(c) and not is_palindromic(broken)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * SWEEP_BLOCK  # a boolean array of the window is 8 * SWEEP_BLOCK bytes
 
     def test_eval_at_one_examples(self):
         assert eval_at_one(expand(validate_tuple([7]))) == 7
