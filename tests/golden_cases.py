@@ -29,6 +29,7 @@ GOLDEN_CASES = [
     ("constant_invalid", ["constant", "--terms", "0"], 2),
     ("verify_mixed_branches", ["verify", "--q", "49,51,149", "--r", "25"], 0),
     ("verify_fail", ["verify", "--q", "7", "--r", "2"], 1),
+    ("verify_expand", ["verify", "--q", "13,37,61", "--r", "6", "--expand"], 0),
     ("search_k3_m105", ["search", "--k", "3", "--m-cap", "105"], 0),
     ("search_k2_m100", ["search", "--k", "2", "--m-cap", "100"], 0),
     ("search_k1_m100", ["search", "--k", "1", "--m-cap", "100"], 0),
