@@ -5,7 +5,7 @@ One line of compact JSON goes to stdout (fixed field order,
 byte-deterministic, whatever stdout is attached to), diagnostics to
 stderr.  Exit codes: 0 success, 1 a checked mathematical predicate is
 false, 2 invalid input (or an --out file that cannot be written), 3 a
-capacity cap was exceeded.
+capacity cap was exceeded or an allocation was refused (MemoryError).
 
 Exact values never pass through lossy JSON numbers: arbitrary-precision
 integers serialize as decimal strings and rationals as "num/den" strings.
@@ -306,11 +306,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         fits = construction.bound_fits(args.r, rho.k)
         payload["lemma_bound"], payload["height_floor"] = _bound_strings(args.r, rho) if fits else (None, None)
         if args.expand:
-            report = analysis.height_report(rho, core.low_half(rho, args.memory_cap))
-            payload["degree"] = report.degree
-            payload["height"] = _big(report.height)
+            A = core.height(core.low_half(rho, args.memory_cap))
+            payload["degree"] = core.degree_of(rho)
+            payload["height"] = _big(A)
             if fits:
-                payload["height_ok"] = report.height >= construction.height_lower_bound(rho, args.r).floor
+                payload["height_ok"] = A >= construction.height_lower_bound(rho, args.r).floor
                 if not payload["height_ok"]:
                     code = EXIT_VERIFY_FAILED
     return payload, code
@@ -460,8 +460,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TupleValidationError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (IdentityMismatch, NonzeroRemainder) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,20 +24,22 @@ The unit of work is a run: tuples that share q_1 ... q_(k-1) and differ in
 q_k, as a lexicographic enumeration yields them.  The 2^(k-1) subsets that
 hold q_k give factors whose d does not depend on q_k; their product is the
 series 1 / Q_(q_1 ... q_(k-1)) (Q_(rho + q)(x) = Q_rho(x^q) / Q_rho(x)).
-A run sweeps that half once, over its longest window.  Each tuple's own
-2^(k-1) factors have d = q_k d' for the d' of that half, the same for
-every tuple of the run, so the tuples continue side by side: a block lays
-each tuple's first entries out in rows of q_k, the tuples' columns next to
-each other, and one sweep of stride d' times the block's width applies a
-factor to every tuple at once (``_block``).  The tuples before the last
-go in blocks of at most SWEEP_BLOCK / 2 entries, a tuple too long for
-that in a block of its own; the last continues in the shared array itself.
+``factor_system`` is the one enumeration of the subsets, and
+``ordered_factors``, the sweep order, is a sort of it whose first half is
+that shared half.  A run sweeps that half once, over its longest window.
+Each tuple's own 2^(k-1) factors have d = q_k d' for the d' of that half,
+the same for every tuple of the run, so the tuples continue side by side:
+a block lays each tuple's first entries out in rows of q_k, the tuples'
+columns next to each other, and one sweep of stride d' times the block's
+width applies a factor to every tuple at once (``_block``).  The tuples
+before the last go in blocks of at most SWEEP_BLOCK / 2 entries, a tuple
+too long for that in a block of its own; the last continues in the shared
+array itself.
 A block is swept whole, so every cell holds its tuple's coefficient at
 that index, 0 past the degree.  ``heights`` takes every height of a block
 from its column extremes, for search, and ``expansions`` each tuple's
 array, for oracle-check.
-``expand`` and ``low_half`` are the run of one tuple, in place, and
-``ordered_factors`` is that order.
+``expand`` and ``low_half`` are the run of one tuple, in place.
 
 The coefficients live in one numpy array and one sweep loop serves both of
 its dtypes: int64 first, carrying a proven bound on the largest magnitude
@@ -46,7 +48,9 @@ only when that bound passes INT64_SAFE_LIMIT (see there).  A block starts
 from the shared array's bound, which bounds every entry it copies.  If
 the scanned height is past the limit too, one rule holds: the int64 array
 is dropped, and each of its tuples runs alone through ``apply_factors``,
-which runs again from 1 in Python integers if int64 could wrap there too.
+which runs again from 1 in Python integers if int64 could wrap there too;
+the run's last tuple, whose own int64 sweep from 1 the shared array was,
+runs in Python integers at once.
 A block holds each tuple's window with the same values at every step,
 under a bound at least the tuple's own, so every tuple keeps the lane it
 has alone.  A wrapped array is never carried on, and is dropped before
@@ -173,47 +177,34 @@ def check_subset_cap(k: int) -> None:
 
 
 def factor_system(rho: CoprimeTuple) -> tuple[Factor, ...]:
-    """Enumerate all 2^k subsets as signed factors (d = m / prod q_i, sign = parity)."""
+    """Enumerate all 2^k subsets as signed factors (d = m / prod q_i, sign = parity).
+
+    The one enumeration of the subsets: every order of the factors, the
+    sweep's (``ordered_factors``) and the oracle's, is a sort of it.
+    """
     check_subset_cap(rho.k)
-    return tuple(_subset_factors(rho.qs, rho.m))
-
-
-def _subset_factors(qs: Sequence[int], m: int) -> list[Factor]:
-    factors: list[Factor] = []
-    for size in range(len(qs) + 1):
-        sign = 1 if size % 2 == 0 else -1
-        for subset in combinations(qs, size):
-            d = m
-            for q in subset:
-                d //= q
-            factors.append((d, sign))
-    return factors
+    return tuple(
+        (rho.m // _product(subset), (-1) ** size)
+        for size in range(rho.k + 1)
+        for subset in combinations(rho.qs, size)
+    )
 
 
 def ordered_factors(rho: CoprimeTuple) -> list[Factor]:
-    """Default application order: the 2^(k-1) factors whose d is not a multiple
-    of q_k, then the 2^(k-1) whose d is; in each half multiplications ascending
-    by d, then divisions.
+    """Sweep order: the 2^(k-1) factors whose d is not a multiple of q_k,
+    then the 2^(k-1) whose d is; in each half multiplications ascending by
+    d, then divisions.
 
     The first half is the subsets that hold q_k.  Their d = m' / prod S' does
     not depend on q_k (m' = q_1 ... q_(k-1)), and their product is the series
     1 / Q_(q_1 ... q_(k-1)), so tuples that differ only in q_k share that half
-    and a run sweeps it once.  Multiplying first within each
-    half keeps intermediate coefficients small, so the int64 sweep rarely
-    needs to restart in Python integers.
+    and a run sweeps it once; the second half is ``_flipped(first, q_k)``.
+    Multiplying first within each half (after Arnold and Monagan, Math.
+    Comp. 80, 2011) keeps intermediate coefficients small, so the int64
+    sweep rarely needs to restart in Python integers.
     """
-    shared = _shared_factors(rho)
-    return shared + _flipped(shared, rho.qs[-1])
-
-
-def _shared_factors(rho: CoprimeTuple) -> list[Factor]:
-    # The subsets that hold q_k, S' + {q_k} for S' of the prefix, give the
-    # prefix's factors with the sign flipped: 1 / Q_prefix.  The subsets S'
-    # alone, the other half, flip them back and scale d by q_k.
-    check_subset_cap(rho.k)
-    prefix = _subset_factors(rho.qs[:-1], rho.m // rho.qs[-1])
-    prefix.sort()
-    return _flipped(prefix, 1)
+    q = rho.qs[-1]
+    return sorted(factor_system(rho), key=lambda f: (f[0] % q == 0, f[1] < 0, f[0]))
 
 
 def _flipped(factors: Sequence[Factor], q: int) -> list[Factor]:
@@ -297,26 +288,30 @@ def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int],
     # of it, so each block starts from it.
     widest = windows[-1]
     shared = _unit(widest, "int64")
-    factors = _shared_factors(run[0])
+    factors = ordered_factors(run[0])[: 1 << (run[0].k - 1)]
     members = [(rho.qs[-1], window) for rho, window in zip(run, windows)]
     bound = _sweep(shared, factors, 1)
     if bound is None:
         del shared  # not carried on, so not kept beside each tuple's own array
-        yield from _alone(factors, members)
-        return
-    for group in _groups(members[:-1], widest):
-        block = _block(shared, bound, factors, group)
-        if block is None:
-            yield from _alone(factors, group)
-        else:
-            yield block, [q for q, _ in group]
-        del block  # so it is gone before the next block is built
-    # The last tuple continues in the shared array itself.
-    if _sweep(shared, _flipped(factors, members[-1][0]), bound) is None:
-        del shared  # nor is a wrapped array kept beside its tuple alone
-        yield from _alone(factors, members[-1:])
+        yield from _alone(factors, members[:-1])
     else:
-        yield shared[:, None], [1]
+        for group in _groups(members[:-1], widest):
+            block = _block(shared, bound, factors, group)
+            if block is None:
+                yield from _alone(factors, group)
+            else:
+                yield block, [q for q, _ in group]
+            del block  # so it is gone before the next block is built
+        # The last tuple continues in the shared array itself.
+        if _sweep(shared, _flipped(factors, members[-1][0]), bound) is not None:
+            yield shared[:, None], [1]
+            return
+        del shared  # nor is a wrapped array kept beside its replacement
+    # The shared array was the last tuple's own int64 sweep from 1, and it
+    # could have wrapped: the last tuple runs in Python integers at once.
+    c = _unit(widest, object)
+    _sweep(c, factors + _flipped(factors, members[-1][0]), 1)
+    yield c[:, None], [1]
 
 
 def _alone(factors: Sequence[Factor],

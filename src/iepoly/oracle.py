@@ -1,10 +1,11 @@
 """Independent reference route for inclusion-exclusion polynomials.
 
 Deliberately a different algorithm from ``core.expand``: multiply all
-positive-sign factors into the full, untruncated product, then divide by
-each negative-sign factor from the top down, requiring a zero remainder at
-every step.  Agreement between the two routes is the main correctness
-evidence for both.
+positive-sign factors of ``core.factor_system`` into the full, untruncated
+product in ascending d, then divide by each negative-sign factor in
+descending d from the top down, requiring a zero remainder at every step.
+Agreement between the two routes is the main correctness evidence for
+both.
 
 The route runs in one numpy array, allocated once at the length of the
 untruncated product, 1 + (prod (q+1) + prod (q-1)) / 2 coefficients;
@@ -159,8 +160,9 @@ def oracle_expand(rho: CoprimeTuple, degree_cap: int = DEFAULT_DEGREE_CAP) -> np
     if length > degree_cap:
         raise DegreeCapExceeded(length, degree_cap)
     factors = factor_system(rho)
-    multipliers = [d for d, sign in factors if sign > 0]
-    # Descending d keeps intermediate degrees shrinking fastest.
+    # Ascending d keeps the growing product short longest, and descending d
+    # keeps the quotient's degree shrinking fastest.
+    multipliers = sorted(d for d, sign in factors if sign > 0)
     divisors = sorted((d for d, sign in factors if sign < 0), reverse=True)
     c = _route(length, multipliers, divisors, "int64")
     if c is None:

@@ -77,6 +77,15 @@ class TestCompute:
         assert code == 3
         assert "DegreeCapExceeded" in err
 
+    def test_refused_allocation_exit_3(self, capsys):
+        # A low half of 5 * 10^17 int64 entries, 4 EiB, under a cap raised
+        # past it: numpy refuses the request before any memory is touched.
+        argv = ["compute", "--q", "1000003,1000033,1000037", "--height-only", "--memory-cap", str(10**18)]
+        assert 8 * (core.degree_of(core.validate_tuple([1000003, 1000033, 1000037])) // 2 + 1) > 1 << 60
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_memory_cap_below_one(self, capsys, cap):
         code, out, err = run(capsys, "compute", "--q", "3,5,7", "--memory-cap", cap)
@@ -321,6 +330,13 @@ class TestVerify:
         assert code == 0
         assert payload["height_ok"] is True
         assert int(payload["height"]) >= int(payload["height_floor"])
+
+    def test_expand_builds_no_ratio(self, capsys, monkeypatch):
+        # verify prints the degree and the height only; no normalizer or
+        # normalized ratio is built for them.
+        monkeypatch.setattr(analysis, "normalized_ratio", lambda *args: pytest.fail("normalized_ratio called"))
+        code, payload, _ = run_json(capsys, "verify", "--q", "13,37,61", "--r", "6", "--expand")
+        assert (code, payload["degree"], payload["height"]) == (0, 25920, "5")
 
     def test_failing_congruence_exit_1(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "--q", "7", "--r", "2")

@@ -578,8 +578,10 @@ class TestRuns:
         assert all(start <= bound for start, bound in entries)
 
     def test_a_wrapped_shared_sweep_runs_each_tuple_alone(self, monkeypatch):
-        # A planted wrap of the shared sweep: each tuple runs alone through
-        # apply_factors, from 1 in int64, and is expand's array in its lane.
+        # A planted wrap of the shared sweep: each tuple before the last runs
+        # alone through apply_factors, from 1 in int64, and is expand's array
+        # in its lane.  The shared sweep was the last tuple's own, so the
+        # last runs in Python integers at once, with expand's values.
         run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
         expected = [expand(rho) for rho in run]
         expected_heights = [height(c) for c in expected]
@@ -598,13 +600,27 @@ class TestRuns:
         monkeypatch.setattr(core, "apply_factors", recording)
         arrays = list(expansions(run))
         assert calls[0] == len(expected[-1])
-        assert alone == [len(e) for e in expected]
-        assert [c.dtype for c in arrays] == [e.dtype for e in expected]
+        assert alone == [len(e) for e in expected[:-1]]
+        assert [c.dtype for c in arrays] == [e.dtype for e in expected[:-1]] + [object]
         assert all(np.array_equal(c, e) for c, e in zip(arrays, expected))
         calls.clear()
         alone.clear()
         assert list(heights(run)) == expected_heights
-        assert alone == [degree_of(rho) // 2 + 1 for rho in run]
+        assert alone == [degree_of(rho) // 2 + 1 for rho in run[:-1]]
+
+    def test_a_wrapped_tuple_is_swept_in_int64_once(self, monkeypatch):
+        # The shared array of a run of one is the tuple's own int64 sweep
+        # from 1: when it could have wrapped, the tuple runs in Python
+        # integers next, not in int64 again.
+        rho = validate_tuple([2, 3, 5, 7, 11, 13, 17])
+        dtypes = []
+        real = core._unit
+        monkeypatch.setattr(core, "INT64_SAFE_LIMIT", 30)
+        monkeypatch.setattr(core, "_unit", lambda window, dtype: dtypes.append(dtype) or real(window, dtype))
+        c = expand(rho)
+        assert dtypes == ["int64", object]
+        assert c.dtype == object
+        assert np.array_equal(c, sweep_from_one(degree_of(rho) + 1, ordered_factors(rho), object))
 
     def test_a_wrapped_block_runs_each_tuple_alone(self, monkeypatch):
         # A planted wrap in the first sweep of a block of several tuples:
@@ -715,7 +731,9 @@ class TestOrder:
     def test_multiples_of_the_last_entry_come_last(self, small_corpus, random_corpus, high_k_corpus):
         for rho in small_corpus + random_corpus + high_k_corpus:
             factors = ordered_factors(rho)
-            assert sorted(factors) == sorted(factor_system(rho)), rho.qs
+            # Every subset S once, as (m / prod S, (-1)^|S|), by brute force.
+            subsets = [s for size in range(rho.k + 1) for s in combinations(rho.qs, size)]
+            assert sorted(factors) == sorted((rho.m // math.prod(s), (-1) ** len(s)) for s in subsets), rho.qs
             multiple = [d % rho.qs[-1] == 0 for d, _ in factors]
             assert multiple == sorted(multiple) and sum(multiple) == 1 << (rho.k - 1), rho.qs
             for half in (factors[: 1 << (rho.k - 1)], factors[1 << (rho.k - 1) :]):
