@@ -24,9 +24,9 @@ The unit of work is a run: tuples that share q_1 ... q_(k-1) and differ in
 q_k, as a lexicographic enumeration yields them.  The 2^(k-1) subsets that
 hold q_k give factors whose d does not depend on q_k; their product is the
 series 1 / Q_(q_1 ... q_(k-1)) (Q_(rho + q)(x) = Q_rho(x^q) / Q_rho(x)).
-``factor_system`` is the one enumeration of the subsets, and
-``ordered_factors``, the sweep order, is a sort of it whose first half is
-that shared half.  A run sweeps that half once, over its longest window.
+``factor_system`` is the one enumeration of the subsets; the sweep order,
+``ordered_factors``, is a sort of it, and its first half is that shared
+half.  A run sweeps that half once, over its longest window.
 Each tuple's own 2^(k-1) factors have d = q_k d' for the d' of that half,
 the same for every tuple of the run, so the tuples continue side by side:
 a block lays each tuple's first entries out in rows of q_k, the tuples'
@@ -177,17 +177,18 @@ def check_subset_cap(k: int) -> None:
 
 
 def factor_system(rho: CoprimeTuple) -> tuple[Factor, ...]:
-    """Enumerate all 2^k subsets as signed factors (d = m / prod q_i, sign = parity).
-
-    The one enumeration of the subsets: every order of the factors, the
-    sweep's (``ordered_factors``) and the oracle's, is a sort of it.
-    """
+    """All 2^k subsets as signed factors (d = m / prod q_i, sign = parity): the
+    one enumeration of them, which ``ordered_factors`` and the oracle sort."""
     check_subset_cap(rho.k)
-    return tuple(
-        (rho.m // _product(subset), (-1) ** size)
-        for size in range(rho.k + 1)
-        for subset in combinations(rho.qs, size)
-    )
+    factors = []
+    for size in range(rho.k + 1):
+        sign = -1 if size % 2 else 1
+        for subset in combinations(rho.qs, size):
+            d = rho.m
+            for q in subset:
+                d //= q
+            factors.append((d, sign))
+    return tuple(factors)
 
 
 def ordered_factors(rho: CoprimeTuple) -> list[Factor]:
@@ -199,9 +200,8 @@ def ordered_factors(rho: CoprimeTuple) -> list[Factor]:
     not depend on q_k (m' = q_1 ... q_(k-1)), and their product is the series
     1 / Q_(q_1 ... q_(k-1)), so tuples that differ only in q_k share that half
     and a run sweeps it once; the second half is ``_flipped(first, q_k)``.
-    Multiplying first within each half (after Arnold and Monagan, Math.
-    Comp. 80, 2011) keeps intermediate coefficients small, so the int64
-    sweep rarely needs to restart in Python integers.
+    Multiplying first in each half (Arnold and Monagan, Math. Comp. 80,
+    2011) keeps the int64 sweep's coefficients small.
     """
     q = rho.qs[-1]
     return sorted(factor_system(rho), key=lambda f: (f[0] % q == 0, f[1] < 0, f[0]))
