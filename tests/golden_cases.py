@@ -22,6 +22,7 @@ GOLDEN_CASES = [
     ("construct_n1_k2", ["construct", "--N", "1", "--k", "2"], 0),
     ("construct_expand", ["construct", "--N", "1", "--k", "3", "--expand"], 0),
     ("construct_invalid", ["construct", "--N", "0", "--k", "2"], 2),
+    ("construct_k12", ["construct", "--N", "1", "--k", "12"], 0),
     ("construct_k25", ["construct", "--N", "1", "--k", "25"], 0),
     ("construct_k25_expand", ["construct", "--N", "1", "--k", "25", "--expand"], 3),
     ("constant_30", ["constant", "--terms", "30"], 0),
@@ -30,6 +31,7 @@ GOLDEN_CASES = [
     ("verify_mixed_branches", ["verify", "--q", "49,51,149", "--r", "25"], 0),
     ("verify_fail", ["verify", "--q", "7", "--r", "2"], 1),
     ("verify_expand", ["verify", "--q", "13,37,61", "--r", "6", "--expand"], 0),
+    ("verify_minus_expand", ["verify", "--q", "11,35,59,83", "--r", "6", "--expand"], 0),
     ("search_k3_m105", ["search", "--k", "3", "--m-cap", "105"], 0),
     ("search_k2_m100", ["search", "--k", "2", "--m-cap", "100"], 0),
     ("search_k1_m100", ["search", "--k", "1", "--m-cap", "100"], 0),
