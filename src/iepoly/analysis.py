@@ -175,9 +175,10 @@ def predicted_ratio(fam: CongruenceFamily) -> float:
     The ratio is (r^(2^(k-1)) / (m M))^(2^-k).  Route (b) writes it per
     member: with a_j = r / q_j it is a_k^(2^-k) prod_{j<k} a_j^(2^-(j+1)) =
     sqrt(sqrt(a_1 sqrt(a_2 ... sqrt(a_{k-1} sqrt(a_k^2))))), k + 1 roots of
-    small rationals.  Route (a) is normalized_ratio of the family's exact
-    height bound r^(2^(k-1)) / m over M; it runs where congruence_family
-    built that bound (below BOUND_BITS_CAP bits) and reuses it.  Both routes
+    small rationals.  Route (a) is normalized_ratio of r^(2^(k-1)) over
+    m M, the lemma bound over M; it runs where congruence_family built that
+    bound (below BOUND_BITS_CAP bits), and raises its own power of r in
+    binary, independent of the decimal one that is printed.  Both routes
     return the correctly rounded float of the same real, so any difference
     raises IdentityMismatch.
     """
@@ -185,8 +186,7 @@ def predicted_ratio(fam: CongruenceFamily) -> float:
     steps = [(r * r, qs[-1] * qs[-1])] + [(r, q) for q in reversed(qs[:-1])] + [(1, 1)]
     value = _correctly_rounded(lambda width: _roots(1, 1, 0, steps, width))[0]
     if fam.height_bound is not None:
-        bound = fam.height_bound.bound
-        exact = normalized_ratio(bound.numerator, bound.denominator * normalizer(fam.rho), k)
+        exact = normalized_ratio(r ** (1 << (k - 1)), fam.rho.m * normalizer(fam.rho), k)
         if exact != value:
             raise IdentityMismatch(f"ratio routes disagree for N={fam.N}, k={k}: {exact!r} vs {value!r}")
     return value

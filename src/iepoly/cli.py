@@ -8,15 +8,18 @@ false, 2 invalid input (or an --out file that cannot be written), 3 a
 capacity cap was exceeded or an allocation was refused (MemoryError).
 
 Exact values never pass through lossy JSON numbers: arbitrary-precision
-integers serialize as decimal strings and rationals as "num/den" strings.
+integers serialize as decimal strings (errors._big) and rationals as
+"num/den" strings.
 Reals are reported as 64-bit floats, each the correctly rounded value of
 a chain of integer square roots (see the analysis module); constant's
 error_bound bounds the distance from its reported value to the limit.
 compute prints up to COEFF_INLINE_LIMIT coefficients inline; a longer
 window is omitted unless --out writes it, one decimal integer per line (an
 int64 array is formatted in numpy, a block at a time).  construct and
-verify print r^(2^(k-1)) / m only where construction.bound_fits, and null
-past it.
+verify print r^(2^(k-1)) / m and its ceiling as
+construction.height_lower_bound raised them, in decimal, and compare that
+ceiling with an expanded height; past its gate (construction.bound_fits)
+both print null.
 
 Configuration comes from the command line only.  --memory-cap bounds the
 longest coefficient array a call allocates: the full window when
@@ -32,8 +35,7 @@ in-process callers use; it changes no process-wide setting.  A run pays
 start-up only for what it uses: numpy loads with the first coefficient
 array (see the core module), so constant, construct and verify without
 --expand never load it.  The records are NamedTuples, so no command loads
-dataclasses (nor its inspect, ast, dis, tokenize), and r^(2^(k-1)) / m
-prints from a power of r taken in decimal.
+dataclasses (nor its inspect, ast, dis, tokenize).
 ``run`` also sets OPENBLAS_NUM_THREADS=1 for its own process before
 anything can load numpy, because iepoly calls no BLAS routine and starting
 OpenBLAS's thread pool doubles numpy's import time; the value changes no
@@ -47,23 +49,22 @@ environment.
 from __future__ import annotations
 
 import argparse
-import decimal
-import functools
 import gc
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import analysis, construction, core, oracle
 from .errors import (
+    STR_BITS,
     CapacityError,
     DegreeCapExceeded,
     IdentityMismatch,
     InvalidParameter,
     NonzeroRemainder,
     TupleValidationError,
+    _big,
 )
 
 if TYPE_CHECKING:
@@ -78,61 +79,14 @@ COEFF_INLINE_LIMIT = 10**4
 OUT_CHUNK = 1 << 16
 JSON_SAFE_INT = (1 << 53) - 1
 
-# Integers up to this many bits render with str(); larger ones split in
-# halves down to pieces of this size (see _big).  On CPython 3.11, leaf
-# sizes from 2^10 to 2^13 bits measured alike, and str() is as fast as the
-# split up to about 2^15 bits.
-STR_BITS = 1 << 13
-# Exact integer arithmetic in decimal: unbounded precision and exponent,
-# and any rounding raises instead of passing silently.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
-)
-
 
 # ------------------------------ serialization ------------------------------
 
-def _big(x: int) -> str:
-    """str(x), in sub-quadratic time for large x.
-
-    Before CPython 3.12, str() is quadratic in the length of x.  Above
-    STR_BITS bits, x = hi * 2^h + lo is converted by halves and recombined
-    with decimal's sub-quadratic multiplication: the algorithm of CPython
-    3.12's _pylong.int_to_decimal_string.
-    """
-    if x.bit_length() <= STR_BITS:
-        return str(x)
-
-    @functools.cache
-    def pow2(w: int) -> decimal.Decimal:
-        if w <= STR_BITS:
-            return decimal.Decimal(1 << w)
-        return pow2(w >> 1) * pow2(w - (w >> 1))
-
-    def convert(n: int, w: int) -> decimal.Decimal:
-        # 0 <= n < 2^w
-        if w <= STR_BITS:
-            return decimal.Decimal(n)
-        h = w >> 1
-        hi = n >> h
-        return convert(n - (hi << h), h) + convert(hi, w - h) * pow2(h)
-
-    with decimal.localcontext(_EXACT):
-        digits = str(convert(abs(x), x.bit_length()))
-    return "-" + digits if x < 0 else digits
-
-
-def _bound_strings(r: int, rho: core.CoprimeTuple) -> tuple[str, str]:
-    """lemma_bound and height_floor: r^(2^(k-1)) / m and its ceiling, raised in decimal.
-
-    The fraction is in lowest terms, since each q_j = +-1 (mod r), and
-    raising r in decimal spares building its binary numerator and floor.
-    """
-    assert math.gcd(r, rho.m) == 1
-    with decimal.localcontext(_EXACT):
-        num = decimal.Decimal(r) ** (1 << (rho.k - 1))
-        floor = (num + (rho.m - 1)) // rho.m
-    return f"{num}/{_big(rho.m)}", str(floor)
+def _bound_fields(bound: Optional[construction.HeightBound], m: int) -> tuple[Optional[str], Optional[str]]:
+    """lemma_bound and height_floor: r^(2^(k-1)) / m and its ceiling, or null past the gate."""
+    if bound is None:
+        return None, None
+    return f"{bound.numerator}/{_big(m)}", str(bound.floor)
 
 
 def _write_coeffs(path: str, coeffs: np.ndarray) -> None:
@@ -246,7 +200,8 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     fam = construction.congruence_family(args.N, args.k)
     ratio = analysis.predicted_ratio(fam)
     degree = core.degree_of(fam.rho)
-    lemma, floor = _bound_strings(fam.r, fam.rho) if fam.height_bound else (None, None)
+    bound = fam.height_bound
+    lemma, floor = _bound_fields(bound, fam.rho.m)
     payload: dict[str, Any] = {
         "command": "construct",
         "N": args.N,
@@ -266,10 +221,9 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         report = analysis.height_report(fam.rho, core.low_half(fam.rho, args.memory_cap))
         payload["height"] = _big(report.height)
         payload["normalized_ratio"] = report.normalized_ratio
-        if fam.height_bound is not None:
-            ok = report.height >= fam.height_bound.floor
-            payload["height_ok"] = ok
-            if not ok:
+        if bound is not None:
+            payload["height_ok"] = bound.floor <= report.height
+            if not payload["height_ok"]:
                 code = EXIT_VERIFY_FAILED
     return payload, code
 
@@ -303,14 +257,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     }
     code = EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     if report.ok:
-        fits = construction.bound_fits(args.r, rho.k)
-        payload["lemma_bound"], payload["height_floor"] = _bound_strings(args.r, rho) if fits else (None, None)
+        bound = construction.height_lower_bound(rho, args.r)
+        payload["lemma_bound"], payload["height_floor"] = _bound_fields(bound, rho.m)
         if args.expand:
             A = core.height(core.low_half(rho, args.memory_cap))
             payload["degree"] = core.degree_of(rho)
             payload["height"] = _big(A)
-            if fits:
-                payload["height_ok"] = A >= construction.height_lower_bound(rho, args.r).floor
+            if bound is not None:
+                payload["height_ok"] = bound.floor <= A
                 if not payload["height_ok"]:
                     code = EXIT_VERIFY_FAILED
     return payload, code

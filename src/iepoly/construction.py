@@ -7,23 +7,22 @@ at most k, while q_j = 1 (mod both).  Each member satisfies
 q_j = 2r + 1 (mod 4r), which guarantees the coefficient height of the
 expanded polynomial is at least r^(2^(k-1)) / m.
 
-The exact rational height bound has r^(2^(k-1)) in the numerator and is
-materialized only while its estimated size fits BOUND_BITS_CAP bits
-(bound_fits); beyond that the family still constructs (r, q_j stay cheap)
-and its bound is None.
-It is in lowest terms: each q_j = +-1 (mod r), so gcd(r, m) = 1, and the
-command line prints it from a decimal power of r instead of converting it.
+height_lower_bound is the one home of that lemma bound.  It is None past
+BOUND_BITS_CAP bits (bound_fits), where the family still constructs;
+below, r^(2^(k-1)) and its ceiling over m are raised in exact decimal, to
+print by str() and compare exactly with an int height.  The fraction is
+in lowest terms: each q_j = +-1 (mod r), so gcd(r, m) = 1.
 Results are NamedTuples: immutable, and they unpack and compare as tuples.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import CoprimeTuple, validate_tuple
-from .errors import CapExceeded, CongruenceNotSatisfied, InvalidParameter
+from .errors import _EXACT, CapExceeded, CongruenceNotSatisfied, InvalidParameter
 
 # Exact bounds are materialized only below this size (bound_fits).  It is
 # part of the output contract, not a speed setting: it decides for which
@@ -57,10 +56,10 @@ class CongruenceReport(NamedTuple):
 
 
 class HeightBound(NamedTuple):
-    """Exact rational lower bound r^(2^(k-1)) / m and its integer ceiling."""
+    """r^(2^(k-1)) / m, as its numerator over rho.m, and its ceiling: integers in exact decimal."""
 
-    bound: Fraction
-    floor: int
+    numerator: decimal.Decimal
+    floor: decimal.Decimal
 
 
 class CongruenceFamily(NamedTuple):
@@ -88,17 +87,19 @@ def check_congruence(rho: CoprimeTuple, r: int) -> CongruenceReport:
     return CongruenceReport(r, modulus, tuple(elements), all(e.ok for e in elements))
 
 
-def height_lower_bound(rho: CoprimeTuple, r: int) -> HeightBound:
-    """Exact bound r^(2^(k-1)) / m, valid only under the congruence hypothesis."""
+def height_lower_bound(rho: CoprimeTuple, r: int) -> Optional[HeightBound]:
+    """Exact bound r^(2^(k-1)) / m, valid only under the congruence hypothesis; None past bound_fits."""
     report = check_congruence(rho, r)
     if not report.ok:
         bad = [e.q for e in report.elements if not e.ok]
         raise CongruenceNotSatisfied(
             f"elements {bad} are not congruent to 2r +- 1 mod {report.modulus} (r = {r})"
         )
-    bound = Fraction(r ** (1 << (rho.k - 1)), rho.m)
-    floor = -(-bound.numerator // bound.denominator)
-    return HeightBound(bound, floor)
+    if not bound_fits(r, rho.k):
+        return None
+    with decimal.localcontext(_EXACT):
+        numerator = decimal.Decimal(r) ** (1 << (rho.k - 1))
+        return HeightBound(numerator, (numerator + (rho.m - 1)) // rho.m)
 
 
 def bound_fits(r: int, k: int) -> bool:
@@ -127,7 +128,4 @@ def congruence_family(N: int, k: int) -> CongruenceFamily:
     report = check_congruence(rho, r)
     if not report.ok or any(e.branch != "plus" for e in report.elements):
         raise AssertionError("constructed family must sit on the 2r + 1 branch")
-    bound: Optional[HeightBound] = None
-    if bound_fits(r, k):
-        bound = height_lower_bound(rho, r)
-    return CongruenceFamily(N, k, r, rho, bound)
+    return CongruenceFamily(N, k, r, rho, height_lower_bound(rho, r))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from conftest import coprime_tuples
 from golden_cases import SRC_ENV
 from iepoly import analysis, cli, construction, core, oracle
 from iepoly.cli import main
-from iepoly.construction import congruence_family, height_lower_bound
+from iepoly.construction import congruence_family
 
 
 def run(capsys, *argv):
@@ -33,6 +34,17 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out) if out else None, err
+
+
+def binary_bound(rho, r):
+    """lemma_bound and height_floor as printed from the binary Fraction r^(2^(k-1)) / m and its ceiling.
+
+    The Fraction reduces to lowest terms, so a printed denominator of m
+    also checks that gcd(r, m) = 1.
+    """
+    bound = Fraction(r ** (1 << (rho.k - 1)), rho.m)
+    assert bound.denominator == rho.m
+    return f"{bound.numerator}/{bound.denominator}", str(-(-bound.numerator // bound.denominator))
 
 
 class TestCompute:
@@ -200,9 +212,7 @@ class TestConstruct:
         code, payload, _ = run_json(capsys, "construct", "--N", "1", "--k", "14")
         assert code == 0
         fam = congruence_family(1, 14)
-        bound = height_lower_bound(fam.rho, fam.r)
-        assert payload["lemma_bound"] == f"{bound.bound.numerator}/{bound.bound.denominator}"
-        assert payload["height_floor"] == str(bound.floor)
+        assert (payload["lemma_bound"], payload["height_floor"]) == binary_bound(fam.rho, fam.r)
         assert payload["predicted_ratio"] == 0.48704363223809843
 
     def test_big_k_refuses_expand(self, capsys):
@@ -257,10 +267,9 @@ class TestBigRendering:
         # lemma_bound and height_floor are raised in decimal; they must read
         # as the binary bound's str(), up to 90k digits at k = 14.
         for k in range(1, 15):
-            bound = congruence_family(N, k).height_bound
+            fam = congruence_family(N, k)
             _, payload, _ = run_json(capsys, "construct", "--N", str(N), "--k", str(k))
-            assert payload["lemma_bound"] == f"{bound.bound.numerator}/{bound.bound.denominator}", (N, k)
-            assert payload["height_floor"] == str(bound.floor), (N, k)
+            assert (payload["lemma_bound"], payload["height_floor"]) == binary_bound(fam.rho, fam.r), (N, k)
 
     @pytest.mark.parametrize("q, r", [
         ("181,251,253,323", 18),  # plus, minus, plus, minus
@@ -270,10 +279,8 @@ class TestBigRendering:
     ])
     def test_verify_bounds_match_binary(self, capsys, unlimited_str_digits, q, r):
         rho = core.validate_tuple(map(int, q.split(",")))
-        bound = height_lower_bound(rho, r)
         _, payload, _ = run_json(capsys, "verify", "--q", q, "--r", str(r))
-        assert payload["lemma_bound"] == f"{bound.bound.numerator}/{bound.bound.denominator}"
-        assert payload["height_floor"] == str(bound.floor)
+        assert (payload["lemma_bound"], payload["height_floor"]) == binary_bound(rho, r)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(bits=st.integers(0, 200_000), seed=st.integers(0, 2**32), negative=st.booleans())
@@ -364,18 +371,36 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err == "error: TupleTooLarge: k = 12000 exceeds subset cap 20\n"
 
-    def test_binary_bound_only_for_an_expanded_height(self, capsys, monkeypatch):
-        # lemma_bound and height_floor are raised in decimal; the binary
-        # floor is built only to compare a height, once its low half exists.
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--q", "13,37,61", "--r", "6"],
+        ["verify", "--q", "13,37,61", "--r", "6", "--expand"],
+        ["construct", "--N", "1", "--k", "3"],
+        ["construct", "--N", "1", "--k", "3", "--expand"],
+    ])
+    def test_one_bound_per_command(self, capsys, monkeypatch, argv):
+        # The bound is raised once, in decimal, and the same one is printed
+        # and compared with an expanded height.
         calls = []
         bound = construction.height_lower_bound
         monkeypatch.setattr(construction, "height_lower_bound", lambda rho, r: calls.append(rho) or bound(rho, r))
-        argv = ["verify", "--q", "13,37,61", "--r", "6"]
-        assert run(capsys, *argv)[0] == 0
-        assert run(capsys, *argv, "--expand", "--memory-cap", "100")[0] == 3
-        assert calls == []
-        code, payload, _ = run_json(capsys, *argv, "--expand")
-        assert (code, payload["height_ok"], len(calls)) == (0, True, 1)
+        code, payload, _ = run_json(capsys, *argv)
+        assert (code, payload["height_floor"], len(calls)) == (0, "1", 1)
+
+    @pytest.mark.parametrize("argv, floor, patch", [
+        (["verify", "--q", "49,51,149", "--r", "25", "--expand"], 2, "core"),
+        (["construct", "--N", "1", "--k", "3", "--expand"], 1, "report"),
+    ])
+    def test_height_ok_at_the_floor(self, capsys, monkeypatch, argv, floor, patch):
+        # A height equal to the floor passes, one below it fails.  verify
+        # measures through core.height, construct through height_report.
+        report = analysis.height_report
+        for A, ok, code in ((floor, True, 0), (floor - 1, False, 1)):
+            if patch == "core":
+                monkeypatch.setattr(core, "height", lambda c: A)
+            else:
+                monkeypatch.setattr(analysis, "height_report", lambda rho, c: report(rho, c)._replace(height=A))
+            got, payload, _ = run_json(capsys, *argv)
+            assert (got, payload["height_floor"], payload["height"], payload["height_ok"]) == (code, str(floor), str(A), ok)
 
     def test_bound_past_the_gate_is_null(self, capsys):
         # A k = 20 family member with a 199-digit r: r^(2^19) / m and its

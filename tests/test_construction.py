@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,24 +14,31 @@ from iepoly.core import expand, height, low_half, validate_tuple
 from iepoly.errors import CongruenceNotSatisfied, InvalidParameter
 
 
+def lemma_bound(fam):
+    """The family's bound as a Fraction of its decimal numerator over m, checked to be in lowest terms."""
+    bound = Fraction(int(fam.height_bound.numerator), fam.rho.m)
+    assert bound.denominator == fam.rho.m
+    return bound
+
+
 class TestFamily:
     def test_n1_k2(self):
         fam = congruence_family(1, 2)
         assert fam.r == 2
         assert fam.rho.qs == (5, 13)
-        assert fam.height_bound.bound == Fraction(4, 65)
+        assert lemma_bound(fam) == Fraction(4, 65)
 
     def test_n1_k3(self):
         fam = congruence_family(1, 3)
         assert fam.r == 6
         assert fam.rho.qs == (13, 37, 61)
-        assert fam.height_bound.bound == Fraction(1296, 29341)
+        assert lemma_bound(fam) == Fraction(1296, 29341)
 
     def test_n2_k1(self):
         fam = congruence_family(2, 1)
         assert fam.r == 2
         assert fam.rho.qs == (5,)
-        assert fam.height_bound.bound == Fraction(2, 5)
+        assert lemma_bound(fam) == Fraction(2, 5)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):
@@ -88,17 +96,26 @@ class TestCongruence:
 class TestHeightLowerBound:
     def test_small(self):
         hb = height_lower_bound(validate_tuple([5, 13]), 2)
-        assert hb.bound == Fraction(4, 65)
-        assert hb.floor == 1
+        assert (hb.numerator, hb.floor) == (4, 1)
+        assert isinstance(hb.numerator, Decimal) and isinstance(hb.floor, Decimal)
 
     def test_above_one(self):
-        hb = height_lower_bound(validate_tuple([49, 51, 149]), 25)
-        assert hb.bound == Fraction(390625, 372351)
-        assert hb.floor == 2
+        rho = validate_tuple([49, 51, 149])
+        hb = height_lower_bound(rho, 25)
+        assert Fraction(int(hb.numerator), rho.m) == Fraction(390625, 372351)
+        assert (hb.numerator, hb.floor) == (390625, 2)
 
     def test_hypothesis_enforced(self):
         with pytest.raises(CongruenceNotSatisfied):
             height_lower_bound(validate_tuple([7]), 2)
+
+    def test_none_past_the_gate(self):
+        # k = 16: r^(2^15) has 45 * 2^15 bits, past BOUND_BITS_CAP; the
+        # congruence guard still runs first.
+        fam = congruence_family(1, 16)
+        assert height_lower_bound(fam.rho, fam.r) is None
+        with pytest.raises(CongruenceNotSatisfied):
+            height_lower_bound(fam.rho, fam.r + 1)
 
     @pytest.mark.parametrize(
         "qs,r",
@@ -123,7 +140,7 @@ class TestRecords:
             ("value", "terms_used", "error_bound"): limit_constant(3),
             ("q", "residue", "ok", "branch"): report.elements[0],
             ("r", "modulus", "elements", "ok"): report,
-            ("bound", "floor"): fam.height_bound,
+            ("numerator", "floor"): fam.height_bound,
             ("N", "k", "r", "rho", "height_bound"): fam,
         }
 

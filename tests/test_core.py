@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import sys
+import time
 import tracemalloc
 import weakref
 from itertools import combinations, groupby
@@ -100,6 +101,22 @@ class TestValidate:
         finally:
             sys.set_int_max_str_digits(limit)
         assert "1" + "0" * 4400 in str(err.value)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_errors_print_a_million_bit_entry_in_time(self):
+        # Error messages print through the same sub-quadratic printer as
+        # stdout; str() of these two entries takes seconds on CPython 3.11.
+        x = (1 << 10**6) + 1
+        start = time.perf_counter()
+        with pytest.raises(NotIncreasing) as err:
+            validate_tuple([2 * x, x])
+        assert time.perf_counter() - start < 1
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert str(err.value) == f"NotIncreasing: q[0] = {2 * x} not below q[1] = {x}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_products_of_a_long_tuple(self):
         qs = construction.family_parameters(1, construction.FAMILY_K_CAP)[1]
