@@ -98,8 +98,8 @@ def height_lower_bound(rho: CoprimeTuple, r: int) -> Optional[HeightBound]:
     if not bound_fits(r, rho.k):
         return None
     with decimal.localcontext(_EXACT):
-        numerator = decimal.Decimal(r) ** (1 << (rho.k - 1))
-        return HeightBound(numerator, (numerator + (rho.m - 1)) // rho.m)
+        numerator, m = decimal.Decimal(r) ** (1 << (rho.k - 1)), decimal.Decimal(rho.m)
+        return HeightBound(numerator, (numerator + m - 1) // m)
 
 
 def bound_fits(r: int, k: int) -> bool:
