@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .construction import CongruenceFamily
 from .core import DEFAULT_DEGREE_CAP, CoprimeTuple, degree_of, height, heights
-from .errors import CapExceeded, IdentityMismatch, InvalidParameter
+from .errors import CapExceeded, IdentityMismatch, InvalidParameter, _big
 
 if TYPE_CHECKING:
     import numpy as np
@@ -154,7 +154,7 @@ def normalized_ratio(A: int, M: int, k: int) -> float:
     past the float range (A / M >= 2^(1024 * 2^k)) raises OverflowError.
     """
     if A < 1 or M < 1 or k < 1:
-        raise InvalidParameter(f"need A >= 1, M >= 1, k >= 1, got A={A}, M={M}, k={k}")
+        raise InvalidParameter(f"need A >= 1, M >= 1, k >= 1, got A={_big(A)}, M={_big(M)}, k={k}")
     return _correctly_rounded(lambda width: _roots(*_bracket(A, M, width), [(1, 1)] * k, width))[0]
 
 

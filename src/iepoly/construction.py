@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .core import CoprimeTuple, validate_tuple
-from .errors import _EXACT, CapExceeded, CongruenceNotSatisfied, InvalidParameter
+from .errors import _EXACT, CapExceeded, CongruenceNotSatisfied, InvalidParameter, _big
 
 # Exact bounds are materialized only below this size (bound_fits).  It is
 # part of the output contract, not a speed setting: it decides for which
@@ -73,7 +73,7 @@ class CongruenceFamily(NamedTuple):
 def check_congruence(rho: CoprimeTuple, r: int) -> CongruenceReport:
     """Report, per element, whether q = 2r - 1 or 2r + 1 modulo 4r."""
     if r < 1:
-        raise InvalidParameter(f"r must be positive, got {r}")
+        raise InvalidParameter(f"r must be positive, got {_big(r)}")
     modulus = 4 * r
     elements = []
     for q in rho.qs:
@@ -91,9 +91,9 @@ def height_lower_bound(rho: CoprimeTuple, r: int) -> Optional[HeightBound]:
     """Exact bound r^(2^(k-1)) / m, valid only under the congruence hypothesis; None past bound_fits."""
     report = check_congruence(rho, r)
     if not report.ok:
-        bad = [e.q for e in report.elements if not e.ok]
+        bad = ", ".join(_big(e.q) for e in report.elements if not e.ok)
         raise CongruenceNotSatisfied(
-            f"elements {bad} are not congruent to 2r +- 1 mod {report.modulus} (r = {r})"
+            f"elements [{bad}] are not congruent to 2r +- 1 mod {_big(report.modulus)} (r = {_big(r)})"
         )
     if not bound_fits(r, rho.k):
         return None
@@ -110,7 +110,7 @@ def bound_fits(r: int, k: int) -> bool:
 def family_parameters(N: int, k: int) -> tuple[int, list[int]]:
     """r = N * k! and the member list q_j = (4j - 2) r + 1."""
     if N < 1:
-        raise InvalidParameter(f"N must be positive, got {N}")
+        raise InvalidParameter(f"N must be positive, got {_big(N)}")
     if k < 1:
         raise InvalidParameter(f"k must be positive, got {k}")
     if k > FAMILY_K_CAP:

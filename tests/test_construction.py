@@ -1,10 +1,11 @@
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from iepoly.analysis import height_report, limit_constant
+from iepoly.analysis import height_report, limit_constant, normalized_ratio
 from iepoly.construction import (
     check_congruence,
     congruence_family,
@@ -116,6 +117,25 @@ class TestHeightLowerBound:
         assert height_lower_bound(fam.rho, fam.r) is None
         with pytest.raises(CongruenceNotSatisfied):
             height_lower_bound(fam.rho, fam.r + 1)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("call, error", [
+        (lambda big: height_lower_bound(validate_tuple([7]), big), CongruenceNotSatisfied),
+        (lambda big: check_congruence(validate_tuple([7]), -big), InvalidParameter),
+        (lambda big: congruence_family(-big, 2), InvalidParameter),
+        (lambda big: normalized_ratio(0, big, 2), InvalidParameter),
+    ], ids=["height_lower_bound", "check_congruence", "congruence_family", "normalized_ratio"])
+    def test_errors_print_integers_past_the_str_digit_limit(self, call, error):
+        # Under the interpreter's default 4,300-digit limit on int-to-str
+        # conversion, the error is the documented one and names the value in full.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(error) as err:
+                call(10**4400)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert "1" + "0" * 4400 in str(err.value)
 
     @pytest.mark.parametrize(
         "qs,r",
