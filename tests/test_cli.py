@@ -386,19 +386,18 @@ class TestVerify:
         code, payload, _ = run_json(capsys, *argv)
         assert (code, payload["height_floor"], len(calls)) == (0, "1", 1)
 
-    @pytest.mark.parametrize("argv, floor, patch", [
-        (["verify", "--q", "49,51,149", "--r", "25", "--expand"], 2, "core"),
-        (["construct", "--N", "1", "--k", "3", "--expand"], 1, "report"),
+    @pytest.mark.parametrize("argv, floor", [
+        (["verify", "--q", "49,51,149", "--r", "25", "--expand"], 2),
+        (["construct", "--N", "1", "--k", "3", "--expand"], 1),
     ])
-    def test_height_ok_at_the_floor(self, capsys, monkeypatch, argv, floor, patch):
+    def test_height_ok_at_the_floor(self, capsys, monkeypatch, argv, floor):
         # A height equal to the floor passes, one below it fails.  verify
-        # measures through core.height, construct through height_report.
+        # measures through core.height, construct through height_report,
+        # whose normalized ratio would refuse a height of 0.
         report = analysis.height_report
         for A, ok, code in ((floor, True, 0), (floor - 1, False, 1)):
-            if patch == "core":
-                monkeypatch.setattr(core, "height", lambda c: A)
-            else:
-                monkeypatch.setattr(analysis, "height_report", lambda rho, c: report(rho, c)._replace(height=A))
+            monkeypatch.setattr(core, "height", lambda c: A)
+            monkeypatch.setattr(analysis, "height_report", lambda rho, c: report(rho, c)._replace(height=A))
             got, payload, _ = run_json(capsys, *argv)
             assert (got, payload["height_floor"], payload["height"], payload["height_ok"]) == (code, str(floor), str(A), ok)
 
