@@ -12,6 +12,10 @@ import pathlib
 
 SRC_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+# 12,000 bits, 3,613 digits: past errors.STR_BITS, so its lemma bound is
+# converted by halves, and within the 4,300-digit limit of str().
+BIG_R = (1 << 11999) + 12345
+
 GOLDEN_CASES = [
     ("compute_height_only", ["compute", "--q", "3,5,7", "--height-only"], 0),
     ("compute_q2", ["compute", "--q", "2"], 0),
@@ -32,6 +36,7 @@ GOLDEN_CASES = [
     ("verify_fail", ["verify", "--q", "7", "--r", "2"], 1),
     ("verify_expand", ["verify", "--q", "13,37,61", "--r", "6", "--expand"], 0),
     ("verify_minus_expand", ["verify", "--q", "11,35,59,83", "--r", "6", "--expand"], 0),
+    ("verify_big_r", ["verify", "--q", str(2 * BIG_R + 1), "--r", str(BIG_R)], 0),
     ("search_k3_m105", ["search", "--k", "3", "--m-cap", "105"], 0),
     ("search_k2_m100", ["search", "--k", "2", "--m-cap", "100"], 0),
     ("search_k1_m100", ["search", "--k", "1", "--m-cap", "100"], 0),

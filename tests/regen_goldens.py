@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate tests/golden/*.out from the current CLI.
+"""Regenerate tests/golden/<name>.out from the current CLI.
 
 Run from the repository root after any intentional output change:
 
-    python tests/regen_goldens.py
+    python tests/regen_goldens.py              # every case
+    python tests/regen_goldens.py NAME [...]   # only the named cases
+
+Only the named cases are written, so adding one golden cannot rewrite the
+others.  An unknown name writes nothing and exits 2.
 """
 
 import pathlib
@@ -15,9 +19,15 @@ from golden_cases import GOLDEN_CASES, SRC_ENV
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {name for name, _, _ in GOLDEN_CASES})
+    if unknown:
+        print(f"unknown golden case: {', '.join(unknown)}", file=sys.stderr)
+        return 2
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv, expected_exit in GOLDEN_CASES:
+        if names and name not in names:
+            continue
         proc = subprocess.run(
             [sys.executable, "-m", "iepoly.cli", *argv],
             capture_output=True,
@@ -33,4 +43,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
