@@ -89,6 +89,14 @@ def _bound_fields(bound: Optional[construction.HeightBound], m: int) -> tuple[Op
     return f"{bound.numerator}/{_big(m)}", str(bound.floor)
 
 
+def _floor_check(payload: dict[str, Any], bound: Optional[construction.HeightBound], height: int) -> int:
+    """Report height_ok unless the bound is null past the gate; a height below the floor exits 1."""
+    if bound is None:
+        return EXIT_OK
+    payload["height_ok"] = bound.floor <= height
+    return EXIT_OK if payload["height_ok"] else EXIT_VERIFY_FAILED
+
+
 def _write_coeffs(path: str, coeffs: np.ndarray) -> None:
     # Formatted a chunk at a time, so no temporary of the whole array exists.
     lines = _int64_lines if coeffs.dtype == "int64" else _object_lines
@@ -125,9 +133,8 @@ def _int64_lines(block: np.ndarray) -> bytes:
     for column in range(width, 0, -1):
         keep[:, column] = magnitude != 0
         quotient = magnitude // 10
-        rows[:, column] = magnitude - quotient * 10
+        rows[:, column] = magnitude - quotient * 10 + ord("0")
         magnitude = quotient
-    rows[:, 1:-1] += ord("0")
     keep[:, width] = True
     rows[:, -1] = ord("\n")
     keep[:, -1] = True
@@ -188,7 +195,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         elif len(full) <= COEFF_INLINE_LIMIT:
             as_strings = report.height > JSON_SAFE_INT
             values = full.tolist()
-            payload["coefficients"] = [str(c) for c in values] if as_strings else values
+            payload["coefficients"] = [_big(c) for c in values] if as_strings else values
             if as_strings:
                 payload["coefficients_as_strings"] = True
         else:
@@ -200,8 +207,7 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     fam = construction.congruence_family(args.N, args.k)
     ratio = analysis.predicted_ratio(fam)
     degree = core.degree_of(fam.rho)
-    bound = fam.height_bound
-    lemma, floor = _bound_fields(bound, fam.rho.m)
+    lemma, floor = _bound_fields(fam.height_bound, fam.rho.m)
     payload: dict[str, Any] = {
         "command": "construct",
         "N": args.N,
@@ -216,16 +222,12 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "height_floor": floor,
         "predicted_ratio": ratio,
     }
-    code = EXIT_OK
-    if args.expand:
-        report = analysis.height_report(fam.rho, core.low_half(fam.rho, args.memory_cap))
-        payload["height"] = _big(report.height)
-        payload["normalized_ratio"] = report.normalized_ratio
-        if bound is not None:
-            payload["height_ok"] = bound.floor <= report.height
-            if not payload["height_ok"]:
-                code = EXIT_VERIFY_FAILED
-    return payload, code
+    if not args.expand:
+        return payload, EXIT_OK
+    report = analysis.height_report(fam.rho, core.low_half(fam.rho, args.memory_cap))
+    payload["height"] = _big(report.height)
+    payload["normalized_ratio"] = report.normalized_ratio
+    return payload, _floor_check(payload, fam.height_bound, report.height)
 
 
 def cmd_constant(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
@@ -263,10 +265,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             A = core.height(core.low_half(rho, args.memory_cap))
             payload["degree"] = core.degree_of(rho)
             payload["height"] = _big(A)
-            if bound is not None:
-                payload["height_ok"] = bound.floor <= A
-                if not payload["height_ok"]:
-                    code = EXIT_VERIFY_FAILED
+            code = _floor_check(payload, bound, A)
     return payload, code
 
 

@@ -98,7 +98,7 @@ def height_lower_bound(rho: CoprimeTuple, r: int) -> Optional[HeightBound]:
     if not bound_fits(r, rho.k):
         return None
     with decimal.localcontext(_EXACT):
-        numerator, m = decimal.Decimal(r) ** (1 << (rho.k - 1)), decimal.Decimal(rho.m)
+        numerator, m = decimal.Decimal(_big(r)) ** (1 << (rho.k - 1)), decimal.Decimal(_big(rho.m))
         return HeightBound(numerator, (numerator + m - 1) // m)
 
 

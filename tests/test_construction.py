@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 from decimal import Decimal
@@ -6,13 +7,18 @@ from fractions import Fraction
 import pytest
 
 from iepoly.analysis import height_report, limit_constant, normalized_ratio
+from iepoly import construction
 from iepoly.construction import (
+    BOUND_BITS_CAP,
+    HeightBound,
+    bound_fits,
     check_congruence,
     congruence_family,
+    family_parameters,
     height_lower_bound,
 )
 from iepoly.core import expand, height, low_half, validate_tuple
-from iepoly.errors import CongruenceNotSatisfied, InvalidParameter
+from iepoly.errors import _EXACT, STR_BITS, CongruenceNotSatisfied, InvalidParameter
 
 
 def lemma_bound(fam):
@@ -136,6 +142,47 @@ class TestHeightLowerBound:
         finally:
             sys.set_int_max_str_digits(limit)
         assert "1" + "0" * 4400 in str(err.value)
+
+    def test_r_and_m_reach_decimal_through_big(self, monkeypatch):
+        # decimal.Decimal(int) is quadratic before CPython 3.12: at the
+        # gate's edge, k = 1 and r of 2^19 bits, it took about 0.5 s for
+        # each of r and m.  No int longer than STR_BITS may reach it.
+        seen = []
+
+        class Recorder:
+            def Decimal(self, value="0", *rest):
+                if isinstance(value, int):
+                    seen.append(value.bit_length())
+                return decimal.Decimal(value, *rest)
+
+            def __getattr__(self, name):
+                return getattr(decimal, name)
+
+        monkeypatch.setattr(construction, "decimal", Recorder())
+        r = (1 << (BOUND_BITS_CAP - 1)) + 12345
+        assert bound_fits(r, 1) and not bound_fits(2 * r, 1)
+        hb = height_lower_bound(validate_tuple([2 * r + 1]), r)
+        assert hb.floor == 1
+        assert max(seen, default=0) <= STR_BITS
+
+    @pytest.mark.parametrize("bits", [1, STR_BITS - 1, STR_BITS, STR_BITS + 1, BOUND_BITS_CAP])
+    def test_same_bound_as_plain_decimal(self, bits):
+        # For every k the gate allows at this length of r, on the 2r + 1
+        # branch: r = 1 takes the odd primes, longer r a family member.
+        ks = [k for k in range(1, 21) if bound_fits(1 << (bits - 1), k)]
+        assert ks and not bound_fits(1 << (bits - 1), ks[-1] + 1)
+        for k in ks:
+            if bits == 1:
+                r, qs = 1, [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73][:k]
+            else:
+                r, qs = family_parameters((1 << (bits - 1)) // math.factorial(k) + 12345, k)
+            assert r.bit_length() == bits
+            rho = validate_tuple(qs)
+            with decimal.localcontext(_EXACT):
+                numerator, m = Decimal(r) ** (1 << (k - 1)), Decimal(rho.m)
+                expected = HeightBound(numerator, (numerator + m - 1) // m)
+            hb = height_lower_bound(rho, r)
+            assert hb == expected and tuple(map(str, hb)) == tuple(map(str, expected)), (bits, k)
 
     @pytest.mark.parametrize(
         "qs,r",
