@@ -9,7 +9,8 @@ expanded polynomial is at least r^(2^(k-1)) / m.
 
 height_lower_bound is the one home of that lemma bound.  It is None past
 BOUND_BITS_CAP bits (bound_fits), where the family still constructs;
-below, r^(2^(k-1)) and its ceiling over m are raised in exact decimal, to
+below, r and m enter exact decimal through errors._big, not the quadratic
+Decimal(int), and r^(2^(k-1)) and its ceiling over m are raised there, to
 print by str() and compare exactly with an int height.  The fraction is
 in lowest terms: each q_j = +-1 (mod r), so gcd(r, m) = 1.
 Results are NamedTuples: immutable, and they unpack and compare as tuples.

@@ -7,9 +7,9 @@ guards the 2^k subset enumeration, DegreeCapExceeded the longest coefficient
 array a call would allocate, CapExceeded the tuple enumeration and the
 congruence family's k.
 
-The integers of error messages and of the command line's JSON print
-through ``_big``; it and the construction module's lemma bound compute in
-``_EXACT``.
+``_big`` is the one road from an exact integer to decimal: error messages,
+the command line's JSON and the construction module's lemma bound (which
+parses its text) take it.  It and the bound compute in ``_EXACT``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _big(x: int) -> str:
     Before CPython 3.12, str() is quadratic in the length of x.  Above
     STR_BITS bits, x = hi * 2^h + lo is converted by halves and recombined
     with decimal's sub-quadratic multiplication: the algorithm of CPython
-    3.12's _pylong.int_to_decimal_string.
+    3.12's _pylong.int_to_decimal_string.  Decimal(_big(x)) adds a linear parse.
     """
     if x.bit_length() <= STR_BITS:
         return str(x)

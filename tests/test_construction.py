@@ -167,8 +167,8 @@ class TestHeightLowerBound:
 
     @pytest.mark.parametrize("bits", [1, STR_BITS - 1, STR_BITS, STR_BITS + 1, BOUND_BITS_CAP])
     def test_same_bound_as_plain_decimal(self, bits):
-        # For every k the gate allows at this length of r, on the 2r + 1
-        # branch: r = 1 takes the odd primes, longer r a family member.
+        # For every k the gate allows at this length of r: r = 1 takes odd
+        # primes, each 2r +- 1 mod 4, and a longer r a family member.
         ks = [k for k in range(1, 21) if bound_fits(1 << (bits - 1), k)]
         assert ks and not bound_fits(1 << (bits - 1), ks[-1] + 1)
         for k in ks:
