@@ -46,15 +46,17 @@ its dtypes: int64 first, carrying a proven bound on the largest magnitude
 that each sweep multiplies by its growth factor, and scanning the array
 only when that bound passes INT64_SAFE_LIMIT (see there).  A block starts
 from the shared array's bound, which bounds every entry it copies.  If
-the scanned height is past the limit too, one rule holds: the int64 array
-is dropped, and each of its tuples runs alone through ``apply_factors``,
-which runs again from 1 in Python integers if int64 could wrap there too;
-the run's last tuple, whose own int64 sweep from 1 the shared array was,
-runs in Python integers at once.
-A block holds each tuple's window with the same values at every step,
-under a bound at least the tuple's own, so every tuple keeps the lane it
-has alone.  A wrapped array is never carried on, and is dropped before
-its replacement is built.
+the scanned height is past the limit too, the array promotes at that
+step, whichever array it is: int64 sums are exact modulo 2^64 and each
+step is invertible (``_strided_prefix_sum`` undoes ``_shifted_difference``
+and the reverse), so the other kernel restores the values before the
+step, all within the limit; the array becomes Python integers
+(``astype(object)``), the step runs again, and so does every later one.
+Every applied factor runs once, plus one undo and one redo per promotion,
+and no array starts again from 1.  The shared array, a block and the last
+tuple's continuation each promote as a whole: a tuple alone is in Python
+integers exactly when some prefix of its sweep passes the limit, and a
+tuple of a run may be where alone it stays in int64, with the same values.
 The multiplication sweep runs top-down in blocks (SWEEP_BLOCK), so it needs
 no copy of the window.  That array is the one polynomial type: ``expand``
 and ``low_half`` return it, index i holding the x^i coefficient, and
@@ -96,9 +98,9 @@ if TYPE_CHECKING:
 # most ceil(n/d) B, since each output and each partial sum on the way is a
 # sum of at most ceil(n/d) entries.  While the carried bound stays within L
 # the check provably passes; once it passes L the sweep measures the height,
-# restarts if that is past L and otherwise carries on from the measured
-# value.  So the lane and restart decisions are those of a scan after
-# every sweep, at the same step.
+# promotes the array at that step if that is past L (see the module
+# docstring) and otherwise carries on from the measured value.  So an
+# array promotes where a scan after every sweep would promote it.
 INT64_SAFE_LIMIT = (1 << 62) - 1
 
 # Longest slice one multiplication step subtracts at a time.  A block longer
@@ -233,9 +235,10 @@ def heights(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP) -
     share q_1 .. q_(k-1), ascending in q_k.
 
     A block's column maxima and minima, reduced over each tuple's columns,
-    give every height of the block at once.  Every cell holds its tuple's
-    coefficient at that index, 0 past the degree, and the cells past the
-    window move no height (Q is palindromic and its constant term is 1).
+    give every height of the block at once, in either dtype.  Every cell
+    holds its tuple's coefficient at that index, 0 past the degree, and the
+    cells past the window move no height (Q is palindromic and its constant
+    term is 1).
     The run holds the shared array and one block, if the consumer keeps no
     array.  DegreeCapExceeded names the first window past ``degree_cap``.
     """
@@ -287,40 +290,24 @@ def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int],
     # The shared array's bound, or its scanned height, bounds every prefix
     # of it, so each block starts from it.
     widest = windows[-1]
-    shared = _unit(widest, "int64")
     factors = ordered_factors(run[0])[: 1 << (run[0].k - 1)]
     members = [(rho.qs[-1], window) for rho, window in zip(run, windows)]
-    bound = _sweep(shared, factors, 1)
-    if bound is None:
-        del shared  # not carried on, so not kept beside each tuple's own array
-        yield from _alone(factors, members[:-1])
-    else:
-        for group in _groups(members[:-1], widest):
-            block = _block(shared, bound, factors, group)
-            if block is None:
-                yield from _alone(factors, group)
-            else:
-                yield block, [q for q, _ in group]
-            del block  # so it is gone before the next block is built
-        # The last tuple continues in the shared array itself.
-        if _sweep(shared, _flipped(factors, members[-1][0]), bound) is not None:
-            yield shared[:, None], [1]
-            return
-        del shared  # nor is a wrapped array kept beside its replacement
-    # The shared array was the last tuple's own int64 sweep from 1, and it
-    # could have wrapped: the last tuple runs in Python integers at once.
-    c = _unit(widest, object)
-    _sweep(c, factors + _flipped(factors, members[-1][0]), 1)
+    shared, bound = _sweep(_unit(widest), factors, 1)
+    for group in _groups(members[:-1], widest):
+        block = _block(shared, bound, factors, group)
+        if block is None:
+            # A tuple whose rows pass the shared array runs alone.
+            q, window = group[0]
+            yield apply_factors(window, factors + _flipped(factors, q))[:, None], [1]
+        else:
+            yield block, [q for q, _ in group]
+        del block  # so it is gone before the next block is built
+    # The last tuple continues in the shared array itself, handed over so
+    # that no name here keeps the int64 array once a promotion converts it.
+    held = [shared]
+    del shared
+    c, _ = _sweep(held.pop(), _flipped(factors, members[-1][0]), bound)
     yield c[:, None], [1]
-
-
-def _alone(factors: Sequence[Factor],
-           members: Sequence[tuple[int, int]]) -> Iterator[tuple[np.ndarray, list[int]]]:
-    # Each (q_k, window) tuple swept alone from 1, in its own lane.
-    for q, window in members:
-        c = apply_factors(window, factors + _flipped(factors, q))
-        yield c[:, None], [1]
-        del c
 
 
 def _groups(members: Sequence[tuple[int, int]], widest: int) -> Iterator[list[tuple[int, int]]]:
@@ -345,63 +332,55 @@ def _groups(members: Sequence[tuple[int, int]], widest: int) -> Iterator[list[tu
 
 def _block(shared: np.ndarray, bound: int, factors: Sequence[Factor],
            group: Sequence[tuple[int, int]]) -> Optional[np.ndarray]:
-    """The group's tuples continued from ``shared`` side by side, or None if
-    the shared array does not fill their rows or the sweep could have wrapped.
+    """The group's tuples continued from ``shared`` side by side, in its
+    dtype, or None if the shared array does not fill their rows.
 
     The tuple of last entry q takes q columns, cell (r, b) its coefficient
     r q + b, so each of its own factors, of d a multiple of q, moves d / q
     rows, and a row of C columns makes every tuple's factor one stride of
     (d / q) C: ``_flipped(factors, C)``, swept once over the whole block.
     Every cell is then its tuple's coefficient at that index, 0 past the
-    degree.  Only a group of one, at k = 1 or at k = 2 with an even q_1,
-    has rows past ``shared``.
+    degree, and the block promotes as a whole.  Only a group of one, at
+    k = 1 or at k = 2 with an even q_1, has rows past ``shared``.
     """
     import numpy as np
 
     rows = max(-(-window // q) for q, window in group)
     if rows * group[-1][0] > len(shared):
         return None
-    block = np.empty((rows, sum(q for q, _ in group)), dtype=shared.dtype)
-    off = 0
-    for q, _ in group:
-        block[:, off : off + q] = shared[: rows * q].reshape(rows, q)
-        off += q
-    if _sweep(block.reshape(-1), _flipped(factors, block.shape[1]), bound) is None:
-        return None
-    return block
+    columns = sum(q for q, _ in group)
+    # Built in the call, so no name keeps the int64 block once it promotes.
+    c, _ = _sweep(np.concatenate([shared[: rows * q].reshape(rows, q) for q, _ in group], axis=1).reshape(-1),
+                  _flipped(factors, columns), bound)
+    return c.reshape(rows, columns)
 
 
 def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
     """Apply signed (1 - x^d) factors in the given order to the constant polynomial 1.
 
     The result is the truncation to ``window`` coefficients: an int64 array,
-    or an object array of Python integers when an int64 sweep could have
-    wrapped, in which case the int64 array is dropped and every factor is
-    applied again from 1.
+    or, if the int64 sweep could have wrapped at some factor, an object
+    array of Python integers, promoted at that factor.
     """
-    c = _unit(window, "int64")
-    if _sweep(c, factors, 1) is None:
-        del c  # before the object array is built
-        c = _unit(window, object)
-        _sweep(c, factors, 1)
-    return c
+    return _sweep(_unit(window), factors, 1)[0]
 
 
-def _unit(window: int, dtype: str | type) -> np.ndarray:
+def _unit(window: int) -> np.ndarray:
     # The constant polynomial 1, truncated to ``window`` coefficients.
     import numpy as np
 
-    c = np.zeros(window, dtype=dtype)
+    c = np.zeros(window, dtype=np.int64)
     c[0] = 1
     return c
 
 
-def _sweep(c: np.ndarray, factors: Sequence[Factor], bound: int) -> Optional[int]:
-    # Apply ``factors`` to c in place, truncated to its length.  The same
-    # slices run on int64 and on object arrays.  Only int64 can wrap; None
-    # reports a sweep after which a coefficient left INT64_SAFE_LIMIT, so the
-    # array can no longer be trusted.  ``bound`` is a proven bound on max |c|
-    # (see INT64_SAFE_LIMIT), on entry and on return.
+def _sweep(c: np.ndarray, factors: Sequence[Factor], bound: int) -> tuple[np.ndarray, int]:
+    # Apply ``factors`` to c, truncated to its length: the array and a proven
+    # bound on max |c|, which ``bound`` is on entry (see INT64_SAFE_LIMIT).
+    # The same slices run on int64 and on object arrays.  An int64 step
+    # after which the scanned height passes the limit is undone by the other
+    # kernel and redone in Python integers, the lane of every later step
+    # (see the module docstring); a promoted array is a new one, returned.
     window = c.shape[0]
     checked = c.dtype == "int64"
     for d, sign in factors:
@@ -413,11 +392,16 @@ def _sweep(c: np.ndarray, factors: Sequence[Factor], bound: int) -> Optional[int
         else:
             _strided_prefix_sum(c, d)
             bound *= -(-window // d)
-        if checked and bound > INT64_SAFE_LIMIT:
-            bound = height(c)
-            if bound > INT64_SAFE_LIMIT:
-                return None
-    return bound
+        if bound > INT64_SAFE_LIMIT and checked:
+            measured = height(c)
+            if measured <= INT64_SAFE_LIMIT:
+                bound = measured
+            else:
+                (_strided_prefix_sum if sign > 0 else _shifted_difference)(c, d)
+                c = c.astype(object)
+                (_shifted_difference if sign > 0 else _strided_prefix_sum)(c, d)
+                checked = False
+    return c, bound
 
 
 def _shifted_difference(c: np.ndarray, d: int) -> None:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import coprime_tuples
-from golden_cases import SRC_ENV
+from golden_cases import GOLDEN_CASES, SRC_ENV
 from iepoly import analysis, cli, construction, core, oracle
 from iepoly.cli import main
 from iepoly.construction import congruence_family
@@ -737,6 +737,28 @@ print(len(os.listdir("/proc/self/task")))
     assert proc.stdout.splitlines()[-1] == "1"
 
 
+def test_goldens_under_forced_promotion(capsys, monkeypatch):
+    # With the limit lowered to 1, every array whose height passes 1
+    # promotes to Python integers at that step, and stdout does not depend
+    # on the lane.  The oracle keeps the real limit, so oracle-check compares
+    # core's object arrays with the oracle's int64 ones.
+    golden_dir = pathlib.Path(__file__).resolve().parent / "golden"
+    promoted = []
+    real = core._sweep
+
+    def sweep(c, factors, bound):
+        result = real(c, factors, bound)
+        promoted.append(result[0].dtype != c.dtype)
+        return result
+
+    monkeypatch.setattr(core, "INT64_SAFE_LIMIT", 1)
+    monkeypatch.setattr(core, "_sweep", sweep)
+    for name, argv, code in GOLDEN_CASES:
+        got, out, _ = run(capsys, *argv)
+        assert (got, out.encode()) == (code, (golden_dir / f"{name}.out").read_bytes()), name
+    assert sum(promoted) > 0
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
 def test_main_leaves_the_str_digit_limit_alone(capsys):
     # The limit guards the whole process against quadratic int <-> str
@@ -814,9 +836,9 @@ class TestHeightOnlyWindow:
         swept, blocked = [], []
         real_unit, real_block = core._unit, core._block
 
-        def spy(window, dtype):
+        def spy(window):
             swept.append(window)
-            return real_unit(window, dtype)
+            return real_unit(window)
 
         def block_spy(shared, bound, factors, group):
             blocked.extend(window for _, window in group)

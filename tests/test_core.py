@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import math
 import random
@@ -24,7 +25,6 @@ from iepoly.core import (
     _shifted_difference,
     _strided_prefix_sum,
     _sweep,
-    _unit,
     apply_factors,
     degree_of,
     eval_at_one,
@@ -282,7 +282,7 @@ def divisions_first(rho):
 
 
 class TestPromotion:
-    """An int64 sweep that could wrap restarts in Python integers and stays exact."""
+    """An int64 sweep that could wrap promotes to Python integers at that step and stays exact."""
 
     @pytest.mark.parametrize("qs, expected_height", [((5, 7, 11, 13, 17), 67), ((3, 5, 7, 11, 13, 17), 532)])
     def test_divisions_first_promotes_and_agrees(self, qs, expected_height):
@@ -295,25 +295,27 @@ class TestPromotion:
         assert is_palindromic(forced)
         assert eval_at_one(forced) == 1
 
-    def test_the_wrapped_array_is_dropped_before_the_object_array(self, monkeypatch):
-        # The int64 array that could have wrapped must be gone when the
-        # object array that replaces it is allocated, not kept beside it.
+    def test_the_wrapped_array_is_promoted_in_place(self, monkeypatch):
+        # The step that could have wrapped is undone in int64 and redone in
+        # Python integers: one int64 array is built from 1, none in Python
+        # integers, and the int64 array is gone once converted.
         rho = validate_tuple([5, 7, 11, 13, 17])
+        window, factors = degree_of(rho) + 1, divisions_first(rho)
         real = core._unit
-        int64_arrays, alive = [], []
+        units = []
 
-        def spying(window, dtype):
-            if dtype is object:
-                alive.append([ref() is not None for ref in int64_arrays])
-            c = real(window, dtype)
-            if dtype == "int64":
-                int64_arrays.append(weakref.ref(c))
+        def spying(window):
+            c = real(window)
+            units.append(weakref.ref(c))
             return c
 
         monkeypatch.setattr(core, "_unit", spying)
-        c = apply_factors(degree_of(rho) + 1, divisions_first(rho))
-        assert c.dtype == object
-        assert alive == [[False]]
+        with recorded_sweeps() as (sweeps, steps):
+            c = apply_factors(window, factors)
+        assert len(units) == 1 and units[0]() is None
+        assert c.dtype == object and np.array_equal(c, expand(rho))
+        assert steps == expected_steps(window, factors, INT64_SAFE_LIMIT)
+        assert_each_step_once(sweeps, steps)
 
     def test_object_sweep_matches_int64_sweep(self, small_corpus, random_corpus):
         for rho in small_corpus + random_corpus[:10]:
@@ -343,9 +345,63 @@ class TestPromotion:
 
 
 def sweep_from_one(window, factors, dtype):
-    """core._sweep from the constant 1: the array, or None where an int64 step could have wrapped."""
-    c = _unit(window, dtype)
-    return None if _sweep(c, factors, 1) is None else c
+    """core._sweep from the constant 1 in ``dtype``: the array, promoted at the int64 step that could have wrapped."""
+    c = np.zeros(window, dtype=dtype)
+    c[0] = 1
+    return _sweep(c, factors, 1)[0]
+
+
+@contextlib.contextmanager
+def recorded_sweeps():
+    """Record core's sweeps inside the block: (entry dtype, result dtype, factors applied)
+    of each, and each kernel call as (kernel, d, dtype).  A sweep entered with the
+    constant 1 in Python integers fails at once."""
+    sweeps, steps = [], []
+
+    def sweep(c, factors, bound):
+        assert c.dtype == np.int64 or np.count_nonzero(c[1:]), "an object array built from 1"
+        window, dtype = len(c), c.dtype
+        c, bound = real_sweep(c, factors, bound)
+        sweeps.append((dtype, c.dtype, sum(d < window for d, _ in factors)))
+        return c, bound
+
+    def recording(kernel):
+        def step(c, d):
+            steps.append((kernel, d, c.dtype))
+            kernel(c, d)
+        return step
+
+    real_sweep = core._sweep
+    with mock.patch.object(core, "_sweep", sweep), \
+            mock.patch.object(core, "_shifted_difference", recording(_shifted_difference)), \
+            mock.patch.object(core, "_strided_prefix_sum", recording(_strided_prefix_sum)):
+        yield sweeps, steps
+
+
+def assert_each_step_once(sweeps, steps):
+    """Each sweep ran every applied factor once, plus one undo and one redo if it promoted."""
+    promoted = sum(entry == np.int64 and result == object for entry, result, _ in sweeps)
+    assert len(steps) == sum(applied for _, _, applied in sweeps) + 2 * promoted
+
+
+def expected_steps(window, factors, limit):
+    """The kernel calls of an int64 sweep from 1: each applied factor once and, at the
+    first step after which the object sweep passes ``limit``, the other kernel undoing
+    it in int64 and the step again in Python integers."""
+    c = np.zeros(window, dtype=object)
+    c[0] = 1
+    steps, dtype = [], np.dtype(np.int64)
+    for d, sign in factors:
+        if d >= window:
+            continue
+        pair = (_shifted_difference, _strided_prefix_sum)
+        kernel, undo = pair if sign > 0 else pair[::-1]
+        kernel(c, d)
+        steps.append((kernel, d, dtype))
+        if dtype == np.int64 and height(c) > limit:
+            dtype = np.dtype(object)
+            steps += [(undo, d, np.dtype(np.int64)), (kernel, d, dtype)]
+    return steps
 
 
 def short_factor_lists(window):
@@ -371,14 +427,15 @@ class TestMagnitudeBound:
     @given(window=st.integers(1, 40), factors=short_factor_lists(40), limit=st.integers(1, 100))
     @example(window=3, factors=[(1, -1), (2, -1)], limit=1)  # [1, 1, 1], then [1, 1, 2]: ceil(3/2) = 2
     def test_same_lane_as_every_step_check_below_a_lowered_limit(self, window, factors, limit):
-        # With the limit lowered, short random sequences cross it often, and
-        # the int64 sweep must give up exactly where a prefix does.
+        # With the limit lowered, short random sequences cross it often: the
+        # int64 sweep must promote exactly where a prefix first does, and
+        # hold the object sweep's values in either lane.
         expected, fits = object_sweep_within_limit(window, factors, stop=False, limit=limit)
-        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit):
+        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit), recorded_sweeps() as (_, steps):
             c = sweep_from_one(window, factors, "int64")
-        assert (c is not None) == fits
-        if fits:
-            assert np.array_equal(c, expected)
+        assert c.dtype == (np.int64 if fits else object)
+        assert np.array_equal(c, expected)
+        assert steps == expected_steps(window, factors, limit)
 
     def test_same_lane_as_every_step_check(self, high_k_corpus, monkeypatch):
         # Under either order, apply_factors stays in int64 exactly when every
@@ -453,6 +510,41 @@ def past_the_shared_window(k, m_cap):
     return runs
 
 
+def flat_run():
+    """The run 7,q: blocks of several small tuples, then three tuples whose windows pass 2 SWEEP_BLOCK."""
+    return [validate_tuple([7, q]) for q in [*range(8, 400), 49999, 50021, 50023] if q % 7]
+
+
+@contextlib.contextmanager
+def planted(which):
+    """Plant one promotion in a run: lower the limit to 1, which no value of
+    a k = 2 run passes, and have core.height report 2 throughout the sweep
+    ``which`` names: "shared" the shared array's, "block" the first block of
+    several tuples', "last" the last tuple's.  Yields the tuple count of each
+    promoted block or array."""
+    promoted, groups, chosen = [], [], []
+    real_sweep, real_block, real_height = core._sweep, core._block, core.height
+
+    def block(shared, bound, factors, group):
+        groups.append(len(group))
+        return real_block(shared, bound, factors, group)
+
+    def sweep(c, factors, bound):
+        role = "shared" if not chosen else "block" if c.base is not None else "last"
+        chosen.append(role == which and not promoted and (role != "block" or groups[-1] > 1))
+        c, bound = real_sweep(c, factors, bound)
+        if chosen[-1]:
+            assert c.dtype == object
+            promoted.append(groups[-1] if role == "block" else 1)
+        chosen[-1] = False
+        return c, bound
+
+    with mock.patch.object(core, "INT64_SAFE_LIMIT", 1), mock.patch.object(core, "_sweep", sweep), \
+            mock.patch.object(core, "_block", block), \
+            mock.patch.object(core, "height", lambda c: 2 if chosen[-1] else real_height(c)):
+        yield promoted
+
+
 class TestRuns:
     """A run sweeps the factors it shares once, and continues its tuples side by side in blocks."""
 
@@ -502,17 +594,26 @@ class TestRuns:
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8])
     def test_lanes_of_low_halves_below_a_lowered_limit(self, limit):
-        # A block that could wrap runs each tuple alone, over its window and
-        # no cell past it, so each lane is that of low_half: in runs whose
-        # rows reach past the shared window, and at k = 4, where the cells
-        # of a row past a window grow past the limit first.
+        # In either lane a run's low halves are the object sweep's, as
+        # low_half's are: in runs whose rows reach past the shared window,
+        # and at k = 4, where the cells of a row past a window grow past the
+        # limit first.  A shared array or a block holds each tuple's window
+        # with the same values at every step, so it promotes no later than
+        # the tuple alone, and as a whole: it may be in Python integers where
+        # the tuple alone stays in int64.
         runs = past_the_shared_window(2, 300) + runs_of(coprime_tuples(4, 6000))
+        lanes = set()
         for run in runs:
             with mock.patch.object(core, "INT64_SAFE_LIMIT", limit):
                 arrays = list(core._arrays(run, [degree_of(rho) // 2 + 1 for rho in run], core.DEFAULT_DEGREE_CAP))
                 alone = [low_half(rho) for rho in run]
             for rho, half, single in zip(run, arrays, alone):
-                assert half.dtype == single.dtype and np.array_equal(half, single), rho.qs
+                expected, fits = object_sweep_within_limit(len(single), ordered_factors(rho), stop=False, limit=limit)
+                assert single.dtype == (np.int64 if fits else object), rho.qs
+                assert half.dtype == object or fits, rho.qs
+                assert np.array_equal(half, expected) and np.array_equal(single, expected), rho.qs
+                lanes.add((half.dtype.name, single.dtype.name))
+        assert ("object", "int64") in lanes and ("object", "object") in lanes
 
     @settings(max_examples=60, deadline=None)
     @given(run=random_runs(max_window=3000))
@@ -528,39 +629,30 @@ class TestRuns:
 
     @settings(max_examples=200, deadline=None)
     @given(run=random_runs(max_window=200), limit=st.integers(1, 100))
-    def test_restarts_are_those_of_each_tuple_alone_below_a_lowered_limit(self, run, limit):
+    def test_promotions_below_a_lowered_limit(self, run, limit):
         # The shared sweep runs over the longest window, and its bound starts
-        # every block; a tuple must still restart exactly where its own sweep
-        # does, with the object sweep's values, in expansions and in heights.
-        # A restart is the one object array apply_factors builds.
-        restarted = []
-        real = core._unit
-
-        def recording(window, dtype):
-            if dtype is object:
-                restarted.append(window)
-            return real(window, dtype)
-
-        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit), mock.patch.object(core, "_unit", recording):
+        # every block; in either lane every tuple must hold the object
+        # sweep's values, in expansions and in heights.  A tuple alone
+        # promotes exactly where its own sweep passes the limit, and one in
+        # a run no later.  No sweep starts from 1 in Python integers, and
+        # each runs every factor once, plus one undo and one redo where it
+        # promotes.
+        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit), recorded_sweeps() as (sweeps, steps):
             arrays = list(expansions(run))
-            alone = [expand(rho) for rho in run]
-            restarted.clear()
             measured = list(heights(run))
-        lanes = []
+            alone = [expand(rho) for rho in run]
+        assert_each_step_once(sweeps, steps)
         for rho, full, single, A in zip(run, arrays, alone, measured):
-            window = degree_of(rho) + 1
-            expected, fits = object_sweep_within_limit(window, ordered_factors(rho), stop=False, limit=limit)
-            assert full.dtype == single.dtype == (np.int64 if fits else object), rho.qs
-            assert np.array_equal(full, expected), rho.qs
+            expected, fits = object_sweep_within_limit(degree_of(rho) + 1, ordered_factors(rho), stop=False, limit=limit)
+            assert single.dtype == (np.int64 if fits else object), rho.qs
+            assert full.dtype == object or fits, rho.qs
+            assert np.array_equal(full, expected) and np.array_equal(single, expected), rho.qs
             assert A == height(expected), rho.qs
-            low, fits = object_sweep_within_limit(window // 2 + 1, ordered_factors(rho), stop=False, limit=limit)
-            lanes += [] if fits else [len(low)]
-        assert sorted(restarted) == lanes
 
     def test_one_shared_array_per_run(self, monkeypatch):
         swept, continued = [], []
         real_unit, real_sweep = core._unit, core._sweep
-        monkeypatch.setattr(core, "_unit", lambda window, dtype: swept.append((window, dtype)) or real_unit(window, dtype))
+        monkeypatch.setattr(core, "_unit", lambda window: swept.append(window) or real_unit(window))
 
         def recording(c, factors, bound):
             continued.append(c)
@@ -570,7 +662,7 @@ class TestRuns:
         monkeypatch.setattr(core, "_sweep", recording)
         assert list(heights(run)) == [height(low_half(rho)) for rho in run]
         shared = continued[0]
-        assert swept[0] == (degree_of(run[-1]) // 2 + 1, "int64")
+        assert swept[0] == degree_of(run[-1]) // 2 + 1
         assert len(swept) == 1 + len(run)  # the run's array, then one per low_half alone
         # The run's array, one block of the two tuples before the last, and the
         # last tuple in the run's array itself.
@@ -594,91 +686,76 @@ class TestRuns:
         assert any(start > 1 for start, _ in entries)
         assert all(start <= bound for start, bound in entries)
 
-    def test_a_wrapped_shared_sweep_runs_each_tuple_alone(self, monkeypatch):
-        # A planted wrap of the shared sweep: each tuple before the last runs
-        # alone through apply_factors, from 1 in int64, and is expand's array
-        # in its lane.  The shared sweep was the last tuple's own, so the
-        # last runs in Python integers at once, with expand's values.
-        run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
+    def test_a_wrapped_shared_sweep_promotes_the_run(self):
+        # A planted promotion of the shared array: every block and the last
+        # tuple continue from it in Python integers, with expand's values.
+        run = flat_run()
         expected = [expand(rho) for rho in run]
-        expected_heights = [height(c) for c in expected]
-        real_sweep, real_apply = core._sweep, core.apply_factors
-        calls, alone = [], []
-
-        def first_wraps(c, factors, bound):
-            calls.append(len(c))
-            return None if len(calls) == 1 else real_sweep(c, factors, bound)
-
-        def recording(window, factors):
-            alone.append(window)
-            return real_apply(window, factors)
-
-        monkeypatch.setattr(core, "_sweep", first_wraps)
-        monkeypatch.setattr(core, "apply_factors", recording)
-        arrays = list(expansions(run))
-        assert calls[0] == len(expected[-1])
-        assert alone == [len(e) for e in expected[:-1]]
-        assert [c.dtype for c in arrays] == [e.dtype for e in expected[:-1]] + [object]
+        with planted("shared"), recorded_sweeps() as (sweeps, steps):
+            arrays = list(expansions(run))
+            measured = list(heights(run))
+        assert_each_step_once(sweeps, steps)
+        assert all(c.dtype == object for c in arrays)
         assert all(np.array_equal(c, e) for c, e in zip(arrays, expected))
-        calls.clear()
-        alone.clear()
-        assert list(heights(run)) == expected_heights
-        assert alone == [degree_of(rho) // 2 + 1 for rho in run[:-1]]
+        assert measured == [height(e) for e in expected]
 
     def test_a_wrapped_tuple_is_swept_in_int64_once(self, monkeypatch):
         # The shared array of a run of one is the tuple's own int64 sweep
-        # from 1: when it could have wrapped, the tuple runs in Python
-        # integers next, not in int64 again.
+        # from 1: when it could have wrapped, the tuple goes on in Python
+        # integers from that step, and no factor but that one runs twice.
         rho = validate_tuple([2, 3, 5, 7, 11, 13, 17])
-        dtypes = []
+        window, factors = degree_of(rho) + 1, ordered_factors(rho)
+        units = []
         real = core._unit
         monkeypatch.setattr(core, "INT64_SAFE_LIMIT", 30)
-        monkeypatch.setattr(core, "_unit", lambda window, dtype: dtypes.append(dtype) or real(window, dtype))
-        c = expand(rho)
-        assert dtypes == ["int64", object]
+        monkeypatch.setattr(core, "_unit", lambda window: units.append(window) or real(window))
+        with recorded_sweeps() as (_, steps):
+            c = expand(rho)
+        assert units == [window]
         assert c.dtype == object
-        assert np.array_equal(c, sweep_from_one(degree_of(rho) + 1, ordered_factors(rho), object))
+        assert np.array_equal(c, sweep_from_one(window, factors, object))
+        assert steps == expected_steps(window, factors, 30)
+        assert len(steps) == sum(d < window for d, _ in factors) + 2 == 126
 
-    def test_a_wrapped_block_runs_each_tuple_alone(self, monkeypatch):
-        # A planted wrap in the first sweep of a block of several tuples:
-        # each of them runs alone through apply_factors, from 1 in int64,
-        # and is expand's array in its lane.
-        run = several_groups()
+    def test_a_wrapped_last_tuple_keeps_no_int64_array(self):
+        # A tuple whose sweep passes the limit only in its own half promotes
+        # in the last continuation, where the shared array is handed over:
+        # no int64 array stays beside the object one, so the traced peak is
+        # that of the object sweep from 1.
+        rho = validate_tuple([3, 4, 5, 7, 11, 13])
+        window, factors = degree_of(rho) + 1, ordered_factors(rho)
+        assert object_sweep_within_limit(window, factors[: 1 << (rho.k - 1)], stop=False, limit=16)[1]
+
+        def traced(route):
+            tracemalloc.start()
+            try:
+                c = route()
+                return c, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reference, reference_peak = traced(lambda: sweep_from_one(window, factors, object))
+        with mock.patch.object(core, "INT64_SAFE_LIMIT", 16):
+            c, peak = traced(lambda: expand(rho))
+        assert c.dtype == object and np.array_equal(c, reference)
+        assert peak < reference_peak + 4 * window  # an int64 window is 8 * window bytes
+
+    def test_a_wrapped_block_promotes_whole(self):
+        # A planted promotion of a block of several tuples: its tuples come
+        # in Python integers, with expand's values, and the shared array and
+        # every other block stay in int64.
+        run = flat_run()
         expected = [expand(rho) for rho in run]
-        real_sweep, real_block, real_apply = core._sweep, core._block, core.apply_factors
-        groups, planted, alone = [], [], []
-
-        def block(shared, bound, factors, group):
-            groups.append([window for _, window in group])
-            return real_block(shared, bound, factors, group)
-
-        def wrapping(c, factors, bound):
-            result = real_sweep(c, factors, bound)
-            if groups and len(groups[-1]) > 1 and not planted:
-                planted.append(len(groups))
-                return None
-            return result
-
-        def recording(window, factors):
-            alone.append(window)
-            return real_apply(window, factors)
-
-        monkeypatch.setattr(core, "_block", block)
-        monkeypatch.setattr(core, "_sweep", wrapping)
-        monkeypatch.setattr(core, "apply_factors", recording)
-        for route, want in ((expansions, expected), (heights, [height(c) for c in expected])):
-            groups.clear()
-            planted.clear()
-            alone.clear()
-            got = list(route(run))
-            assert planted == [1] and len(groups[0]) > 1
-            assert alone == groups[0]
-            assert len(groups[1]) > 1  # the next block is whole again
+        for route in (expansions, heights):
+            with planted("block") as groups:
+                got = list(route(run))
+            promoted = groups[0]
+            assert promoted > 1
             if route is heights:
-                assert got == want
+                assert got == [height(e) for e in expected]
             else:
-                assert [c.dtype for c in got] == [e.dtype for e in want]
-                assert all(np.array_equal(c, e) for c, e in zip(got, want))
+                assert [c.dtype for c in got] == [object] * promoted + [np.int64] * (len(run) - promoted)
+                assert all(np.array_equal(c, e) for c, e in zip(got, expected))
 
     def test_holds_one_copy_beside_the_shared_array(self):
         # Beside the shared array a run holds one array no longer than it and
@@ -700,34 +777,25 @@ class TestRuns:
             assert measured == [height(low_half(rho)) for rho in run]
             assert peak < 8 * (2 * widest + SWEEP_BLOCK) + (1 << 16)
 
-    @pytest.mark.parametrize("wraps, arrays", [
-        # The shared sweep: each tuple runs alone, and the shared array is dropped.
-        (lambda c, bound, calls: len(calls) == 1, 1),
-        # Every continuation: each tuple runs alone through apply_factors
-        # beside the shared array, and the wrapped block is dropped first.
-        (lambda c, bound, calls: bound > 1 and c.dtype == np.int64, 2),
-    ])
-    def test_a_wrapped_array_is_not_kept(self, monkeypatch, wraps, arrays):
-        run = [validate_tuple([7, 11, q]) for q in (4987, 4993, 4999)]
-        windows = [degree_of(rho) // 2 + 1 for rho in run]
+    @pytest.mark.parametrize("which", ["shared", "block", "last"])
+    def test_a_wrapped_array_stays_within_the_run_bound(self, which):
+        # A promoted array is converted where it is, and the run holds the
+        # shared array and one block, as it does in int64.  k = 2 values are
+        # within 1, so an object array holds no integer beyond its pointers.
+        run = flat_run()
+        widest = degree_of(run[-1]) // 2 + 1
+        assert widest > 2 * SWEEP_BLOCK
         expected = [height(low_half(rho)) for rho in run]
-        real = core._sweep
-        calls = []
-
-        def wrapping(c, factors, bound):
-            calls.append(len(c))
-            result = real(c, factors, bound)
-            return None if wraps(c, bound, calls) else result
-
-        monkeypatch.setattr(core, "_sweep", wrapping)
-        tracemalloc.start()
-        try:
-            measured = list(heights(run))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with planted(which) as groups:
+            tracemalloc.start()
+            try:
+                measured = list(heights(run))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert groups
         assert measured == expected
-        assert peak < 8 * (arrays * windows[-1] + SWEEP_BLOCK) + (1 << 17)
+        assert peak < 8 * (2 * widest + SWEEP_BLOCK) + (1 << 17)
 
     def test_degree_cap_names_the_first_window_too_long(self):
         run = [validate_tuple(qs) for qs in ((2, 3, 5), (2, 3, 7), (2, 3, 11), (2, 3, 13))]  # windows 5, 7, 11, 13

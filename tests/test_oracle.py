@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import tracemalloc
 from unittest import mock
 
@@ -200,6 +202,24 @@ def test_route_same_lane_as_every_step_check_below_a_lowered_limit(route, limit)
     assert (c is not None) == (max(peaks) <= limit)
     if c is not None:
         assert c.tolist() == expected.tolist()
+
+
+def test_shares_no_sweep_or_lane_check_with_core():
+    """oracle.py imports no sweep, scan or lane function from core.
+
+    int64 sums are exact modulo 2^64, so a sweep whose lane check missed a
+    wrap would return Q mod 2^64.  If both routes shared one lane check and
+    it missed a wrap, both would return Q mod 2^64 and still agree.
+    """
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "core":
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
+            used.add(node.attr)
+    assert "factor_system" in used
+    assert not used & {"_sweep", "_shifted_difference", "_strided_prefix_sum", "apply_factors", "_unit", "height"}
 
 
 class TestOracleExpand:
