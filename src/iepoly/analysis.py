@@ -349,6 +349,8 @@ def search_max_ratio(
     pair is rooted once and each distinct fraction ranked once; the sort key
     is (rank, qs).
     """
+    if expand_cap < 1:
+        raise InvalidParameter(f"expand_cap must be >= 1, got {expand_cap}")
     reports = []
     ratios: dict[tuple[int, int], float] = {}
     for run in coprime_runs(k, m_cap, max_degree=expand_cap):

@@ -31,10 +31,16 @@ Each tuple's own 2^(k-1) factors have d = q_k d' for the d' of that half,
 the same for every tuple of the run, so the tuples continue side by side:
 a block lays each tuple's first entries out in rows of q_k, the tuples'
 columns next to each other, and one sweep of stride d' times the block's
-width applies a factor to every tuple at once (``_block``).  The tuples
-before the last go in blocks of at most SWEEP_BLOCK / 2 entries, a tuple
-too long for that in a block of its own; the last continues in the shared
-array itself.
+width applies a factor to every tuple at once (``_block``).  So every
+array of a run is one of three kinds:
+
+- the shared array, the run's only array built from 1, in which the last
+  tuple continues;
+- a block of several tuples before the last, of at most SWEEP_BLOCK / 2
+  entries;
+- a copy of a tuple's own prefix of the shared array, in which a tuple
+  before the last that fits no block with another continues alone.
+
 A block is swept whole, so every cell holds its tuple's coefficient at
 that index, 0 past the degree.  ``heights`` takes every height of a block
 from its column extremes, for search, and ``expansions`` each tuple's
@@ -44,19 +50,19 @@ array, for oracle-check.
 The coefficients live in one numpy array and one sweep loop serves both of
 its dtypes: int64 first, carrying a proven bound on the largest magnitude
 that each sweep multiplies by its growth factor, and scanning the array
-only when that bound passes INT64_SAFE_LIMIT (see there).  A block starts
-from the shared array's bound, which bounds every entry it copies.  If
-the scanned height is past the limit too, the array promotes at that
-step, whichever array it is: int64 sums are exact modulo 2^64 and each
-step is invertible (``_strided_prefix_sum`` undoes ``_shifted_difference``
-and the reverse), so the other kernel restores the values before the
-step, all within the limit; the array becomes Python integers
-(``astype(object)``), the step runs again, and so does every later one.
-Every applied factor runs once, plus one undo and one redo per promotion,
-and no array starts again from 1.  The shared array, a block and the last
-tuple's continuation each promote as a whole: a tuple alone is in Python
-integers exactly when some prefix of its sweep passes the limit, and a
-tuple of a run may be where alone it stays in int64, with the same values.
+only when that bound passes INT64_SAFE_LIMIT (see there).  A block or a
+copy starts from the shared array's bound, which bounds every entry it
+copies.  If the scanned height is past the limit too, the array promotes
+at that step, whichever array it is: int64 sums are exact modulo 2^64 and
+each step is invertible (``_strided_prefix_sum`` undoes
+``_shifted_difference`` and the reverse), so the other kernel restores the
+values before the step, all within the limit; the array becomes Python
+integers (``astype(object)``), the step runs again, and so does every
+later one.  Every applied factor runs once, plus one undo and one redo per
+promotion, and no array starts again from 1.  Each array of a run
+promotes as a whole: a tuple swept by itself is in Python integers exactly
+when some prefix of its sweep passes the limit, and a tuple of a run may
+be where by itself it stays in int64, with the same values.
 The multiplication sweep runs top-down in blocks (SWEEP_BLOCK), so it needs
 no copy of the window.  That array is the one polynomial type: ``expand``
 and ``low_half`` return it, index i holding the x^i coefficient, and
@@ -72,7 +78,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegreeCapExceeded,
@@ -234,13 +240,13 @@ def heights(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP) -
     """``height(low_half(rho))`` of each tuple of ``run``, in turn: tuples that
     share q_1 .. q_(k-1), ascending in q_k.
 
-    A block's column maxima and minima, reduced over each tuple's columns,
-    give every height of the block at once, in either dtype.  Every cell
-    holds its tuple's coefficient at that index, 0 past the degree, and the
-    cells past the window move no height (Q is palindromic and its constant
-    term is 1).
-    The run holds the shared array and one block, if the consumer keeps no
-    array.  DegreeCapExceeded names the first window past ``degree_cap``.
+    An array of the run (see the module docstring) is a block of columns:
+    its column maxima and minima, reduced over each tuple's columns, give
+    every height in it at once, in either dtype.  Every cell holds its
+    tuple's coefficient at that index, 0 past the degree, and the cells
+    past the window move no height (Q is palindromic and its constant term
+    is 1).  The run holds the shared array and one other array of it.
+    DegreeCapExceeded names the first window past ``degree_cap``.
     """
     import numpy as np
 
@@ -256,8 +262,9 @@ def expansions(run: Sequence[CoprimeTuple], degree_cap: int = DEFAULT_DEGREE_CAP
     """``expand`` of each tuple of ``run``, in turn, as ``heights`` sweeps a run.
 
     A tuple of a block of several comes as a copy of its columns; the run
-    holds the shared array, one block and that copy, if the consumer drops
-    each array before the next.
+    holds the shared array, one other array of it (see the module
+    docstring) and that copy, if the consumer drops each array before the
+    next.
     """
     return _arrays(run, [degree_of(rho) + 1 for rho in run], degree_cap)
 
@@ -278,7 +285,7 @@ def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int],
                degree_cap: int) -> Iterator[tuple[np.ndarray, list[int]]]:
     # The arrays of the run's tuples, a block at a time: (block, widths),
     # the block's columns split into the tuples' in run order.  An array of
-    # one tuple alone comes as a block of one column.
+    # one tuple comes as a block of one column.
     for a, b in zip(run, run[1:]):
         if a.qs[:-1] != b.qs[:-1] or a.qs[-1] >= b.qs[-1]:
             raise InvalidParameter(f"a run shares q_1 .. q_(k-1) and ascends in q_k: {a} then {b}")
@@ -288,20 +295,19 @@ def _truncated(run: Sequence[CoprimeTuple], windows: Sequence[int],
     if not run:
         return
     # The shared array's bound, or its scanned height, bounds every prefix
-    # of it, so each block starts from it.
+    # of it, so each block and each copy of a prefix starts from it.
     widest = windows[-1]
     factors = ordered_factors(run[0])[: 1 << (run[0].k - 1)]
     members = [(rho.qs[-1], window) for rho, window in zip(run, windows)]
     shared, bound = _sweep(_unit(widest), factors, 1)
+    # Each array is built in the yield, so no name keeps it while the next
+    # one is built.
     for group in _groups(members[:-1], widest):
-        block = _block(shared, bound, factors, group)
-        if block is None:
-            # A tuple whose rows pass the shared array runs alone.
-            q, window = group[0]
-            yield apply_factors(window, factors + _flipped(factors, q))[:, None], [1]
+        if len(group) > 1:
+            yield _block(shared, bound, factors, group), [q for q, _ in group]
         else:
-            yield block, [q for q, _ in group]
-        del block  # so it is gone before the next block is built
+            q, window = group[0]
+            yield _sweep(shared[:window].copy(), _flipped(factors, q), bound)[0][:, None], [1]
     # The last tuple continues in the shared array itself, handed over so
     # that no name here keeps the int64 array once a promotion converts it.
     held = [shared]
@@ -316,7 +322,8 @@ def _groups(members: Sequence[tuple[int, int]], widest: int) -> Iterator[list[tu
     # SWEEP_BLOCK entries, since a multiplication sweep copies its
     # overlapping source, up to the block again; and whose columns the
     # shared array fills: R q_k <= widest.  A tuple that fits no block with
-    # another is a group of one.
+    # another is a group of one, which continues alone in a copy of its
+    # prefix of the shared array (see the module docstring).
     group: list[tuple[int, int]] = []
     rows = columns = 0
     for q, window in members:
@@ -331,38 +338,26 @@ def _groups(members: Sequence[tuple[int, int]], widest: int) -> Iterator[list[tu
 
 
 def _block(shared: np.ndarray, bound: int, factors: Sequence[Factor],
-           group: Sequence[tuple[int, int]]) -> Optional[np.ndarray]:
-    """The group's tuples continued from ``shared`` side by side, in its
-    dtype, or None if the shared array does not fill their rows.
+           group: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The group's tuples, several of them, continued from ``shared`` side
+    by side, in its dtype: a run's second kind of array (see the module
+    docstring).
 
     The tuple of last entry q takes q columns, cell (r, b) its coefficient
     r q + b, so each of its own factors, of d a multiple of q, moves d / q
     rows, and a row of C columns makes every tuple's factor one stride of
     (d / q) C: ``_flipped(factors, C)``, swept once over the whole block.
     Every cell is then its tuple's coefficient at that index, 0 past the
-    degree, and the block promotes as a whole.  Only a group of one, at
-    k = 1 or at k = 2 with an even q_1, has rows past ``shared``.
+    degree, and the block promotes as a whole.
     """
     import numpy as np
 
     rows = max(-(-window // q) for q, window in group)
-    if rows * group[-1][0] > len(shared):
-        return None
     columns = sum(q for q, _ in group)
     # Built in the call, so no name keeps the int64 block once it promotes.
     c, _ = _sweep(np.concatenate([shared[: rows * q].reshape(rows, q) for q, _ in group], axis=1).reshape(-1),
                   _flipped(factors, columns), bound)
     return c.reshape(rows, columns)
-
-
-def apply_factors(window: int, factors: Sequence[Factor]) -> np.ndarray:
-    """Apply signed (1 - x^d) factors in the given order to the constant polynomial 1.
-
-    The result is the truncation to ``window`` coefficients: an int64 array,
-    or, if the int64 sweep could have wrapped at some factor, an object
-    array of Python integers, promoted at that factor.
-    """
-    return _sweep(_unit(window), factors, 1)[0]
 
 
 def _unit(window: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from iepoly import core
 from iepoly.analysis import coprime_runs
 from iepoly.core import CoprimeTuple, degree_of, validate_tuple
 
@@ -42,6 +44,13 @@ HIGH_K_TUPLES = [
 def coprime_tuples(k: int, m_cap: int) -> list[CoprimeTuple]:
     """Every valid tuple with exactly k entries and product <= m_cap: the runs of ``coprime_runs``, joined."""
     return [rho for run in coprime_runs(k, m_cap) for rho in run]
+
+
+def sweep_from_one(window, factors, dtype):
+    """core._sweep from the constant 1 in ``dtype``: the array, promoted at the int64 step that could have wrapped."""
+    c = np.zeros(window, dtype=dtype)
+    c[0] = 1
+    return core._sweep(c, factors, 1)[0]
 
 
 def make_random_tuples(count: int, max_degree: int = 10**5, seed: int = 0x5EED, k_max: int = 5) -> list[CoprimeTuple]:

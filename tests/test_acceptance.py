@@ -12,12 +12,11 @@ import time
 import numpy as np
 from mpmath import mp
 
-from conftest import SMALL_TUPLES, coprime_tuples, make_random_tuples
+from conftest import SMALL_TUPLES, coprime_tuples, make_random_tuples, sweep_from_one
 from golden_cases import GOLDEN_CASES, SRC_ENV
 from iepoly.analysis import limit_constant, normalizer, predicted_ratio
 from iepoly.construction import check_congruence, congruence_family, height_lower_bound
 from iepoly.core import (
-    apply_factors,
     degree_of,
     eval_at_one,
     expand,
@@ -114,7 +113,7 @@ def test_criterion_5_property_suite():
             for _ in range(3):
                 shuffled = factors[:]
                 rng.shuffle(shuffled)
-                assert np.array_equal(apply_factors(len(p), shuffled), p)
+                assert np.array_equal(sweep_from_one(len(p), shuffled, np.int64), p)
 
 
 def test_criterion_6_ratio_chain_identity():

@@ -459,6 +459,13 @@ class TestSearch:
         assert payload["count"] == 0
         assert payload["results"] == []
 
+    @pytest.mark.parametrize("expand_cap", ["0", "-5"])
+    def test_expand_cap_below_one(self, capsys, expand_cap):
+        code, out, err = run(capsys, "search", "--k", "1", "--m-cap", "20", "--expand-cap", expand_cap)
+        assert code == 2
+        assert out == ""
+        assert "expand_cap" in err
+
     def test_memory_cap(self, capsys):
         # The largest tuple, 3,5,7, has degree 48: 25 coefficients in its low half.
         code, _, err = run(capsys, "search", "--k", "3", "--m-cap", "105", "--memory-cap", "10")
@@ -829,25 +836,34 @@ class TestHeightOnlyWindow:
          [core.degree_of(rho) // 2 + 1 for rho in {rho.qs[:-1]: rho for rho in coprime_tuples(3, 105)}.values()]),
     ])
     def test_windows(self, capsys, monkeypatch, argv, windows):
-        # Every array swept from 1 starts as core._unit, and every block as
-        # core._block; search's tuples before each run's last continue in
-        # blocks, each over its own low half.
+        # Every array swept from 1 starts as core._unit, every block as
+        # core._block, and every other sweep is of a tuple alone, from a copy
+        # of its prefix of the shared array; search's tuples before each
+        # run's last continue from the shared array, in blocks or alone,
+        # each over its own low half.
         continued = [core.degree_of(rho) // 2 + 1 for run in analysis.coprime_runs(3, 105) for rho in run[:-1]]
         swept, blocked = [], []
-        real_unit, real_block = core._unit, core._block
+        real_unit, real_block, real_sweep = core._unit, core._block, core._sweep
 
         def spy(window):
-            swept.append(window)
-            return real_unit(window)
+            swept.append(real_unit(window))
+            return swept[-1]
 
         def block_spy(shared, bound, factors, group):
             blocked.extend(window for _, window in group)
             return real_block(shared, bound, factors, group)
 
+        def sweep_spy(c, factors, bound):
+            if c.base is None and not any(c is unit for unit in swept):
+                assert np.array_equal(c, swept[-1][: len(c)])
+                blocked.append(len(c))
+            return real_sweep(c, factors, bound)
+
         monkeypatch.setattr(core, "_unit", spy)
         monkeypatch.setattr(core, "_block", block_spy)
+        monkeypatch.setattr(core, "_sweep", sweep_spy)
         assert run(capsys, *argv)[0] == 0
-        assert swept == windows
+        assert [len(unit) for unit in swept] == windows
         assert blocked == (continued if argv[0] == "search" else [])
 
     @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coprime_tuples
+from conftest import coprime_tuples, sweep_from_one
 import iepoly
 from iepoly import construction, core
 from iepoly.core import (
@@ -24,8 +24,6 @@ from iepoly.core import (
     SWEEP_BLOCK,
     _shifted_difference,
     _strided_prefix_sum,
-    _sweep,
-    apply_factors,
     degree_of,
     eval_at_one,
     expand,
@@ -225,11 +223,11 @@ class TestExpandProperties:
         for rho in small_corpus:
             factors = ordered_factors(rho)
             window = degree_of(rho) + 1
-            reference = apply_factors(window, factors)
+            reference = sweep_from_one(window, factors, np.int64)
             for _ in range(3):
                 shuffled = factors[:]
                 rng.shuffle(shuffled)
-                assert np.array_equal(apply_factors(window, shuffled), reference)
+                assert np.array_equal(sweep_from_one(window, shuffled, np.int64), reference)
 
     def test_adjoining_an_entry(self):
         # Q_{rho + q}(x) * Q_rho(x) = Q_rho(x^q), from the subset definition:
@@ -287,7 +285,7 @@ class TestPromotion:
     @pytest.mark.parametrize("qs, expected_height", [((5, 7, 11, 13, 17), 67), ((3, 5, 7, 11, 13, 17), 532)])
     def test_divisions_first_promotes_and_agrees(self, qs, expected_height):
         rho = validate_tuple(qs)
-        forced = apply_factors(degree_of(rho) + 1, divisions_first(rho))
+        forced = sweep_from_one(degree_of(rho) + 1, divisions_first(rho), np.int64)
         assert forced.dtype == object
         default = expand(rho)
         assert np.array_equal(forced, default)
@@ -297,22 +295,21 @@ class TestPromotion:
 
     def test_the_wrapped_array_is_promoted_in_place(self, monkeypatch):
         # The step that could have wrapped is undone in int64 and redone in
-        # Python integers: one int64 array is built from 1, none in Python
-        # integers, and the int64 array is gone once converted.
+        # Python integers: one sweep runs, from an int64 array, none from one
+        # in Python integers, and the int64 array is gone once converted.
         rho = validate_tuple([5, 7, 11, 13, 17])
         window, factors = degree_of(rho) + 1, divisions_first(rho)
-        real = core._unit
-        units = []
+        real = core._sweep
+        entered = []
 
-        def spying(window):
-            c = real(window)
-            units.append(weakref.ref(c))
-            return c
+        def spying(c, factors, bound):
+            entered.append(weakref.ref(c))
+            return real(c, factors, bound)
 
-        monkeypatch.setattr(core, "_unit", spying)
+        monkeypatch.setattr(core, "_sweep", spying)
         with recorded_sweeps() as (sweeps, steps):
-            c = apply_factors(window, factors)
-        assert len(units) == 1 and units[0]() is None
+            c = sweep_from_one(window, factors, np.int64)
+        assert len(entered) == 1 and entered[0]() is None
         assert c.dtype == object and np.array_equal(c, expand(rho))
         assert steps == expected_steps(window, factors, INT64_SAFE_LIMIT)
         assert_each_step_once(sweeps, steps)
@@ -338,17 +335,10 @@ class TestPromotion:
             if degree_of(rho) > 60_000:
                 continue
             checked += 1
-            forced = apply_factors(degree_of(rho) + 1, divisions_first(rho))
+            forced = sweep_from_one(degree_of(rho) + 1, divisions_first(rho), np.int64)
             promoted += forced.dtype == object
             assert np.array_equal(forced, expand(rho)), qs
         assert promoted > 0
-
-
-def sweep_from_one(window, factors, dtype):
-    """core._sweep from the constant 1 in ``dtype``: the array, promoted at the int64 step that could have wrapped."""
-    c = np.zeros(window, dtype=dtype)
-    c[0] = 1
-    return _sweep(c, factors, 1)[0]
 
 
 @contextlib.contextmanager
@@ -438,7 +428,7 @@ class TestMagnitudeBound:
         assert steps == expected_steps(window, factors, limit)
 
     def test_same_lane_as_every_step_check(self, high_k_corpus, monkeypatch):
-        # Under either order, apply_factors stays in int64 exactly when every
+        # Under either order, the int64 sweep stays in int64 exactly when every
         # prefix of the object sweep stays within INT64_SAFE_LIMIT, returns
         # the object sweep's values, and scans less often than a check after
         # every applied factor.  The polynomial does not depend on the order,
@@ -452,7 +442,7 @@ class TestMagnitudeBound:
                 c, fits = object_sweep_within_limit(window, factors, stop=values is not None)
                 values = c if values is None else values
                 scans.clear()
-                result = apply_factors(window, factors)
+                result = sweep_from_one(window, factors, np.int64)
                 assert result.dtype == (np.int64 if fits else object), rho.qs
                 assert np.array_equal(result, values), rho.qs
                 assert len(scans) < sum(d < window for d, _ in factors), rho.qs
@@ -460,13 +450,13 @@ class TestMagnitudeBound:
     def test_scans_are_few(self, monkeypatch):
         scans = count_height_calls(monkeypatch)
         rho = validate_tuple([49, 51, 149])
-        assert apply_factors(degree_of(rho) + 1, ordered_factors(rho)).dtype == np.int64
+        assert sweep_from_one(degree_of(rho) + 1, ordered_factors(rho), np.int64).dtype == np.int64
         assert len(scans) == 0
         rho = validate_tuple([2, 3, 5, 7, 11, 13, 17])
         window = degree_of(rho) + 1
         factors = ordered_factors(rho)
         assert sum(d < window for d, _ in factors) == 124
-        assert apply_factors(window, factors).dtype == np.int64
+        assert sweep_from_one(window, factors, np.int64).dtype == np.int64
         assert 1 <= len(scans) <= 10
 
 
@@ -520,9 +510,11 @@ def planted(which):
     """Plant one promotion in a run: lower the limit to 1, which no value of
     a k = 2 run passes, and have core.height report 2 throughout the sweep
     ``which`` names: "shared" the shared array's, "block" the first block of
-    several tuples', "last" the last tuple's.  Yields the tuple count of each
-    promoted block or array."""
-    promoted, groups, chosen = [], [], []
+    several tuples', "last" the last tuple's, found as the sweep of the
+    shared array itself.  A tuple alone, in a copy of its prefix of the
+    shared array, is not planted.  Yields the tuple count of each promoted
+    block or array."""
+    promoted, groups, chosen, shared = [], [], [], []
     real_sweep, real_block, real_height = core._sweep, core._block, core.height
 
     def block(shared, bound, factors, group):
@@ -530,9 +522,12 @@ def planted(which):
         return real_block(shared, bound, factors, group)
 
     def sweep(c, factors, bound):
-        role = "shared" if not chosen else "block" if c.base is not None else "last"
-        chosen.append(role == which and not promoted and (role != "block" or groups[-1] > 1))
+        role = ("shared" if not chosen else "block" if c.base is not None
+                else "last" if c is shared[0]() else "alone")
+        chosen.append(role == which and not promoted)
         c, bound = real_sweep(c, factors, bound)
+        if role == "shared":
+            shared.append(weakref.ref(c))
         if chosen[-1]:
             assert c.dtype == object
             promoted.append(groups[-1] if role == "block" else 1)
@@ -556,7 +551,8 @@ class TestRuns:
     def test_every_small_tuple_matches_the_oracle(self, runs):
         # At k = 1 and at k = 2 with an even q_1, some tuples' rows of q_k
         # cells reach past the shared window (109 at k = 2, m <= 600), and
-        # those tuples run alone.
+        # those tuples continue alone, in a copy of their prefix of the
+        # shared array.
         runs = runs()
         assert any(len(run) > 1 for run in runs)
         for run in runs:
@@ -650,13 +646,22 @@ class TestRuns:
             assert A == height(expected), rho.qs
 
     def test_one_shared_array_per_run(self, monkeypatch):
-        swept, continued = [], []
+        # heights and expansions build one array from 1 per run, the shared
+        # array over its longest window.  Every other array continues from
+        # it: a block of several tuples, or a tuple alone in a copy of its
+        # prefix of the shared array, which ends as low_half's or expand's
+        # array.  The k = 1 and k = 2 runs have tuples before the last whose
+        # rows of q_k cells pass the shared window.
+        swept, continued, alone = [], [], []
         real_unit, real_sweep = core._unit, core._sweep
         monkeypatch.setattr(core, "_unit", lambda window: swept.append(window) or real_unit(window))
 
         def recording(c, factors, bound):
             continued.append(c)
-            return real_sweep(c, factors, bound)
+            result = real_sweep(c, factors, bound)
+            if c.base is None and c is not continued[0]:
+                alone.append(result[0])
+            return result
 
         run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
         monkeypatch.setattr(core, "_sweep", recording)
@@ -667,6 +672,17 @@ class TestRuns:
         # The run's array, one block of the two tuples before the last, and the
         # last tuple in the run's array itself.
         assert [c.base is None for c in continued[:3]] == [True, False, True] and continued[2] is shared
+        seen = 0
+        for run in [run, *past_the_shared_window(1, 150), *past_the_shared_window(2, 300)]:
+            for route, single, window in ((heights, low_half, lambda rho: degree_of(rho) // 2 + 1),
+                                          (expansions, expand, lambda rho: degree_of(rho) + 1)):
+                expected = {window(rho): single(rho) for rho in run}
+                del swept[:], continued[:], alone[:]
+                list(route(run))
+                assert swept == [window(run[-1])]
+                assert all(np.array_equal(c, expected[len(c)]) for c in alone)
+                seen += len(alone)
+        assert seen
 
     def test_every_sweep_starts_from_a_bound_on_its_array(self, monkeypatch):
         # A block starts from the shared array's bound: it must bound the
@@ -761,9 +777,10 @@ class TestRuns:
         # Beside the shared array a run holds one array no longer than it and
         # one block, which with its sweep's copy of an overlapping source fits
         # SWEEP_BLOCK entries.  The first run's windows pass 2 SWEEP_BLOCK for
-        # its last tuples, each in a block of its own: while one is swept,
-        # the previous block must already be gone.  The second run's windows
-        # are small, and its tuples fill several blocks.
+        # its last tuples, each alone in a copy of its prefix of the shared
+        # array: while one is swept, the previous copy must already be gone.
+        # The second run's windows are small, and its tuples fill several
+        # blocks.
         big = [validate_tuple([7, 11, q]) for q in [*range(12, 200), 4987, 4993, 4999] if math.gcd(q, 77) == 1]
         assert degree_of(big[-3]) // 2 + 1 > 2 * SWEEP_BLOCK
         for run in (big, several_groups()):
@@ -990,7 +1007,7 @@ class TestOneRepresentation:
         rho = validate_tuple([3, 5, 7])
         full = [
             expand(rho),
-            apply_factors(degree_of(rho) + 1, ordered_factors(rho)),
+            sweep_from_one(degree_of(rho) + 1, ordered_factors(rho), np.int64),
             oracle_expand(rho),
         ]
         half = low_half(rho)
@@ -1004,7 +1021,7 @@ class TestOneRepresentation:
 
     def test_object_on_divisions_first(self):
         rho = validate_tuple([5, 7, 11, 13, 17])
-        c = apply_factors(degree_of(rho) + 1, divisions_first(rho))
+        c = sweep_from_one(degree_of(rho) + 1, divisions_first(rho), np.int64)
         assert type(c) is np.ndarray and c.dtype == object
         assert (height(c), is_palindromic(c), eval_at_one(c)) == (67, True, 1)
 

@@ -219,7 +219,7 @@ def test_shares_no_sweep_or_lane_check_with_core():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
             used.add(node.attr)
     assert "factor_system" in used
-    assert not used & {"_sweep", "_shifted_difference", "_strided_prefix_sum", "apply_factors", "_unit", "height"}
+    assert not used & {"_sweep", "_shifted_difference", "_strided_prefix_sum", "_unit", "height"}
 
 
 class TestOracleExpand:
