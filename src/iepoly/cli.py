@@ -7,9 +7,12 @@ stderr.  Exit codes: 0 success, 1 a checked mathematical predicate is
 false, 2 invalid input (or an --out file that cannot be written), 3 a
 capacity cap was exceeded or an allocation was refused (MemoryError).
 
-Exact values never pass through lossy JSON numbers: arbitrary-precision
-integers serialize as decimal strings (errors._big) and rationals as
-"num/den" strings.
+Arbitrary-precision integers serialize as decimal strings (errors._big)
+and rationals as "num/den" strings.  compute's inline coefficients are
+JSON numbers, and exact: they are printed only for a degree below
+COEFF_INLINE_LIMIT, and every tuple of such a degree has height at most 95
+(at 3,4,7,13,17), far below 2^53, up to which a double holds every integer.
+A test enumerates those tuples.
 Reals are reported as 64-bit floats, each the correctly rounded value of
 a chain of integer square roots (see the analysis module); constant's
 error_bound bounds the distance from its reported value to the limit.
@@ -21,13 +24,19 @@ construction.height_lower_bound raised them, in decimal, and compare that
 ceiling with an expanded height; past its gate (construction.bound_fits)
 both print null.
 
-Configuration comes from the command line only.  --memory-cap bounds the
-longest coefficient array a call allocates: the full window when
-coefficients are output, the low half (core.low_half) when only the height
-is.  In oracle-check it bounds the window and the reference route's
-untruncated product together, since both are alive at once; a run of
-tuples sharing q_1 .. q_(k-1) shares one sweep only where its shared
-array, one array as long and its largest product fit the cap together.
+Configuration comes from the command line only.  In compute, construct,
+verify and search, --memory-cap bounds the longest coefficient array a
+call allocates: the full window when coefficients are output (compute
+without --height-only), the low half (core.low_half) when only the height
+is (compute --height-only, construct --expand, verify --expand, and
+search, whose run shares one array as long as its longest low half).  In
+oracle-check it bounds the window plus the reference route's untruncated
+product, since both are alive at once; a run of tuples sharing
+q_1 .. q_(k-1) shares one sweep only where its shared array, one array as
+long and its largest product fit the cap together.
+constant, and construct and verify without --expand, allocate no array.
+Each value of --q and --r is refused (exit 3) past ARG_DIGITS_CAP digits
+before it is parsed.
 
 ``run`` is the process entry point (``python -m iepoly.cli`` and the
 ``iepoly`` script); ``main(argv)`` is the pure part that tests and
@@ -40,10 +49,10 @@ dataclasses (nor its inspect, ast, dis, tokenize).
 anything can load numpy, because iepoly calls no BLAS routine and starting
 OpenBLAS's thread pool doubles numpy's import time; the value changes no
 result.  It lifts the interpreter's int-to-str digit limit, so --q and --r
-accept integers of any length, and it freezes the garbage collector's
-objects before exit, so shutdown does not walk every object of numpy and
-argparse.  Neither ``import iepoly`` nor any library call touches the
-environment.
+accept integers up to ARG_DIGITS_CAP digits, and it freezes the garbage
+collector's objects before exit, so shutdown does not walk every object of
+numpy and argparse.  Neither ``import iepoly`` nor any library call
+touches the environment.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
@@ -59,6 +69,7 @@ from . import analysis, construction, core, oracle
 from .errors import (
     STR_BITS,
     CapacityError,
+    CapExceeded,
     DegreeCapExceeded,
     IdentityMismatch,
     InvalidParameter,
@@ -77,7 +88,12 @@ EXIT_CAPACITY = 3
 
 COEFF_INLINE_LIMIT = 10**4
 OUT_CHUNK = 1 << 16
-JSON_SAFE_INT = (1 << 53) - 1
+# Longest decimal value --q and --r take: the digits of 2r + 1 for the
+# longest r whose bound verify still builds at k = 1 (construction.bound_fits,
+# r of BOUND_BITS_CAP bits).  int() of a decimal string is quadratic before
+# CPython 3.12, 0.12 s at this length and 5 s at 10^6 digits, so a value's
+# digits are counted before it is parsed.
+ARG_DIGITS_CAP = math.floor((construction.BOUND_BITS_CAP + 1) * math.log10(2)) + 1
 
 
 # ------------------------------ serialization ------------------------------
@@ -147,17 +163,26 @@ def emit(payload: dict[str, Any]) -> None:
 
 # -------------------------------- commands ---------------------------------
 
-def _parse_q(raw: str) -> core.CoprimeTuple:
+def _parse_int(text: str, name: str) -> int:
+    """int(text), refused (exit 3) before int() runs when it has more than ARG_DIGITS_CAP digits."""
+    digits = len(text.strip().lstrip("+-"))
+    if digits > ARG_DIGITS_CAP:
+        raise CapExceeded(f"{name} has {digits} digits, past the cap of {ARG_DIGITS_CAP}")
     try:
-        values = [int(part.strip()) for part in raw.split(",") if part.strip()]
+        return int(text)
     except ValueError as exc:
-        raise InvalidParameter(f"cannot parse --q value {raw!r} as integers") from exc
-    if not values:
+        raise InvalidParameter(f"cannot parse {name} value {text!r} as an integer") from exc
+
+
+def _parse_q(raw: str) -> core.CoprimeTuple:
+    parts = [part for part in raw.split(",") if part.strip()]
+    if not parts:
         raise InvalidParameter(f"--q value {raw!r} contains no integers")
-    # Counted before validate_tuple's pairwise gcds, which a long list
-    # would spend seconds on; the cap also bounds r^(2^(k-1)) in verify.
-    core.check_subset_cap(len(values))
-    return core.validate_tuple(values)
+    # Counted before any entry is parsed and before validate_tuple's
+    # pairwise gcds, which a long list would spend seconds on; the cap also
+    # bounds r^(2^(k-1)) in verify.
+    core.check_subset_cap(len(parts))
+    return core.validate_tuple([_parse_int(part, "--q") for part in parts])
 
 
 def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
@@ -193,11 +218,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 raise InvalidParameter(f"cannot write --out: {exc}") from exc
             payload["coefficients_file"] = args.out
         elif len(full) <= COEFF_INLINE_LIMIT:
-            as_strings = report.height > JSON_SAFE_INT
-            values = full.tolist()
-            payload["coefficients"] = [_big(c) for c in values] if as_strings else values
-            if as_strings:
-                payload["coefficients_as_strings"] = True
+            payload["coefficients"] = full.tolist()
         else:
             payload["coefficients_omitted"] = True
     return payload, EXIT_OK
@@ -242,14 +263,15 @@ def cmd_constant(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    r = _parse_int(args.r, "--r")
     rho = _parse_q(args.q)
-    if args.r < 1:
-        raise InvalidParameter(f"--r must be positive, got {args.r}")
-    report = construction.check_congruence(rho, args.r)
+    if r < 1:
+        raise InvalidParameter(f"--r must be positive, got {_big(r)}")
+    report = construction.check_congruence(rho, r)
     payload: dict[str, Any] = {
         "command": "verify",
         "q": [_big(q) for q in rho.qs],
-        "r": _big(args.r),
+        "r": _big(r),
         "modulus": _big(report.modulus),
         "elements": [
             {"q": _big(e.q), "residue": _big(e.residue), "ok": e.ok, "branch": e.branch}
@@ -259,7 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     }
     code = EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     if report.ok:
-        bound = construction.height_lower_bound(rho, args.r)
+        bound = construction.height_lower_bound(rho, r)
         payload["lemma_bound"], payload["height_floor"] = _bound_fields(bound, rho.m)
         if args.expand:
             A = core.height(core.low_half(rho, args.memory_cap))
@@ -384,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="check the congruence hypothesis and height bound")
     p.add_argument("--q", required=True, help="comma-separated tuple entries")
-    p.add_argument("--r", required=True, type=int)
+    p.add_argument("--r", required=True)
     p.add_argument("--expand", action="store_true", help="also expand and compare the measured height")
     p.set_defaults(handler=cmd_verify)
 

@@ -63,6 +63,22 @@ class TestCompute:
         assert payload["palindromic"] is True
         assert payload["eval_at_one"] == "2"
 
+    def test_inline_coefficients_are_exact_json_numbers(self):
+        # Inline coefficients print as JSON numbers, exact while every
+        # height is below 2^53, where a double stops holding every integer.
+        # Every tuple whose window fits inline has degree below
+        # COEFF_INLINE_LIMIT; there are 61,016 of them, of k = 1 .. 6, and
+        # the largest height is 95, at 3,4,7,13,17.  No 7-tuple fits (its
+        # degree is at least 1*2*4*6*10*12*16 = 92,160), so no longer one does
+        # either: its first seven entries are a 7-tuple of no larger degree.
+        ks = set()
+        for k in range(1, 8):
+            for run in analysis.coprime_runs(k, analysis.MAX_ENUM_PRODUCT, max_degree=cli.COEFF_INLINE_LIMIT - 1):
+                for rho, h in zip(run, core.heights(run)):
+                    assert h < 1 << 53, rho
+                    ks.add(k)
+        assert ks == {1, 2, 3, 4, 5, 6}
+
     def test_coeff_flag(self, capsys):
         code, payload, _ = run_json(capsys, "compute", "--q", "3,5,7", "--coeff", "7")
         assert code == 0
@@ -344,6 +360,28 @@ class TestVerify:
         monkeypatch.setattr(analysis, "normalized_ratio", lambda *args: pytest.fail("normalized_ratio called"))
         code, payload, _ = run_json(capsys, "verify", "--q", "13,37,61", "--r", "6", "--expand")
         assert (code, payload["degree"], payload["height"]) == (0, 25920, "5")
+
+    def test_digit_cap_is_the_gate_edge(self, capsys, unlimited_str_digits):
+        # The longest r whose bound verify builds at k = 1, and q = 2r + 1,
+        # parse and print their bound.
+        r = (1 << construction.BOUND_BITS_CAP) - 1
+        assert construction.bound_fits(r, 1) and not construction.bound_fits(r + 1, 1)
+        q, r = cli._big(2 * r + 1), cli._big(r)
+        assert len(q) == cli.ARG_DIGITS_CAP
+        code, payload, _ = run_json(capsys, "verify", "--q", q, "--r", r)
+        assert (code, payload["q"], payload["r"], payload["congruence_ok"]) == (0, [q], r, True)
+        assert (payload["lemma_bound"], payload["height_floor"]) == (f"{r}/{q}", "1")
+
+    @pytest.mark.parametrize("name", ["--q", "--r"])
+    def test_digit_cap_refuses_before_parsing(self, capsys, unlimited_str_digits, name):
+        # int() of a 10^6-digit string takes about 5 s on CPython 3.11.
+        argv = {"--q": "3", "--r": "1"}
+        argv[name] = "2" + "0" * (10**6 - 2) + "1"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *(x for kv in argv.items() for x in kv))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == f"error: {name} has {10**6} digits, past the cap of {cli.ARG_DIGITS_CAP}\n"
 
     def test_failing_congruence_exit_1(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "--q", "7", "--r", "2")
