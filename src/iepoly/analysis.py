@@ -5,14 +5,15 @@ M = prod_{j=1}^{k-2} q_j^(2^(k-j-1) - 1) (empty product 1 for k <= 2); the
 reported statistic is the normalized ratio (A / M)^(2^-k) where A is the
 height.  M alone overflows double-precision range at moderate k, so the
 ratio is never formed in floating point.  Every real this module reports
-is a chain of square roots of rationals, evaluated in integer arithmetic
-(``_roots``): a fixed-point bracket, its low end rounded down and its high
-end up, goes through ``math.isqrt`` one root at a time, and the float both
-ends round to is the correctly rounded answer.  ``normalized_ratio`` roots
-A / M k times, ``predicted_ratio`` nests k + 1 roots of r / q_j, and
-``limit_constant`` nests up to terms + 1 roots of 1 / (4j - 2).  No real
-passes through a logarithm except the truncation bound's ln(8T + 4), which
-``decimal`` takes at LOG_DIGITS digits.
+is one chain y -> sqrt(y n / d) from y = 1, evaluated in integer
+arithmetic by ``_roots``: a fixed-point bracket of y, its low end rounded
+down and its high end up, goes through ``math.isqrt`` one step at a time,
+and the float both ends round to (``_correctly_rounded``) is the correctly
+rounded answer.  ``normalized_ratio`` is the step (A, M) and k - 1 plain
+roots, ``predicted_ratio`` k + 1 steps of r / q_j, and ``limit_constant``
+up to terms + 1 steps of 1 / (4j - 2).  No real passes through a
+logarithm except the truncation bound's ln(8T + 4), which ``decimal``
+takes at LOG_DIGITS digits.
 
 ``limit_constant`` evaluates prod_{j>=1} (4j - 2)^(-2^(-j-1)), the limiting
 value of the constructed families' predicted ratio, together with a proven
@@ -86,33 +87,27 @@ def normalizer(rho: CoprimeTuple) -> int:
     return P * P // base
 
 
-def _bracket(A: int, M: int, width: int) -> tuple[int, int, int]:
-    # lo * 2^e <= A / M <= hi * 2^e with lo of about ``width`` bits and e
-    # even.  A and M are cut to their top ``width`` bits first, rounded down
-    # and up (exactly when no dropped bit is set), so the cost is linear in
-    # their length.
-    ta = max(0, A.bit_length() - width)
-    tm = max(0, M.bit_length() - width)
-    a, m = A >> ta, M >> tm
-    a_up = a + ((a << ta) != A)
-    m_up = m + ((m << tm) != M)
-    s = width + m.bit_length() - a.bit_length() + 1
-    s += (ta - tm - s) & 1
-    return (a << s) // m_up, -(-(a_up << s) // m), ta - tm - s
-
-
-def _roots(lo: int, hi: int, e: int, steps: Iterable[tuple[int, int]], width: int) -> tuple[int, int, int]:
-    # From lo * 2^e <= y <= hi * 2^e, take y -> sqrt(y * n / d) for each step
-    # (n, d) in turn.  The product is rounded down at lo and up at hi, after a
-    # shift that gives it at least ``width`` bits and an even exponent, so
-    # each root keeps about width / 2 bits.  A plain root (n == d) only shifts.
+def _roots(steps: Iterable[tuple[int, int]], width: int) -> tuple[int, int, int]:
+    # From y = 1, take y -> sqrt(y * n / d) for each step (n, d), as a bracket
+    # lo * 2^e <= y <= hi * 2^e.  n and d are cut to their top ``width`` bits,
+    # n down and d up for lo and the reverse for hi (exactly when no dropped
+    # bit is set), so a step costs time linear in its length.  The product is
+    # rounded down at lo and up at hi, after a shift that gives it at least
+    # ``width`` bits and an even exponent, so each root keeps about width / 2
+    # bits.  A plain root (n == d) only shifts.
+    lo = hi = 1
+    e = 0
     for n, d in steps:
-        shift = max(0, width + d.bit_length() - n.bit_length() - lo.bit_length() + 1)
+        tn, td = max(0, n.bit_length() - width), max(0, d.bit_length() - width)
+        n_lo, d_lo = n >> tn, d >> td
+        e += tn - td
+        shift = max(0, width + d_lo.bit_length() - n_lo.bit_length() - lo.bit_length() + 1)
         shift += (e - shift) & 1
         if n == d:
             lo, hi = lo << shift, hi << shift
         else:
-            lo, hi = (lo * n << shift) // d, -(-(hi * n << shift) // d)
+            n_hi, d_hi = n_lo + ((n_lo << tn) != n), d_lo + ((d_lo << td) != d)
+            lo, hi = (lo * n_lo << shift) // d_hi, -(-(hi * n_hi << shift) // d_lo)
         e -= shift
         root = math.isqrt(hi)
         lo, hi, e = math.isqrt(lo), root + (root * root != hi), e // 2
@@ -147,15 +142,15 @@ def _correctly_rounded(bracket: Callable[[int], tuple[int, int, int]]) -> tuple[
 def normalized_ratio(A: int, M: int, k: int) -> float:
     """(A / M)^(2^-k), correctly rounded to a float, in integer arithmetic.
 
-    A bracket lo * 2^e <= A / M <= hi * 2^e of 2 * MANTISSA_BITS bits goes
-    through k square roots, lo rounded down and hi up, each widened back to
-    that many bits with an even exponent first.  When both ends round to
-    different floats the bracket doubles its bits and starts again.  A ratio
-    past the float range (A / M >= 2^(1024 * 2^k)) raises OverflowError.
+    The chain of ``_roots`` is one step (A, M), with A and M cut to the
+    bracket's width of 2 * MANTISSA_BITS bits, then k - 1 plain roots, lo
+    rounded down and hi up.  When both ends round to different floats the
+    width doubles and the chain starts again.  A ratio past the float range
+    (A / M >= 2^(1024 * 2^k)) raises OverflowError.
     """
     if A < 1 or M < 1 or k < 1:
-        raise InvalidParameter(f"need A >= 1, M >= 1, k >= 1, got A={_big(A)}, M={_big(M)}, k={k}")
-    return _correctly_rounded(lambda width: _roots(*_bracket(A, M, width), [(1, 1)] * k, width))[0]
+        raise InvalidParameter(f"need A >= 1, M >= 1, k >= 1, got A={_big(A)}, M={_big(M)}, k={_big(k)}")
+    return _correctly_rounded(lambda width: _roots([(A, M)] + [(1, 1)] * (k - 1), width))[0]
 
 
 def height_report(rho: CoprimeTuple, coeffs: np.ndarray) -> HeightReport:
@@ -184,11 +179,11 @@ def predicted_ratio(fam: CongruenceFamily) -> float:
     """
     r, qs, k = fam.r, fam.rho.qs, fam.k
     steps = [(r * r, qs[-1] * qs[-1])] + [(r, q) for q in reversed(qs[:-1])] + [(1, 1)]
-    value = _correctly_rounded(lambda width: _roots(1, 1, 0, steps, width))[0]
+    value = _correctly_rounded(lambda width: _roots(steps, width))[0]
     if fam.height_bound is not None:
         exact = normalized_ratio(r ** (1 << (k - 1)), fam.rho.m * normalizer(fam.rho), k)
         if exact != value:
-            raise IdentityMismatch(f"ratio routes disagree for N={fam.N}, k={k}: {exact!r} vs {value!r}")
+            raise IdentityMismatch(f"ratio routes disagree for N={_big(fam.N)}, k={k}: {exact!r} vs {value!r}")
     return value
 
 
@@ -209,7 +204,7 @@ def constant_log_tail_bound(terms: int) -> Fraction:
     against direct summation out to 200 terms in the test suite.
     """
     if terms < 1:
-        raise InvalidParameter(f"terms must be >= 1, got {terms}")
+        raise InvalidParameter(f"terms must be >= 1, got {_big(terms)}")
     context = decimal.Context(prec=LOG_DIGITS)
     log = context.next_plus(decimal.Decimal(8 * terms + 4).ln(context))
     return Fraction(log) / (1 << (terms + 1))
@@ -227,7 +222,7 @@ def _constant_bracket(terms: float, width: int) -> tuple[int, int, int]:
     # past the W-th scale P_W by exp(-s) with 0 <= s <= t_W, so for T > W
     # (math.inf for the limit) the bracket is [P_W (1 - t_W), P_W].
     n = min(terms, width)
-    lo, hi, e = _roots(1, 1, 0, _constant_steps(n), width)
+    lo, hi, e = _roots(_constant_steps(n), width)
     if terms > n:
         tail = constant_log_tail_bound(n)
         lo -= -(-lo * tail.numerator // tail.denominator)
@@ -258,7 +253,7 @@ def limit_constant(terms: int) -> ConstantResult:
     reported.
     """
     if terms < 1:
-        raise InvalidParameter(f"terms must be >= 1, got {terms}")
+        raise InvalidParameter(f"terms must be >= 1, got {_big(terms)}")
     value, width, lo, hi, e = _correctly_rounded(lambda width: _constant_bracket(terms, width))
     error_bound = 0.0
     if terms < width + 2:
@@ -292,11 +287,11 @@ def coprime_runs(k: int, m_cap: int, max_degree: int | None = None) -> Iterator[
     MAX_ENUM_PRODUCT raises CapExceeded.
     """
     if k < 1:
-        raise InvalidParameter(f"k must be >= 1, got {k}")
+        raise InvalidParameter(f"k must be >= 1, got {_big(k)}")
     if m_cap < 1:
-        raise InvalidParameter(f"m_cap must be >= 1, got {m_cap}")
+        raise InvalidParameter(f"m_cap must be >= 1, got {_big(m_cap)}")
     if m_cap > MAX_ENUM_PRODUCT:
-        raise CapExceeded(f"m_cap = {m_cap} exceeds enumeration cap {MAX_ENUM_PRODUCT}")
+        raise CapExceeded(f"m_cap = {_big(m_cap)} exceeds enumeration cap {MAX_ENUM_PRODUCT}")
 
     def fits(product: int, q: int, remaining: int) -> bool:
         # product * q (q + 1) ... (q + remaining - 1) <= m_cap
@@ -350,7 +345,7 @@ def search_max_ratio(
     is (rank, qs).
     """
     if expand_cap < 1:
-        raise InvalidParameter(f"expand_cap must be >= 1, got {expand_cap}")
+        raise InvalidParameter(f"expand_cap must be >= 1, got {_big(expand_cap)}")
     reports = []
     ratios: dict[tuple[int, int], float] = {}
     for run in coprime_runs(k, m_cap, max_degree=expand_cap):

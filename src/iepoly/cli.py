@@ -36,7 +36,9 @@ q_1 .. q_(k-1) shares one sweep only where its shared array, one array as
 long and its largest product fit the cap together.
 constant, and construct and verify without --expand, allocate no array.
 Each value of --q and --r is refused (exit 3) past ARG_DIGITS_CAP digits
-before it is parsed.
+before it is parsed.  On Linux one command-line argument holds at most
+131,071 bytes, so a value of 131,072 to ARG_DIGITS_CAP digits reaches the
+program only through ``main(argv)``.
 
 ``run`` is the process entry point (``python -m iepoly.cli`` and the
 ``iepoly`` script); ``main(argv)`` is the pure part that tests and
@@ -67,7 +69,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import analysis, construction, core, oracle
 from .errors import (
-    STR_BITS,
     CapacityError,
     CapExceeded,
     DegreeCapExceeded,

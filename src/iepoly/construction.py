@@ -113,9 +113,9 @@ def family_parameters(N: int, k: int) -> tuple[int, list[int]]:
     if N < 1:
         raise InvalidParameter(f"N must be positive, got {_big(N)}")
     if k < 1:
-        raise InvalidParameter(f"k must be positive, got {k}")
+        raise InvalidParameter(f"k must be positive, got {_big(k)}")
     if k > FAMILY_K_CAP:
-        raise CapExceeded(f"k = {k} exceeds family cap {FAMILY_K_CAP}")
+        raise CapExceeded(f"k = {_big(k)} exceeds family cap {FAMILY_K_CAP}")
     r = N * math.factorial(k)
     return r, [(4 * j - 2) * r + 1 for j in range(1, k + 1)]
 
@@ -125,7 +125,7 @@ def congruence_family(N: int, k: int) -> CongruenceFamily:
     r, qs = family_parameters(N, k)
     rho = validate_tuple(qs)
     if rho.qs[0] <= N:
-        raise AssertionError(f"constructed q_1 = {rho.qs[0]} does not exceed N = {N}")
+        raise AssertionError(f"constructed q_1 = {_big(rho.qs[0])} does not exceed N = {_big(N)}")
     report = check_congruence(rho, r)
     if not report.ok or any(e.branch != "plus" for e in report.elements):
         raise AssertionError("constructed family must sit on the 2r + 1 branch")

@@ -88,6 +88,7 @@ from .errors import (
     NotCoprime,
     NotIncreasing,
     TupleTooLarge,
+    _big,
 )
 
 if TYPE_CHECKING:
@@ -138,7 +139,7 @@ class CoprimeTuple(NamedTuple):
         return len(self.qs)
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(q) for q in self.qs) + "}"
+        return "{" + ",".join(_big(q) for q in self.qs) + "}"
 
 
 def validate_tuple(values: Iterable[int]) -> CoprimeTuple:

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -88,20 +89,34 @@ class TestNormalizedRatio:
         return Fraction(lo) * Fraction(2) ** e_lo, Fraction(hi) * Fraction(2) ** e_hi
 
     @settings(max_examples=500, deadline=None)
-    @given(st.integers(1, 10**60), st.integers(1, 10**60), st.integers(1, 20))
+    @given(st.integers(1, 1 << 12000), st.integers(1, 1 << 12000), st.integers(1, 20))
     @example((2**53 + 1) ** 2, 1, 1)  # exactly halfway between two floats
     @example(2**16, 1, 4)
     @example(1, 10**60, 20)
+    @example(2**256 + 1, 2**256 - 1, 3)  # both cut to the first bracket's 256 bits
+    @example(2**256 - 1, 2**256 + 1, 1)
+    @example(3**6300 + 1, 7**3560 - 1, 7)  # about 10^4 bits each
+    @example(int(sys.float_info.max) ** 2, 1, 1)  # the largest float
+    @example(2**2048 - 1, 1, 1)  # rounds past it
     def test_correctly_rounded(self, A, M, k):
         # A / M lies between the 2^k-th powers of the midpoints from r to its
-        # float neighbours, so (A / M)^(2^-k) rounds to r.
-        r = normalized_ratio(A, M, k)
+        # float neighbours, so (A / M)^(2^-k) rounds to r.  Past the float
+        # range r is the documented OverflowError, and A / M lies above the
+        # power of the midpoint from the largest float to 2^1024.
+        try:
+            r = normalized_ratio(A, M, k)
+        except OverflowError:
+            r = math.inf
+
+        def exact(f):
+            return Fraction(f) if f < math.inf else Fraction(2**1024)
+
         x = Fraction(A, M)
-        below = (Fraction(r) + Fraction(math.nextafter(r, 0))) / 2
-        above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+        below = (exact(r) + exact(math.nextafter(r, 0))) / 2
+        above = (exact(r) + exact(math.nextafter(r, math.inf))) / 2
         for bits in (256, 1024, 8192):
             low_ok = self.power_bounds(below, k, bits)[1] <= x
-            high_ok = x <= self.power_bounds(above, k, bits)[0]
+            high_ok = r == math.inf or x <= self.power_bounds(above, k, bits)[0]
             if low_ok and high_ok:
                 break
         assert low_ok and high_ok, (A, M, k, r)

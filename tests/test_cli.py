@@ -23,6 +23,7 @@ from golden_cases import GOLDEN_CASES, SRC_ENV
 from iepoly import analysis, cli, construction, core, oracle
 from iepoly.cli import main
 from iepoly.construction import congruence_family
+from iepoly.errors import STR_BITS
 
 
 def run(capsys, *argv):
@@ -271,7 +272,7 @@ def unlimited_str_digits():
 
 class TestBigRendering:
     # Both sides of the str() threshold, with signs and 10^j +- 1 edges.
-    EDGE = [0, 1, -1, (1 << cli.STR_BITS) - 1, 1 << cli.STR_BITS, -(1 << cli.STR_BITS) - 1]
+    EDGE = [0, 1, -1, (1 << STR_BITS) - 1, 1 << STR_BITS, -(1 << STR_BITS) - 1]
     EDGE += [s * (10**j + d) for j in (2466, 2467, 30000) for d in (-1, 0, 1) for s in (1, -1)]
 
     def test_edges(self, unlimited_str_digits):
@@ -300,8 +301,8 @@ class TestBigRendering:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(bits=st.integers(0, 200_000), seed=st.integers(0, 2**32), negative=st.booleans())
-    @example(bits=cli.STR_BITS, seed=1, negative=False)
-    @example(bits=cli.STR_BITS + 1, seed=1, negative=True)
+    @example(bits=STR_BITS, seed=1, negative=False)
+    @example(bits=STR_BITS + 1, seed=1, negative=True)
     def test_matches_str(self, unlimited_str_digits, bits, seed, negative):
         x = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)
         x = -x if negative else x

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from iepoly.analysis import height_report, limit_constant, normalized_ratio
+from iepoly.analysis import coprime_runs, height_report, limit_constant, normalized_ratio, search_max_ratio
 from iepoly import construction
 from iepoly.construction import (
     BOUND_BITS_CAP,
@@ -18,7 +18,7 @@ from iepoly.construction import (
     height_lower_bound,
 )
 from iepoly.core import expand, height, low_half, validate_tuple
-from iepoly.errors import _EXACT, STR_BITS, CongruenceNotSatisfied, InvalidParameter
+from iepoly.errors import _EXACT, STR_BITS, CapExceeded, CongruenceNotSatisfied, InvalidParameter
 
 
 def lemma_bound(fam):
@@ -130,7 +130,13 @@ class TestHeightLowerBound:
         (lambda big: check_congruence(validate_tuple([7]), -big), InvalidParameter),
         (lambda big: congruence_family(-big, 2), InvalidParameter),
         (lambda big: normalized_ratio(0, big, 2), InvalidParameter),
-    ], ids=["height_lower_bound", "check_congruence", "congruence_family", "normalized_ratio"])
+        (lambda big: next(coprime_runs(3, big)), CapExceeded),
+        (lambda big: next(coprime_runs(3, -big)), InvalidParameter),
+        (lambda big: search_max_ratio(big, 3), CapExceeded),
+        (lambda big: limit_constant(-big), InvalidParameter),
+        (lambda big: family_parameters(1, big), CapExceeded),
+    ], ids=["height_lower_bound", "check_congruence", "congruence_family", "normalized_ratio",
+            "coprime_runs_cap", "coprime_runs_floor", "search_max_ratio", "limit_constant", "family_k_cap"])
     def test_errors_print_integers_past_the_str_digit_limit(self, call, error):
         # Under the interpreter's default 4,300-digit limit on int-to-str
         # conversion, the error is the documented one and names the value in full.

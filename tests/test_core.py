@@ -101,6 +101,23 @@ class TestValidate:
         assert "1" + "0" * 4400 in str(err.value)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_tuples_print_entries_past_the_str_digit_limit(self):
+        # str() of a tuple, which the run error below and oracle-check's
+        # mismatch list print, names its entries in full under the default
+        # 4,300-digit limit, and a malformed run raises its documented error.
+        big = validate_tuple([3, 10**4400 + 1])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            text = str(big)
+            with pytest.raises(InvalidParameter) as err:
+                list(heights([big, validate_tuple([2, 5])]))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == "{3,1" + "0" * 4399 + "1}"
+        assert text + " then {2,5}" in str(err.value)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_errors_print_a_million_bit_entry_in_time(self):
         # Error messages print through the same sub-quadratic printer as
         # stdout; str() of these two entries takes seconds on CPython 3.11.
