@@ -8,7 +8,14 @@ false, 2 invalid input (or an --out file that cannot be written), 3 a
 capacity cap was exceeded or an allocation was refused (MemoryError).
 
 Arbitrary-precision integers serialize as decimal strings (errors._big)
-and rationals as "num/den" strings.  compute's inline coefficients are
+and rationals as "num/den" strings.  Counts, indexes and degrees are JSON
+numbers, exact in a double because a cap or an allocated array bounds
+each: k by the subset cap (construct: the family cap), a degree or
+coeff_index by the window allocated, a count by the enumeration cap;
+construct's degree, of no allocated array, is a string.  construct's N,
+constant's terms and search's k and expand_cap echo a flag that has no
+cap: their text is exact, but a reader that parses JSON numbers as
+doubles rounds one past 2^53.  compute's inline coefficients are
 JSON numbers, and exact: they are printed only for a degree below
 COEFF_INLINE_LIMIT, and every tuple of such a degree has height at most 95
 (at 3,4,7,13,17), far below 2^53, up to which a double holds every integer.

@@ -452,11 +452,10 @@ def same_coeffs(a: np.ndarray, b: np.ndarray) -> bool:
 
 def eval_at_one(c: np.ndarray) -> int:
     """Coefficient sum; q_1 for a single-entry tuple and 1 otherwise."""
-    if c.dtype == object:
-        return int(c.sum())
     # An int64 sum can wrap.  The sums of the high and low 32-bit halves of
     # a SWEEP_BLOCK-entry block cannot, and summing a block at a time keeps
-    # the temporaries at one block instead of the window.
+    # the temporaries at one block instead of the window.  The halves are
+    # exact on Python integers too: x = (x >> 32) 2^32 + (x & 0xFFFFFFFF).
     high = low = 0
     for start in range(0, c.shape[0], SWEEP_BLOCK):
         block = c[start : start + SWEEP_BLOCK]

@@ -98,6 +98,11 @@ class TestNormalizedRatio:
     @example(3**6300 + 1, 7**3560 - 1, 7)  # about 10^4 bits each
     @example(int(sys.float_info.max) ** 2, 1, 1)  # the largest float
     @example(2**2048 - 1, 1, 1)  # rounds past it
+    # Just above a float midpoint: the bracket's width doubles to 1024, then
+    # to 2048, and r is 1 + 2^-52; just below it, 1.0 at the first width.
+    @example(((2**53 + 1) ** 2 << 400) + 1, 1 << 506, 1)
+    @example(((2**53 + 1) ** 2 << 400) - 1, 1 << 506, 1)
+    @example(((2**53 + 1) ** 4 << 800) + 1, 1 << 1012, 2)
     def test_correctly_rounded(self, A, M, k):
         # A / M lies between the 2^k-th powers of the midpoints from r to its
         # float neighbours, so (A / M)^(2^-k) rounds to r.  Past the float

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coprime_tuples
+from conftest import coprime_tuples, recorder
 from golden_cases import GOLDEN_CASES, SRC_ENV
 from iepoly import analysis, cli, construction, core, oracle
 from iepoly.cli import main
@@ -100,6 +100,9 @@ class TestCompute:
     def test_unparseable_q(self, capsys):
         code, _, err = run(capsys, "compute", "--q", "3,x")
         assert code == 2
+
+    def test_q_without_integers(self, capsys):
+        assert run(capsys, "compute", "--q", ",") == (2, "", "error: --q value ',' contains no integers\n")
 
     def test_capacity_exit_3(self, capsys):
         code, _, err = run(capsys, "compute", "--q", "3,5,7", "--memory-cap", "10")
@@ -384,6 +387,10 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err == f"error: {name} has {10**6} digits, past the cap of {cli.ARG_DIGITS_CAP}\n"
 
+    @pytest.mark.parametrize("r", ["0", "-5"])
+    def test_r_below_one(self, capsys, r):
+        assert run(capsys, "verify", "--q", "5", "--r", r) == (2, "", f"error: --r must be positive, got {r}\n")
+
     def test_failing_congruence_exit_1(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "--q", "7", "--r", "2")
         assert code == 1
@@ -431,11 +438,12 @@ class TestVerify:
     ])
     def test_height_ok_at_the_floor(self, capsys, monkeypatch, argv, floor):
         # A height equal to the floor passes, one below it fails.  verify
-        # measures through core.height, construct through height_report,
-        # whose normalized ratio would refuse a height of 0.
+        # measures the height of core.low_half's array, here 1, A, 1,
+        # construct through height_report, whose normalized ratio would
+        # refuse a height of 0.
         report = analysis.height_report
         for A, ok, code in ((floor, True, 0), (floor - 1, False, 1)):
-            monkeypatch.setattr(core, "height", lambda c: A)
+            monkeypatch.setattr(core, "low_half", lambda rho, cap: np.array([1, A, 1]))
             monkeypatch.setattr(analysis, "height_report", lambda rho, c: report(rho, c)._replace(height=A))
             got, payload, _ = run_json(capsys, *argv)
             assert (got, payload["height_floor"], payload["height"], payload["height_ok"]) == (code, str(floor), str(A), ok)
@@ -783,26 +791,17 @@ print(len(os.listdir("/proc/self/task")))
     assert proc.stdout.splitlines()[-1] == "1"
 
 
-def test_goldens_under_forced_promotion(capsys, monkeypatch):
+def test_goldens_under_forced_promotion(capsys):
     # With the limit lowered to 1, every array whose height passes 1
     # promotes to Python integers at that step, and stdout does not depend
     # on the lane.  The oracle keeps the real limit, so oracle-check compares
     # core's object arrays with the oracle's int64 ones.
     golden_dir = pathlib.Path(__file__).resolve().parent / "golden"
-    promoted = []
-    real = core._sweep
-
-    def sweep(c, factors, bound):
-        result = real(c, factors, bound)
-        promoted.append(result[0].dtype != c.dtype)
-        return result
-
-    monkeypatch.setattr(core, "INT64_SAFE_LIMIT", 1)
-    monkeypatch.setattr(core, "_sweep", sweep)
-    for name, argv, code in GOLDEN_CASES:
-        got, out, _ = run(capsys, *argv)
-        assert (got, out.encode()) == (code, (golden_dir / f"{name}.out").read_bytes()), name
-    assert sum(promoted) > 0
+    with recorder(limit=1) as rec:
+        for name, argv, code in GOLDEN_CASES:
+            got, out, _ = run(capsys, *argv)
+            assert (got, out.encode()) == (code, (golden_dir / f"{name}.out").read_bytes()), name
+    assert any(sweep.promoted for sweep in rec.sweeps)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
@@ -874,35 +873,16 @@ class TestHeightOnlyWindow:
         (["search", "--k", "3", "--m-cap", "105"],
          [core.degree_of(rho) // 2 + 1 for rho in {rho.qs[:-1]: rho for rho in coprime_tuples(3, 105)}.values()]),
     ])
-    def test_windows(self, capsys, monkeypatch, argv, windows):
-        # Every array swept from 1 starts as core._unit, every block as
-        # core._block, and every other sweep is of a tuple alone, from a copy
-        # of its prefix of the shared array; search's tuples before each
-        # run's last continue from the shared array, in blocks or alone,
-        # each over its own low half.
+    def test_windows(self, capsys, argv, windows):
+        # Every array swept from 1 starts as core._unit, and every other
+        # array continues from a run's shared array: search's tuples before
+        # each run's last, in blocks or alone in a copy of their prefix of
+        # it (the recorder checks the copy), each over its own low half.
         continued = [core.degree_of(rho) // 2 + 1 for run in analysis.coprime_runs(3, 105) for rho in run[:-1]]
-        swept, blocked = [], []
-        real_unit, real_block, real_sweep = core._unit, core._block, core._sweep
-
-        def spy(window):
-            swept.append(real_unit(window))
-            return swept[-1]
-
-        def block_spy(shared, bound, factors, group):
-            blocked.extend(window for _, window in group)
-            return real_block(shared, bound, factors, group)
-
-        def sweep_spy(c, factors, bound):
-            if c.base is None and not any(c is unit for unit in swept):
-                assert np.array_equal(c, swept[-1][: len(c)])
-                blocked.append(len(c))
-            return real_sweep(c, factors, bound)
-
-        monkeypatch.setattr(core, "_unit", spy)
-        monkeypatch.setattr(core, "_block", block_spy)
-        monkeypatch.setattr(core, "_sweep", sweep_spy)
-        assert run(capsys, *argv)[0] == 0
-        assert [len(unit) for unit in swept] == windows
+        with recorder() as rec:
+            assert run(capsys, *argv)[0] == 0
+        assert rec.units == windows
+        blocked = [window for sweep in rec.sweeps if sweep.kind in ("block", "alone") for window in sweep.tuples]
         assert blocked == (continued if argv[0] == "search" else [])
 
     @pytest.mark.parametrize("argv", [

@@ -1,11 +1,9 @@
-import contextlib
 import inspect
 import math
 import random
 import sys
 import time
 import tracemalloc
-import weakref
 from itertools import combinations, groupby
 from unittest import mock
 
@@ -14,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coprime_tuples, sweep_from_one
+from conftest import coprime_tuples, recorder, sweep_from_one
 import iepoly
 from iepoly import construction, core
 from iepoly.core import (
@@ -310,26 +308,19 @@ class TestPromotion:
         assert is_palindromic(forced)
         assert eval_at_one(forced) == 1
 
-    def test_the_wrapped_array_is_promoted_in_place(self, monkeypatch):
+    def test_the_wrapped_array_is_promoted_in_place(self):
         # The step that could have wrapped is undone in int64 and redone in
         # Python integers: one sweep runs, from an int64 array, none from one
         # in Python integers, and the int64 array is gone once converted.
         rho = validate_tuple([5, 7, 11, 13, 17])
         window, factors = degree_of(rho) + 1, divisions_first(rho)
-        real = core._sweep
-        entered = []
-
-        def spying(c, factors, bound):
-            entered.append(weakref.ref(c))
-            return real(c, factors, bound)
-
-        monkeypatch.setattr(core, "_sweep", spying)
-        with recorded_sweeps() as (sweeps, steps):
+        with recorder() as rec:
             c = sweep_from_one(window, factors, np.int64)
-        assert len(entered) == 1 and entered[0]() is None
+        [sweep] = rec.sweeps
+        assert sweep.entry == np.int64 and sweep.promoted and sweep.entered() is None
         assert c.dtype == object and np.array_equal(c, expand(rho))
-        assert steps == expected_steps(window, factors, INT64_SAFE_LIMIT)
-        assert_each_step_once(sweeps, steps)
+        assert rec.steps == expected_steps(window, factors, INT64_SAFE_LIMIT)
+        assert_each_step_once(rec.sweeps)
 
     def test_object_sweep_matches_int64_sweep(self, small_corpus, random_corpus):
         for rho in small_corpus + random_corpus[:10]:
@@ -358,37 +349,9 @@ class TestPromotion:
         assert promoted > 0
 
 
-@contextlib.contextmanager
-def recorded_sweeps():
-    """Record core's sweeps inside the block: (entry dtype, result dtype, factors applied)
-    of each, and each kernel call as (kernel, d, dtype).  A sweep entered with the
-    constant 1 in Python integers fails at once."""
-    sweeps, steps = [], []
-
-    def sweep(c, factors, bound):
-        assert c.dtype == np.int64 or np.count_nonzero(c[1:]), "an object array built from 1"
-        window, dtype = len(c), c.dtype
-        c, bound = real_sweep(c, factors, bound)
-        sweeps.append((dtype, c.dtype, sum(d < window for d, _ in factors)))
-        return c, bound
-
-    def recording(kernel):
-        def step(c, d):
-            steps.append((kernel, d, c.dtype))
-            kernel(c, d)
-        return step
-
-    real_sweep = core._sweep
-    with mock.patch.object(core, "_sweep", sweep), \
-            mock.patch.object(core, "_shifted_difference", recording(_shifted_difference)), \
-            mock.patch.object(core, "_strided_prefix_sum", recording(_strided_prefix_sum)):
-        yield sweeps, steps
-
-
-def assert_each_step_once(sweeps, steps):
+def assert_each_step_once(sweeps):
     """Each sweep ran every applied factor once, plus one undo and one redo if it promoted."""
-    promoted = sum(entry == np.int64 and result == object for entry, result, _ in sweeps)
-    assert len(steps) == sum(applied for _, _, applied in sweeps) + 2 * promoted
+    assert all(len(sweep.steps) == len(sweep.applied) + 2 * sweep.promoted for sweep in sweeps)
 
 
 def expected_steps(window, factors, limit):
@@ -438,43 +401,43 @@ class TestMagnitudeBound:
         # int64 sweep must promote exactly where a prefix first does, and
         # hold the object sweep's values in either lane.
         expected, fits = object_sweep_within_limit(window, factors, stop=False, limit=limit)
-        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit), recorded_sweeps() as (_, steps):
+        with recorder(limit=limit) as rec:
             c = sweep_from_one(window, factors, "int64")
         assert c.dtype == (np.int64 if fits else object)
         assert np.array_equal(c, expected)
-        assert steps == expected_steps(window, factors, limit)
+        assert rec.steps == expected_steps(window, factors, limit)
 
-    def test_same_lane_as_every_step_check(self, high_k_corpus, monkeypatch):
+    def test_same_lane_as_every_step_check(self, high_k_corpus):
         # Under either order, the int64 sweep stays in int64 exactly when every
         # prefix of the object sweep stays within INT64_SAFE_LIMIT, returns
         # the object sweep's values, and scans less often than a check after
         # every applied factor.  The polynomial does not depend on the order,
         # so the second order's sweep may stop at its first prefix past the
         # limit.
-        scans = count_height_calls(monkeypatch)
         for rho in high_k_corpus:
             window = degree_of(rho) + 1
             values = None
             for factors in (ordered_factors(rho), divisions_first(rho)):
                 c, fits = object_sweep_within_limit(window, factors, stop=values is not None)
                 values = c if values is None else values
-                scans.clear()
-                result = sweep_from_one(window, factors, np.int64)
+                with recorder() as rec:
+                    result = sweep_from_one(window, factors, np.int64)
                 assert result.dtype == (np.int64 if fits else object), rho.qs
                 assert np.array_equal(result, values), rho.qs
-                assert len(scans) < sum(d < window for d, _ in factors), rho.qs
+                assert len(rec.sweeps[0].scans) < len(rec.sweeps[0].applied), rho.qs
 
-    def test_scans_are_few(self, monkeypatch):
-        scans = count_height_calls(monkeypatch)
+    def test_scans_are_few(self):
         rho = validate_tuple([49, 51, 149])
-        assert sweep_from_one(degree_of(rho) + 1, ordered_factors(rho), np.int64).dtype == np.int64
-        assert len(scans) == 0
+        with recorder() as rec:
+            assert sweep_from_one(degree_of(rho) + 1, ordered_factors(rho), np.int64).dtype == np.int64
+        assert len(rec.sweeps[0].scans) == 0
         rho = validate_tuple([2, 3, 5, 7, 11, 13, 17])
         window = degree_of(rho) + 1
         factors = ordered_factors(rho)
         assert sum(d < window for d, _ in factors) == 124
-        assert sweep_from_one(window, factors, np.int64).dtype == np.int64
-        assert 1 <= len(scans) <= 10
+        with recorder() as rec:
+            assert sweep_from_one(window, factors, np.int64).dtype == np.int64
+        assert 1 <= len(rec.sweeps[0].scans) <= 10
 
 
 def runs_of(tuples):
@@ -518,43 +481,10 @@ def past_the_shared_window(k, m_cap):
 
 
 def flat_run():
-    """The run 7,q: blocks of several small tuples, then three tuples whose windows pass 2 SWEEP_BLOCK."""
+    """The run 7,q: blocks of several small tuples, then three tuples whose windows pass 2 SWEEP_BLOCK.
+
+    Its values are within 1, so a limit of 1 promotes only a sweep where core.height reads 2."""
     return [validate_tuple([7, q]) for q in [*range(8, 400), 49999, 50021, 50023] if q % 7]
-
-
-@contextlib.contextmanager
-def planted(which):
-    """Plant one promotion in a run: lower the limit to 1, which no value of
-    a k = 2 run passes, and have core.height report 2 throughout the sweep
-    ``which`` names: "shared" the shared array's, "block" the first block of
-    several tuples', "last" the last tuple's, found as the sweep of the
-    shared array itself.  A tuple alone, in a copy of its prefix of the
-    shared array, is not planted.  Yields the tuple count of each promoted
-    block or array."""
-    promoted, groups, chosen, shared = [], [], [], []
-    real_sweep, real_block, real_height = core._sweep, core._block, core.height
-
-    def block(shared, bound, factors, group):
-        groups.append(len(group))
-        return real_block(shared, bound, factors, group)
-
-    def sweep(c, factors, bound):
-        role = ("shared" if not chosen else "block" if c.base is not None
-                else "last" if c is shared[0]() else "alone")
-        chosen.append(role == which and not promoted)
-        c, bound = real_sweep(c, factors, bound)
-        if role == "shared":
-            shared.append(weakref.ref(c))
-        if chosen[-1]:
-            assert c.dtype == object
-            promoted.append(groups[-1] if role == "block" else 1)
-        chosen[-1] = False
-        return c, bound
-
-    with mock.patch.object(core, "INT64_SAFE_LIMIT", 1), mock.patch.object(core, "_sweep", sweep), \
-            mock.patch.object(core, "_block", block), \
-            mock.patch.object(core, "height", lambda c: 2 if chosen[-1] else real_height(c)):
-        yield promoted
 
 
 class TestRuns:
@@ -650,11 +580,11 @@ class TestRuns:
         # a run no later.  No sweep starts from 1 in Python integers, and
         # each runs every factor once, plus one undo and one redo where it
         # promotes.
-        with mock.patch.object(core, "INT64_SAFE_LIMIT", limit), recorded_sweeps() as (sweeps, steps):
+        with recorder(limit=limit) as rec:
             arrays = list(expansions(run))
             measured = list(heights(run))
             alone = [expand(rho) for rho in run]
-        assert_each_step_once(sweeps, steps)
+        assert_each_step_once(rec.sweeps)
         for rho, full, single, A in zip(run, arrays, alone, measured):
             expected, fits = object_sweep_within_limit(degree_of(rho) + 1, ordered_factors(rho), stop=False, limit=limit)
             assert single.dtype == (np.int64 if fits else object), rho.qs
@@ -662,93 +592,71 @@ class TestRuns:
             assert np.array_equal(full, expected) and np.array_equal(single, expected), rho.qs
             assert A == height(expected), rho.qs
 
-    def test_one_shared_array_per_run(self, monkeypatch):
+    def test_one_shared_array_per_run(self):
         # heights and expansions build one array from 1 per run, the shared
         # array over its longest window.  Every other array continues from
         # it: a block of several tuples, or a tuple alone in a copy of its
         # prefix of the shared array, which ends as low_half's or expand's
         # array.  The k = 1 and k = 2 runs have tuples before the last whose
-        # rows of q_k cells pass the shared window.
-        swept, continued, alone = [], [], []
-        real_unit, real_sweep = core._unit, core._sweep
-        monkeypatch.setattr(core, "_unit", lambda window: swept.append(window) or real_unit(window))
-
-        def recording(c, factors, bound):
-            continued.append(c)
-            result = real_sweep(c, factors, bound)
-            if c.base is None and c is not continued[0]:
-                alone.append(result[0])
-            return result
-
+        # rows of q_k cells pass the shared window.  The low halves are read
+        # as heights sweeps them, through _arrays, which keeps each array.
         run = [validate_tuple(qs) for qs in ((3, 5, 7), (3, 5, 11), (3, 5, 13))]
-        monkeypatch.setattr(core, "_sweep", recording)
-        assert list(heights(run)) == [height(low_half(rho)) for rho in run]
-        shared = continued[0]
-        assert swept[0] == degree_of(run[-1]) // 2 + 1
-        assert len(swept) == 1 + len(run)  # the run's array, then one per low_half alone
+        with recorder() as rec:
+            assert list(heights(run)) == [height(low_half(rho)) for rho in run]
+        assert rec.units[0] == degree_of(run[-1]) // 2 + 1
+        assert len(rec.units) == 1 + len(run)  # the run's array, then one per low_half alone
         # The run's array, one block of the two tuples before the last, and the
         # last tuple in the run's array itself.
-        assert [c.base is None for c in continued[:3]] == [True, False, True] and continued[2] is shared
+        assert [(sweep.kind, len(sweep.tuples)) for sweep in rec.sweeps[:3]] == [("shared", 0), ("block", 2), ("last", 1)]
         seen = 0
         for run in [run, *past_the_shared_window(1, 150), *past_the_shared_window(2, 300)]:
-            for route, single, window in ((heights, low_half, lambda rho: degree_of(rho) // 2 + 1),
-                                          (expansions, expand, lambda rho: degree_of(rho) + 1)):
+            for single, window in ((low_half, lambda rho: degree_of(rho) // 2 + 1), (expand, lambda rho: degree_of(rho) + 1)):
                 expected = {window(rho): single(rho) for rho in run}
-                del swept[:], continued[:], alone[:]
-                list(route(run))
-                assert swept == [window(run[-1])]
+                with recorder() as rec:
+                    arrays = list(core._arrays(run, [window(rho) for rho in run], core.DEFAULT_DEGREE_CAP))
+                assert rec.units == [window(run[-1])]
+                alone = [sweep.entered() for sweep in rec.sweeps if sweep.kind == "alone"]
                 assert all(np.array_equal(c, expected[len(c)]) for c in alone)
                 seen += len(alone)
         assert seen
 
-    def test_every_sweep_starts_from_a_bound_on_its_array(self, monkeypatch):
+    def test_every_sweep_starts_from_a_bound_on_its_array(self):
         # A block starts from the shared array's bound: it must bound the
         # block too, or the int64 lane could miss a wrap.
-        real = core._sweep
-        entries = []
-
-        def recording(c, factors, bound):
-            entries.append((height(c), bound))
-            return real(c, factors, bound)
-
-        monkeypatch.setattr(core, "_sweep", recording)
-        for k, m_cap in ((3, 1500), (4, 5000)):
-            for run in runs_of(coprime_tuples(k, m_cap)):
-                list(heights(run))
-                list(expansions(run))
-        assert any(start > 1 for start, _ in entries)
-        assert all(start <= bound for start, bound in entries)
+        with recorder() as rec:
+            for k, m_cap in ((3, 1500), (4, 5000)):
+                for run in runs_of(coprime_tuples(k, m_cap)):
+                    list(heights(run))
+                    list(expansions(run))
+        assert any(sweep.start > 1 for sweep in rec.sweeps)
+        assert all(sweep.start <= sweep.bound for sweep in rec.sweeps)
 
     def test_a_wrapped_shared_sweep_promotes_the_run(self):
         # A planted promotion of the shared array: every block and the last
         # tuple continue from it in Python integers, with expand's values.
         run = flat_run()
         expected = [expand(rho) for rho in run]
-        with planted("shared"), recorded_sweeps() as (sweeps, steps):
+        with recorder(limit=1, plant="shared") as rec:
             arrays = list(expansions(run))
             measured = list(heights(run))
-        assert_each_step_once(sweeps, steps)
+        assert_each_step_once(rec.sweeps)
         assert all(c.dtype == object for c in arrays)
         assert all(np.array_equal(c, e) for c, e in zip(arrays, expected))
         assert measured == [height(e) for e in expected]
 
-    def test_a_wrapped_tuple_is_swept_in_int64_once(self, monkeypatch):
+    def test_a_wrapped_tuple_is_swept_in_int64_once(self):
         # The shared array of a run of one is the tuple's own int64 sweep
         # from 1: when it could have wrapped, the tuple goes on in Python
         # integers from that step, and no factor but that one runs twice.
         rho = validate_tuple([2, 3, 5, 7, 11, 13, 17])
         window, factors = degree_of(rho) + 1, ordered_factors(rho)
-        units = []
-        real = core._unit
-        monkeypatch.setattr(core, "INT64_SAFE_LIMIT", 30)
-        monkeypatch.setattr(core, "_unit", lambda window: units.append(window) or real(window))
-        with recorded_sweeps() as (_, steps):
+        with recorder(limit=30) as rec:
             c = expand(rho)
-        assert units == [window]
+        assert rec.units == [window]
         assert c.dtype == object
         assert np.array_equal(c, sweep_from_one(window, factors, object))
-        assert steps == expected_steps(window, factors, 30)
-        assert len(steps) == sum(d < window for d, _ in factors) + 2 == 126
+        assert rec.steps == expected_steps(window, factors, 30)
+        assert len(rec.steps) == sum(d < window for d, _ in factors) + 2 == 126
 
     def test_a_wrapped_last_tuple_keeps_no_int64_array(self):
         # A tuple whose sweep passes the limit only in its own half promotes
@@ -780,9 +688,9 @@ class TestRuns:
         run = flat_run()
         expected = [expand(rho) for rho in run]
         for route in (expansions, heights):
-            with planted("block") as groups:
+            with recorder(limit=1, plant="block") as rec:
                 got = list(route(run))
-            promoted = groups[0]
+            promoted = len(rec.planted.tuples)
             assert promoted > 1
             if route is heights:
                 assert got == [height(e) for e in expected]
@@ -820,14 +728,14 @@ class TestRuns:
         widest = degree_of(run[-1]) // 2 + 1
         assert widest > 2 * SWEEP_BLOCK
         expected = [height(low_half(rho)) for rho in run]
-        with planted(which) as groups:
+        with recorder(limit=1, plant=which) as rec:
             tracemalloc.start()
             try:
                 measured = list(heights(run))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert groups
+        assert rec.planted.promoted
         assert measured == expected
         assert peak < 8 * (2 * widest + SWEEP_BLOCK) + (1 << 17)
 
@@ -836,6 +744,9 @@ class TestRuns:
         with pytest.raises(DegreeCapExceeded) as err:
             list(heights(run, degree_cap=10))
         assert (err.value.coefficients, err.value.cap) == (11, 10)
+
+    def test_an_empty_run_has_no_arrays(self):
+        assert list(heights([])) == list(expansions([])) == []
 
     @pytest.mark.parametrize("qs", [((3, 5, 7), (3, 7, 11)), ((3, 5, 11), (3, 5, 7))])
     def test_refuses_what_is_not_a_run(self, qs):
@@ -883,18 +794,6 @@ def object_sweep_within_limit(window, factors, stop, limit=INT64_SAFE_LIMIT):
             if stop:
                 return None, fits
     return c, fits
-
-
-def count_height_calls(monkeypatch):
-    """Record every call of core.height from here on; the list of heights it returned."""
-    measured = []
-
-    def counting(c):
-        measured.append(height(c))
-        return measured[-1]
-
-    monkeypatch.setattr(core, "height", counting)
-    return measured
 
 
 class TestShiftedDifference:
@@ -1005,6 +904,10 @@ class TestMeasures:
         rng = np.random.default_rng(3)
         c = rng.integers(-(1 << 63), (1 << 63) - 1, size=3 * SWEEP_BLOCK + 5, dtype=np.int64, endpoint=True)
         assert eval_at_one(c) == sum(int(v) for v in c)
+        # Python integers of both signs past 2^64, through the same halves.
+        big = c.astype(object) * (1 << 137) + c[::-1].astype(object)
+        assert abs(big).min() > 1 << 64
+        assert eval_at_one(big) == sum(big.tolist())
 
     def test_eval_at_one_needs_no_copy_of_the_window(self):
         c = np.ones(10**6, dtype=np.int64)
