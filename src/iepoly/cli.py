@@ -194,6 +194,8 @@ def _parse_q(raw: str) -> core.CoprimeTuple:
 
 
 def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    if args.height_only and args.out is not None:
+        raise InvalidParameter("--height-only and --out exclude each other")
     rho = _parse_q(args.q)
     # A run that outputs no coefficients sweeps only the low half.
     full = None if args.height_only else core.expand(rho, args.memory_cap)
@@ -219,7 +221,7 @@ def cmd_compute(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if full is not None:
         payload["palindromic"] = core.is_palindromic(full)
         payload["eval_at_one"] = _big(core.eval_at_one(full))
-        if args.out:
+        if args.out is not None:
             try:
                 _write_coeffs(args.out, full)
             except OSError as exc:
@@ -396,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", parents=[common], help="expand a tuple and report height statistics")
     p.add_argument("--q", required=True, help="comma-separated tuple entries, e.g. 3,5,7")
     p.add_argument("--height-only", action="store_true",
-                   help="omit coefficients and structural checks; sweep only the low half")
+                   help="omit coefficients and structural checks; sweep only the low half (excludes --out)")
     p.add_argument("--coeff", type=int, default=None, metavar="INDEX", help="also report one coefficient")
     p.add_argument("--out", default=None, metavar="FILE",
-                   help="write coefficients to FILE, one decimal integer per line")
+                   help="write coefficients to FILE, one decimal integer per line (excludes --height-only)")
     p.set_defaults(handler=cmd_compute)
 
     p = sub.add_parser("construct", parents=[common], help="build the (N, k) congruence family")

@@ -3,6 +3,8 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
+import typing
 import weakref
 from unittest import mock
 
@@ -176,6 +178,74 @@ def recorder(limit=None, plant=None):
                              _shifted_difference=kernel("_shifted_difference"),
                              _strided_prefix_sum=kernel("_strided_prefix_sum")):
         yield rec
+
+
+# core's two kernels, multiplication then division: each undoes the other.
+KERNELS = (core._shifted_difference, core._strided_prefix_sum)
+
+
+class Lane(typing.NamedTuple):
+    """What ``lane_reference`` returns."""
+
+    values: typing.Optional[np.ndarray]  # the object sweep's; None past the limit, with ``stop``
+    steps: list  # an int64 sweep's kernel calls, as ``recorder`` lists them
+
+    @property
+    def fits(self) -> bool:
+        """Whether every prefix stayed within the limit: no step ran in Python integers."""
+        return all(dtype == np.int64 for *_, dtype in self.steps)
+
+
+def lane_reference(window, factors, limit=core.INT64_SAFE_LIMIT, stop=False) -> Lane:
+    """The object sweep from 1, and the kernel calls of an int64 sweep from 1.
+
+    Each applied factor runs once and, at the first step after which the
+    object sweep passes ``limit``, the other kernel undoes it in int64 and the
+    step runs again in Python integers.  With ``stop``, the sweep ends there.
+    """
+    c = np.zeros(window, dtype=object)
+    c[0] = 1
+    steps, dtype = [], np.dtype(np.int64)
+    for d, sign in factors:
+        if d >= window:
+            continue
+        kernel, undo = KERNELS if sign > 0 else KERNELS[::-1]
+        kernel(c, d)
+        steps.append((kernel, d, dtype))
+        if dtype == np.int64 and max(c.max(), -c.min()) > limit:
+            dtype = np.dtype(object)
+            steps += [(undo, d, np.dtype(np.int64)), (kernel, d, dtype)]
+            if stop:
+                return Lane(None, steps)
+    return Lane(c, steps)
+
+
+def traced_peak(call):
+    """``call()``, and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def str_digit_limit(n):
+    """The interpreter's int-to-str digit limit set to ``n`` inside the block (0: none), then restored.
+
+    Skips the test where the interpreter has no limit, unless n is 0: it has none already.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        if n:
+            pytest.skip("no int-to-str digit limit")
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def make_random_tuples(count: int, max_degree: int = 10**5, seed: int = 0x5EED, k_max: int = 5) -> list[CoprimeTuple]:

@@ -10,7 +10,6 @@ import shlex
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coprime_tuples, recorder
+from conftest import coprime_tuples, recorder, str_digit_limit, traced_peak
 from golden_cases import GOLDEN_CASES, SRC_ENV
 from iepoly import analysis, cli, construction, core, oracle
 from iepoly.cli import main
@@ -176,6 +175,21 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write --out") and err.count("\n") == 1
 
+    def test_height_only_refuses_out(self, capsys, tmp_path):
+        # A low half is no polynomial to write: refused before any array is built.
+        sink = tmp_path / "coeffs.txt"
+        with recorder() as rec:
+            result = run(capsys, "compute", "--q", "3,5,7", "--height-only", "--out", str(sink))
+        assert result == (2, "", "error: --height-only and --out exclude each other\n")
+        assert rec.units == [] and not sink.exists()
+
+    def test_empty_out_is_an_unwritable_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "compute", "--q", "2,3", "--out", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_large_dumps_go_to_out(self, capsys, tmp_path):
         # 10,007 coefficients: past the inline limit, so omitted unless --out writes them.
         code, payload, _ = run_json(capsys, "compute", "--q", "2,10007")
@@ -264,13 +278,8 @@ class TestConstruct:
 @pytest.fixture(scope="module")
 def unlimited_str_digits():
     # str() of the reference values must pass the int-to-str guard (3.11+).
-    if not hasattr(sys, "set_int_max_str_digits"):
+    with str_digit_limit(0):
         yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(limit)
 
 
 class TestBigRendering:
@@ -489,12 +498,7 @@ class TestSearch:
         # m <= 10^7; only those within --expand-cap may be listed.
         argv = ["search", "--k", k, "--m-cap", "10000000", "--expand-cap", "200"]
         run(capsys, "compute", "--q", "3,5,7", "--height-only")  # loads numpy outside the trace
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(argv))
         assert code == 0
         count = json.loads(capsys.readouterr().out)["count"]
         assert count == sum(core.degree_of(rho) <= 200 for rho in coprime_tuples(int(k), 4000))
@@ -544,6 +548,14 @@ class TestOracleCheck:
         assert payload["mismatches"] == 1
         assert payload["mismatched_tuples"] == ["{3,5,7}"]
 
+    def test_planted_remainder_exits_1(self, capsys, monkeypatch):
+        # (1 - x^15)(1 - x) / ((1 - x^5)(1 - x^4)) is no polynomial: 3,5's
+        # factors with 1 - x^4 planted in place of 1 - x^3, in the oracle only.
+        monkeypatch.setattr(oracle, "factor_system", lambda rho: ((15, 1), (5, -1), (4, -1), (1, 1)))
+        monkeypatch.setattr(analysis, "coprime_runs", lambda k, m_cap: [[core.validate_tuple([3, 5])]] if k == 2 else [])
+        result = run(capsys, "oracle-check", "--m-cap", "30", "--k-max", "2")
+        assert result == (1, "", "error: 1 - x^4 leaves a nonzero remainder\n")
+
     def test_cap(self, capsys):
         # The largest pair of arrays is (105,)'s: a window of 105 and an oracle product of 106.
         assert run(capsys, "oracle-check", "--m-cap", "105", "--memory-cap", "210")[0] == 3
@@ -582,12 +594,7 @@ class TestOracleCheck:
         # The k = 1 run up to m = 10^7 is listed RUN_LENGTH candidates at a
         # time, so a refusal near its start comes before the rest is built.
         run(capsys, "compute", "--q", "3,5,7", "--height-only")  # loads numpy outside the trace
-        tracemalloc.start()
-        try:
-            code = main(["oracle-check", "--m-cap", "10000000", "--memory-cap", "105"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(["oracle-check", "--m-cap", "10000000", "--memory-cap", "105"]))
         assert (code, capsys.readouterr().err) == (3, "error: DegreeCapExceeded: 107 coefficients exceed the cap of 105\n")
         assert peak < 2 << 20
 
@@ -661,12 +668,7 @@ class TestOracleCheck:
         assert windows[0] > core.SWEEP_BLOCK
         cap = 2 * windows[-1] + max(products)
         run(capsys, "compute", "--q", "3,5,7", "--height-only")  # loads numpy outside the trace
-        tracemalloc.start()
-        try:
-            code = main(["oracle-check", "--m-cap", "200000", "--memory-cap", str(cap)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(["oracle-check", "--m-cap", "200000", "--memory-cap", str(cap)]))
         assert code == 0
         assert json.loads(capsys.readouterr().out)["tuples_checked"] == len(run_)
         assert peak < 8 * (cap + core.SWEEP_BLOCK) + (1 << 17)
@@ -804,36 +806,26 @@ def test_goldens_under_forced_promotion(capsys):
     assert any(sweep.promoted for sweep in rec.sweeps)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
 def test_main_leaves_the_str_digit_limit_alone(capsys):
     # The limit guards the whole process against quadratic int <-> str
     # conversions; only run(), the process entry, lifts it.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with str_digit_limit(4300):
         assert run(capsys, "constant", "--terms", "3")[0] == 0
         code, payload, _ = run_json(capsys, "construct", "--N", "1", "--k", "12")
         assert code == 0 and len(payload["lemma_bound"]) > 10**4
         assert sys.get_int_max_str_digits() == 4300
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
 @pytest.mark.parametrize("argv", [["compute", "--height-only"], ["verify", "--expand"]])
 def test_refused_count_past_the_str_digit_limit(capsys, argv):
     # The k = 20 family with N = 10^250 has a low half of more than 4,300 digits.
     fam = congruence_family(10**250, 20)
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
+    with str_digit_limit(0):
         window = str(core.degree_of(fam.rho) // 2 + 1)
-        sys.set_int_max_str_digits(4300)
+    with str_digit_limit(4300):
         extra = ["--r", str(fam.r)] if argv[0] == "verify" else []
         code, out, err = run(capsys, argv[0], "--q", ",".join(map(str, fam.rho.qs)), *argv[1:], *extra)
         assert sys.get_int_max_str_digits() == 4300
-    finally:
-        sys.set_int_max_str_digits(limit)
     assert len(window) > 4300
     assert (code, out) == (3, "")
     assert err == f"error: DegreeCapExceeded: {window} coefficients exceed the cap of {core.DEFAULT_DEGREE_CAP}\n"
@@ -893,12 +885,7 @@ class TestHeightOnlyWindow:
     def test_peak_memory(self, capsys, argv):
         degree = 48 * 144 * 240  # 49,145,241: a 13.3 MB int64 window
         run(capsys, "compute", "--q", "3,5,7", "--height-only")  # loads numpy outside the trace
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(argv))
         assert code == 0
         assert json.loads(capsys.readouterr().out)["height"] == "18"
         assert peak < 0.6 * 8 * (degree + 1)

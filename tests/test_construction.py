@@ -1,11 +1,11 @@
 import decimal
 import math
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from conftest import str_digit_limit
 from iepoly.analysis import coprime_runs, height_report, limit_constant, normalized_ratio, search_max_ratio
 from iepoly import construction
 from iepoly.construction import (
@@ -124,7 +124,6 @@ class TestHeightLowerBound:
         with pytest.raises(CongruenceNotSatisfied):
             height_lower_bound(fam.rho, fam.r + 1)
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     @pytest.mark.parametrize("call, error", [
         (lambda big: height_lower_bound(validate_tuple([7]), big), CongruenceNotSatisfied),
         (lambda big: check_congruence(validate_tuple([7]), -big), InvalidParameter),
@@ -140,13 +139,8 @@ class TestHeightLowerBound:
     def test_errors_print_integers_past_the_str_digit_limit(self, call, error):
         # Under the interpreter's default 4,300-digit limit on int-to-str
         # conversion, the error is the documented one and names the value in full.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
-            with pytest.raises(error) as err:
-                call(10**4400)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        with str_digit_limit(4300), pytest.raises(error) as err:
+            call(10**4400)
         assert "1" + "0" * 4400 in str(err.value)
 
     def test_r_and_m_reach_decimal_through_big(self, monkeypatch):

@@ -1,9 +1,7 @@
 import inspect
 import math
 import random
-import sys
 import time
-import tracemalloc
 from itertools import combinations, groupby
 from unittest import mock
 
@@ -12,16 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coprime_tuples, recorder, sweep_from_one
+from conftest import coprime_tuples, lane_reference, recorder, str_digit_limit, sweep_from_one, traced_peak
 import iepoly
 from iepoly import construction, core
 from iepoly.core import (
-    INT64_SAFE_LIMIT,
     ROW_SWEEP_MIN,
     SUBSET_CAP,
     SWEEP_BLOCK,
-    _shifted_difference,
-    _strided_prefix_sum,
     degree_of,
     eval_at_one,
     expand,
@@ -80,7 +75,6 @@ class TestValidate:
         assert (err.value.i, err.value.j) == (1, 3)
 
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     @pytest.mark.parametrize("qs, error", [
         ([10**4400, 2 * 10**4400], NotCoprime),
         ([2 * 10**4400, 10**4400], NotIncreasing),
@@ -89,33 +83,22 @@ class TestValidate:
     def test_errors_print_entries_past_the_str_digit_limit(self, qs, error):
         # Under the interpreter's default 4,300-digit limit on int-to-str
         # conversion, the error names the entries in full all the same.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
-            with pytest.raises(error) as err:
-                validate_tuple(qs)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        with str_digit_limit(4300), pytest.raises(error) as err:
+            validate_tuple(qs)
         assert "1" + "0" * 4400 in str(err.value)
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_tuples_print_entries_past_the_str_digit_limit(self):
         # str() of a tuple, which the run error below and oracle-check's
         # mismatch list print, names its entries in full under the default
         # 4,300-digit limit, and a malformed run raises its documented error.
         big = validate_tuple([3, 10**4400 + 1])
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
+        with str_digit_limit(4300):
             text = str(big)
             with pytest.raises(InvalidParameter) as err:
                 list(heights([big, validate_tuple([2, 5])]))
-        finally:
-            sys.set_int_max_str_digits(limit)
         assert text == "{3,1" + "0" * 4399 + "1}"
         assert text + " then {2,5}" in str(err.value)
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_errors_print_a_million_bit_entry_in_time(self):
         # Error messages print through the same sub-quadratic printer as
         # stdout; str() of these two entries takes seconds on CPython 3.11.
@@ -124,12 +107,8 @@ class TestValidate:
         with pytest.raises(NotIncreasing) as err:
             validate_tuple([2 * x, x])
         assert time.perf_counter() - start < 1
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
+        with str_digit_limit(0):
             assert str(err.value) == f"NotIncreasing: q[0] = {2 * x} not below q[1] = {x}"
-        finally:
-            sys.set_int_max_str_digits(limit)
 
     def test_products_of_a_long_tuple(self):
         qs = construction.family_parameters(1, construction.FAMILY_K_CAP)[1]
@@ -319,7 +298,7 @@ class TestPromotion:
         [sweep] = rec.sweeps
         assert sweep.entry == np.int64 and sweep.promoted and sweep.entered() is None
         assert c.dtype == object and np.array_equal(c, expand(rho))
-        assert rec.steps == expected_steps(window, factors, INT64_SAFE_LIMIT)
+        assert rec.steps == lane_reference(window, factors).steps
         assert_each_step_once(rec.sweeps)
 
     def test_object_sweep_matches_int64_sweep(self, small_corpus, random_corpus):
@@ -354,26 +333,6 @@ def assert_each_step_once(sweeps):
     assert all(len(sweep.steps) == len(sweep.applied) + 2 * sweep.promoted for sweep in sweeps)
 
 
-def expected_steps(window, factors, limit):
-    """The kernel calls of an int64 sweep from 1: each applied factor once and, at the
-    first step after which the object sweep passes ``limit``, the other kernel undoing
-    it in int64 and the step again in Python integers."""
-    c = np.zeros(window, dtype=object)
-    c[0] = 1
-    steps, dtype = [], np.dtype(np.int64)
-    for d, sign in factors:
-        if d >= window:
-            continue
-        pair = (_shifted_difference, _strided_prefix_sum)
-        kernel, undo = pair if sign > 0 else pair[::-1]
-        kernel(c, d)
-        steps.append((kernel, d, dtype))
-        if dtype == np.int64 and height(c) > limit:
-            dtype = np.dtype(object)
-            steps += [(undo, d, np.dtype(np.int64)), (kernel, d, dtype)]
-    return steps
-
-
 def short_factor_lists(window):
     return st.lists(st.tuples(st.integers(1, window), st.sampled_from((1, -1))), max_size=12)
 
@@ -390,7 +349,7 @@ class TestMagnitudeBound:
         bound = 1
         for end, (d, sign) in enumerate(factors, 1):
             bound *= 2 if sign > 0 else -(-window // d)
-            c = sweep_from_one(window, factors[:end], object)
+            c = lane_reference(window, factors[:end]).values
             assert max(abs(v) for v in c.tolist()) <= bound
 
     @settings(max_examples=300, deadline=None)
@@ -400,12 +359,12 @@ class TestMagnitudeBound:
         # With the limit lowered, short random sequences cross it often: the
         # int64 sweep must promote exactly where a prefix first does, and
         # hold the object sweep's values in either lane.
-        expected, fits = object_sweep_within_limit(window, factors, stop=False, limit=limit)
+        lane = lane_reference(window, factors, limit)
         with recorder(limit=limit) as rec:
             c = sweep_from_one(window, factors, "int64")
-        assert c.dtype == (np.int64 if fits else object)
-        assert np.array_equal(c, expected)
-        assert rec.steps == expected_steps(window, factors, limit)
+        assert c.dtype == (np.int64 if lane.fits else object)
+        assert np.array_equal(c, lane.values)
+        assert rec.steps == lane.steps
 
     def test_same_lane_as_every_step_check(self, high_k_corpus):
         # Under either order, the int64 sweep stays in int64 exactly when every
@@ -418,11 +377,11 @@ class TestMagnitudeBound:
             window = degree_of(rho) + 1
             values = None
             for factors in (ordered_factors(rho), divisions_first(rho)):
-                c, fits = object_sweep_within_limit(window, factors, stop=values is not None)
-                values = c if values is None else values
+                lane = lane_reference(window, factors, stop=values is not None)
+                values = lane.values if values is None else values
                 with recorder() as rec:
                     result = sweep_from_one(window, factors, np.int64)
-                assert result.dtype == (np.int64 if fits else object), rho.qs
+                assert result.dtype == (np.int64 if lane.fits else object), rho.qs
                 assert np.array_equal(result, values), rho.qs
                 assert len(rec.sweeps[0].scans) < len(rec.sweeps[0].applied), rho.qs
 
@@ -551,10 +510,10 @@ class TestRuns:
                 arrays = list(core._arrays(run, [degree_of(rho) // 2 + 1 for rho in run], core.DEFAULT_DEGREE_CAP))
                 alone = [low_half(rho) for rho in run]
             for rho, half, single in zip(run, arrays, alone):
-                expected, fits = object_sweep_within_limit(len(single), ordered_factors(rho), stop=False, limit=limit)
-                assert single.dtype == (np.int64 if fits else object), rho.qs
-                assert half.dtype == object or fits, rho.qs
-                assert np.array_equal(half, expected) and np.array_equal(single, expected), rho.qs
+                lane = lane_reference(len(single), ordered_factors(rho), limit)
+                assert single.dtype == (np.int64 if lane.fits else object), rho.qs
+                assert half.dtype == object or lane.fits, rho.qs
+                assert np.array_equal(half, lane.values) and np.array_equal(single, lane.values), rho.qs
                 lanes.add((half.dtype.name, single.dtype.name))
         assert ("object", "int64") in lanes and ("object", "object") in lanes
 
@@ -565,7 +524,7 @@ class TestRuns:
         assert len(arrays) == len(run)
         for rho, full, A in zip(run, arrays, heights(run)):
             window = degree_of(rho) + 1
-            expected = sweep_from_one(window, ordered_factors(rho), object)
+            expected = lane_reference(window, ordered_factors(rho)).values
             assert full.dtype == np.int64 and len(full) == window, rho.qs
             assert np.array_equal(full, expected), rho.qs
             assert A == height(expected), rho.qs
@@ -586,11 +545,11 @@ class TestRuns:
             alone = [expand(rho) for rho in run]
         assert_each_step_once(rec.sweeps)
         for rho, full, single, A in zip(run, arrays, alone, measured):
-            expected, fits = object_sweep_within_limit(degree_of(rho) + 1, ordered_factors(rho), stop=False, limit=limit)
-            assert single.dtype == (np.int64 if fits else object), rho.qs
-            assert full.dtype == object or fits, rho.qs
-            assert np.array_equal(full, expected) and np.array_equal(single, expected), rho.qs
-            assert A == height(expected), rho.qs
+            lane = lane_reference(degree_of(rho) + 1, ordered_factors(rho), limit)
+            assert single.dtype == (np.int64 if lane.fits else object), rho.qs
+            assert full.dtype == object or lane.fits, rho.qs
+            assert np.array_equal(full, lane.values) and np.array_equal(single, lane.values), rho.qs
+            assert A == height(lane.values), rho.qs
 
     def test_one_shared_array_per_run(self):
         # heights and expansions build one array from 1 per run, the shared
@@ -652,10 +611,11 @@ class TestRuns:
         window, factors = degree_of(rho) + 1, ordered_factors(rho)
         with recorder(limit=30) as rec:
             c = expand(rho)
+        lane = lane_reference(window, factors, 30)
         assert rec.units == [window]
         assert c.dtype == object
-        assert np.array_equal(c, sweep_from_one(window, factors, object))
-        assert rec.steps == expected_steps(window, factors, 30)
+        assert np.array_equal(c, lane.values)
+        assert rec.steps == lane.steps
         assert len(rec.steps) == sum(d < window for d, _ in factors) + 2 == 126
 
     def test_a_wrapped_last_tuple_keeps_no_int64_array(self):
@@ -665,19 +625,10 @@ class TestRuns:
         # that of the object sweep from 1.
         rho = validate_tuple([3, 4, 5, 7, 11, 13])
         window, factors = degree_of(rho) + 1, ordered_factors(rho)
-        assert object_sweep_within_limit(window, factors[: 1 << (rho.k - 1)], stop=False, limit=16)[1]
-
-        def traced(route):
-            tracemalloc.start()
-            try:
-                c = route()
-                return c, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        reference, reference_peak = traced(lambda: sweep_from_one(window, factors, object))
+        assert lane_reference(window, factors[: 1 << (rho.k - 1)], 16).fits
+        reference, reference_peak = traced_peak(lambda: sweep_from_one(window, factors, object))
         with mock.patch.object(core, "INT64_SAFE_LIMIT", 16):
-            c, peak = traced(lambda: expand(rho))
+            c, peak = traced_peak(lambda: expand(rho))
         assert c.dtype == object and np.array_equal(c, reference)
         assert peak < reference_peak + 4 * window  # an int64 window is 8 * window bytes
 
@@ -710,12 +661,7 @@ class TestRuns:
         assert degree_of(big[-3]) // 2 + 1 > 2 * SWEEP_BLOCK
         for run in (big, several_groups()):
             widest = degree_of(run[-1]) // 2 + 1
-            tracemalloc.start()
-            try:
-                measured = list(heights(run))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            measured, peak = traced_peak(lambda: list(heights(run)))
             assert measured == [height(low_half(rho)) for rho in run]
             assert peak < 8 * (2 * widest + SWEEP_BLOCK) + (1 << 16)
 
@@ -729,12 +675,7 @@ class TestRuns:
         assert widest > 2 * SWEEP_BLOCK
         expected = [height(low_half(rho)) for rho in run]
         with recorder(limit=1, plant=which) as rec:
-            tracemalloc.start()
-            try:
-                measured = list(heights(run))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            measured, peak = traced_peak(lambda: list(heights(run)))
         assert rec.planted.promoted
         assert measured == expected
         assert peak < 8 * (2 * widest + SWEEP_BLOCK) + (1 << 17)
@@ -777,25 +718,6 @@ class TestOrder:
             assert np.array_equal(half, full[: len(half)]), rho.qs
 
 
-def object_sweep_within_limit(window, factors, stop, limit=INT64_SAFE_LIMIT):
-    """The object sweep, and whether every prefix stayed within ``limit``.
-
-    With ``stop``, the sweep ends (returning None) at the first prefix past it.
-    """
-    c = np.zeros(window, dtype=object)
-    c[0] = 1
-    fits = True
-    for d, sign in factors:
-        if d >= window:
-            continue
-        (_shifted_difference if sign > 0 else _strided_prefix_sum)(c, d)
-        if fits and max(c.max(), -c.min()) > limit:
-            fits = False
-            if stop:
-                return None, fits
-    return c, fits
-
-
 class TestShiftedDifference:
     """The blocked multiplication step equals the whole-slice subtraction."""
 
@@ -813,7 +735,7 @@ class TestShiftedDifference:
             expected = values.copy()
             expected[d:] -= values[: window - d]
             blocked = values.copy()
-            _shifted_difference(blocked, d)
+            core._shifted_difference(blocked, d)
             assert blocked.dtype == expected.dtype
             assert np.array_equal(blocked, expected), d
 
@@ -821,12 +743,7 @@ class TestShiftedDifference:
     def test_needs_no_copy_of_the_window(self, d):
         c = np.zeros(10**6, dtype=np.int64)
         c[0] = 1
-        tracemalloc.start()
-        try:
-            _shifted_difference(c, d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: core._shifted_difference(c, d))
         assert peak < 1 << 20  # the window itself is 8 MB
 
 
@@ -846,7 +763,7 @@ class TestStridedPrefixSum:
             for i in range(d, n):
                 expected[i] += expected[i - d]
             c = values.copy()
-            _strided_prefix_sum(c, d)
+            core._strided_prefix_sum(c, d)
             assert c.dtype == values.dtype
             assert c.tolist() == expected, (d, n)
 
@@ -881,12 +798,8 @@ class TestMeasures:
         c = np.minimum(ramp, ramp[::-1])
         broken = c.copy()
         broken[5 * SWEEP_BLOCK] += 1
-        tracemalloc.start()
-        try:
-            assert is_palindromic(c) and not is_palindromic(broken)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        checks, peak = traced_peak(lambda: (is_palindromic(c), is_palindromic(broken)))
+        assert checks == (True, False)
         assert peak < 2 * SWEEP_BLOCK  # a boolean array of the window is 8 * SWEEP_BLOCK bytes
 
     def test_eval_at_one_examples(self):
@@ -911,12 +824,8 @@ class TestMeasures:
 
     def test_eval_at_one_needs_no_copy_of_the_window(self):
         c = np.ones(10**6, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            assert eval_at_one(c) == 10**6
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        total, peak = traced_peak(lambda: eval_at_one(c))
+        assert total == 10**6
         assert peak < 1 << 20  # the window itself is 8 MB
 
 

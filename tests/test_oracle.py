@@ -1,6 +1,5 @@
 import ast
 import pathlib
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coprime_tuples
+from conftest import KERNELS, coprime_tuples, traced_peak
 from iepoly import oracle
 from iepoly.core import INT64_SAFE_LIMIT, ROW_SWEEP_MIN, SWEEP_BLOCK, expand, height, validate_tuple
 from iepoly.errors import DegreeCapExceeded, NonzeroRemainder
@@ -219,7 +218,7 @@ def test_shares_no_sweep_or_lane_check_with_core():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
             used.add(node.attr)
     assert "factor_system" in used
-    assert not used & {"_sweep", "_shifted_difference", "_strided_prefix_sum", "_unit", "height"}
+    assert not used & {"_sweep", "_unit", "height", *(kernel.__name__ for kernel in KERNELS)}
 
 
 class TestOracleExpand:
@@ -293,12 +292,7 @@ class TestOracleExpand:
         rho = validate_tuple(qs)
         length = oracle.product_length(rho)
         expected = expand(rho)
-        tracemalloc.start()
-        try:
-            p = oracle_expand(rho)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        p, peak = traced_peak(lambda: oracle_expand(rho))
         assert np.array_equal(p, expected)
         assert peak < 1.25 * 8 * length
 
